@@ -21,6 +21,7 @@ from pirlab.analysis import (
     verify_correctness,
     verify_privacy,
 )
+from pirlab.cli import render_table
 from pirlab.model import builtin_table1
 from pirlab.nary import answer_table, export_decomposable, make_nary
 from pirlab.symmetry import variety_symmetrize
@@ -43,21 +44,9 @@ def metrics_grid(max_servers: int, max_messages: int) -> None:
     print()
 
 
-def render_table(title: str, rows_per_server) -> None:
+def print_table(title: str, rows_per_server) -> None:
     print(title)
-    widths = [
-        max(len(f"{label} -> {formula}") for label, formula in rows) or 1
-        for rows in rows_per_server
-    ]
-    for row_i in range(max(len(r) for r in rows_per_server)):
-        cells = []
-        for n, rows in enumerate(rows_per_server):
-            text = ""
-            if row_i < len(rows):
-                label, formula = rows[row_i]
-                text = f"{label} -> {formula}"
-            cells.append(text.ljust(widths[n]))
-        print("  " + "   ".join(cells).rstrip())
+    print("\n".join(render_table(rows_per_server)))
     print()
 
 
@@ -81,14 +70,14 @@ def main() -> int:
 
     for n, k in [(2, 2), (3, 3)]:
         code = make_nary(n, k)
-        render_table(
+        print_table(
             f"digit-vector code N={n} K={k} (subscript 0 is the padded dummy):",
             answer_table(code),
         )
 
     base = builtin_table1()
     sym = variety_symmetrize(base)
-    render_table(
+    print_table(
         "two-server reference code after length equalization "
         f"(keys {', '.join(sym.keys)}):",
         decomposable_rows(sym),

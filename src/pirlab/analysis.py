@@ -7,8 +7,6 @@ reported in bits; those carry a 1e-9 tolerance.
 
 Enumerations refuse to start when the required work exceeds a cap
 (default 2^24 elementary evaluations) and say how much work they wanted.
-Tallies are accumulated chunk-by-chunk with an associative merge, so
-partitioning an enumeration never changes the result bit-for-bit.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import itertools
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -95,14 +93,6 @@ class ExactDistribution:
         return ExactDistribution(out)
 
 
-def merge_tallies(a, b):
-    """Associative, commutative merge of weight tallies (dict -> dict)."""
-    out = defaultdict(Fraction, a)
-    for value, p in b.items():
-        out[value] += p
-    return dict(out)
-
-
 def entropy_bits(dist: ExactDistribution) -> float:
     """Shannon entropy in bits; exact pmf, float only at the log step."""
     return -sum(float(p) * _log2_fraction(p) for _, p in dist.items())
@@ -137,17 +127,6 @@ def conditional_mutual_information_bits(joint: ExactDistribution) -> float:
         ratio = p * p_z[z] / (p_xz[(x, z)] * p_yz[(y, z)])
         total += float(p) * _log2_fraction(ratio)
     return total
-
-
-def information_theoretically_distinct(joint: ExactDistribution) -> bool:
-    """Neither variable of the pair determines the other.
-
-    True iff I(A;B) falls short of max(H(A), H(B)) by more than the float
-    tolerance; an invertible relabeling therefore never counts as distinct.
-    """
-    mi = mutual_information_bits(joint)
-    h = max(entropy_bits(joint.marginal((0,))), entropy_bits(joint.marginal((1,))))
-    return h - mi > FLOAT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +419,9 @@ def joint_pmf(
     size = _enumeration_size(code)
     _require_within_cap(size, cap)
     unit = Fraction(1, size)
-    tally: dict = {}
-    chunk: dict = defaultdict(Fraction)
-    for i, msgs in enumerate(all_message_sets(code)):
-        value = tuple(var.evaluate(code, msgs) for var in variables)
-        chunk[value] += unit
-        if (i + 1) % 4096 == 0:
-            tally = merge_tallies(tally, chunk)
-            chunk = defaultdict(Fraction)
-    tally = merge_tallies(tally, chunk)
+    tally: dict = defaultdict(Fraction)
+    for msgs in all_message_sets(code):
+        tally[tuple(var.evaluate(code, msgs) for var in variables)] += unit
     return ExactDistribution(tally)
 
 
@@ -611,8 +584,10 @@ def check_lemma2_equality(
 
     For an ordering perm of the messages and a split point k in 1..K-1:
     N * I(W_{perm[k:]} ; answers for perm[k-1] | W_{perm[:k-1]}, key)
-      - I(W_{perm[k+1:]} ; answers for perm[k] | W_{perm[:k]}, key)
+      - I(W_{perm[k+1:]} ; answers for perm[k] | W_{perm[:k+1]}, key)
       - L*log2(m).
+    The second term conditions on the requested message perm[k] as well;
+    for a decodable code that equals conditioning on W_{perm[:k]} alone.
     Capacity-achieving codes sit at exactly zero for every perm and k.
     """
     p = code.params

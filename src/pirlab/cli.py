@@ -99,6 +99,23 @@ def _metrics_line(code: DecomposableCode) -> str:
     )
 
 
+def render_table(rows_per_server) -> list[str]:
+    """Lines of a column-per-server table of ``label -> formula`` cells."""
+    columns = [
+        [f"{label} -> {formula}" for label, formula in rows] for rows in rows_per_server
+    ]
+    widths = [max(len(cell) for cell in column) for column in columns]
+    header = "   ".join(f"server-{n}".ljust(w) for n, w in enumerate(widths))
+    lines = ["  " + header.rstrip()]
+    for row_i in range(max(len(column) for column in columns)):
+        cells = [
+            (column[row_i] if row_i < len(column) else "").ljust(w)
+            for column, w in zip(columns, widths)
+        ]
+        lines.append("  " + "   ".join(cells).rstrip())
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -120,20 +137,7 @@ def cmd_demo(args, parser) -> int:
     )
     print()
     print("query/answer table (subscript 0 selects the padded dummy symbol):")
-    table = nary.answer_table(code)
-    widths = [
-        max(len(f"{label} -> {formula}") for label, formula in rows) for rows in table
-    ]
-    header = "   ".join(
-        f"server-{n}".ljust(widths[n]) for n in range(p.n_servers)
-    )
-    print("  " + header.rstrip())
-    for row_i in range(len(table[0])):
-        cells = []
-        for n in range(p.n_servers):
-            label, formula = table[n][row_i]
-            cells.append(f"{label} -> {formula}".ljust(widths[n]))
-        print("  " + "   ".join(cells).rstrip())
+    print("\n".join(render_table(nary.answer_table(code))))
     print()
 
     key = RandomKey(tuple((2 * i) % p.n_servers for i in range(p.n_messages - 1)), p.n_servers)

@@ -97,6 +97,8 @@ def parse(text: str) -> DecomposableCode:
     except ValueError as exc:
         raise CodeFormatError(str(exc)) from None
     table_size = m**msg_len
+    # transformed codes repeat a few tables many times; equal ones share an object
+    tables: dict[tuple[int, ...], ComponentTable] = {}
 
     varieties = []
     for n in range(n_servers):
@@ -125,10 +127,12 @@ def parse(text: str) -> DecomposableCode:
                             f"table blocks must appear row-major, got ({trow[1]},{trow[2]})"
                         )
                     values = tuple(_int(t, "table value") for t in trow[3:])
-                    try:
-                        cols.append(ComponentTable(values, m, msg_len, y))
-                    except ValueError as exc:
-                        raise CodeFormatError(str(exc)) from None
+                    if values not in tables:
+                        try:
+                            tables[values] = ComponentTable(values, m, msg_len, y)
+                        except ValueError as exc:
+                            raise CodeFormatError(str(exc)) from None
+                    cols.append(tables[values])
                 rows.append(tuple(cols))
             try:
                 per_server.append(AnswerFunction(label, tuple(rows)))

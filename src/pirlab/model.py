@@ -79,9 +79,6 @@ class ComponentTable:
         if any(not 0 <= v < self.ans_modulus for v in self.values):
             raise ValueError(f"table entries must lie in 0..{self.ans_modulus - 1}")
 
-    def apply(self, w) -> int:
-        return self.values[input_rank(w, self.msg_modulus)]
-
     def classify(self) -> str:
         """CONSTANT, BALANCED (every output hit equally often), or NEITHER."""
         first = self.values[0]
@@ -262,9 +259,6 @@ class DecomposableCode:
             counts[self.query_map[(k, f)][n]] += 1
         total = len(self.keys)
         return QueryPmf(tuple(Fraction(c, total) for c in counts))
-
-    def key_index(self, label: str) -> int:
-        return self.keys.index(label)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .groups import (
     QueryVector,
     RandomKey,
     Symbol,
-    digits_label,
     zero,
 )
 from .model import AnswerFunction, ComponentTable, DecomposableCode
@@ -66,21 +65,6 @@ def make_nary(n_servers: int, n_messages: int, modulus: int = 2) -> NaryCode:
     return NaryCode(
         CodeParams(n_servers, n_messages, n_servers - 1, modulus, modulus)
     )
-
-
-@dataclass(frozen=True)
-class PaddedMessage:
-    """A message with the dummy zero symbol prepended at index 0."""
-
-    symbols: tuple[Symbol, ...]
-
-    def __post_init__(self) -> None:
-        if self.symbols[0].value != 0:
-            raise ValueError("padded messages start with the zero symbol")
-
-
-def pad_message(msg: Message) -> PaddedMessage:
-    return PaddedMessage((zero(msg.modulus),) + msg.symbols)
 
 
 def key_space(code: NaryCode) -> tuple[RandomKey, ...]:
@@ -145,7 +129,10 @@ def answer_length(code: NaryCode, n: int, q: QueryVector) -> int:
 
 
 def answer(code: NaryCode, n: int, q: QueryVector, msgs: MessageSet) -> AnswerVector:
-    """Group sum of the padded-message symbols the query digits select."""
+    """Group sum of the padded-message symbols the query digits select.
+
+    Digit 0 selects the zero dummy, so only non-zero digits add a symbol.
+    """
     if answer_length(code, n, q) == 0:
         return EMPTY_ANSWER
     if (
@@ -156,7 +143,8 @@ def answer(code: NaryCode, n: int, q: QueryVector, msgs: MessageSet) -> AnswerVe
         raise ValueError("message set shape disagrees with code params")
     acc = zero(code.modulus)
     for k, digit in enumerate(q.digits):
-        acc = acc + pad_message(msgs[k]).symbols[digit]
+        if digit:
+            acc = acc + msgs[k].symbols[digit - 1]
     return AnswerVector((acc,))
 
 
@@ -223,15 +211,10 @@ def symbolic_answer(code: NaryCode, q: QueryVector, include_dummies: bool = True
     return "+".join(terms) if terms else "0"
 
 
-def answer_table(
-    code: NaryCode, include_dummies: bool = True
-) -> tuple[tuple[tuple[str, str], ...], ...]:
+def answer_table(code: NaryCode) -> tuple[tuple[tuple[str, str], ...], ...]:
     """Per server: the ordered (query label, symbolic answer) rows."""
     return tuple(
-        tuple(
-            (q.label(), symbolic_answer(code, q, include_dummies))
-            for q in query_set(code, n)
-        )
+        tuple((q.label(), symbolic_answer(code, q)) for q in query_set(code, n))
         for n in range(code.n_servers)
     )
 

@@ -39,17 +39,18 @@ KIND_ANSWER = 0x03
 KIND_ERROR = 0x04
 _KINDS = (KIND_SETUP, KIND_QUERY, KIND_ANSWER, KIND_ERROR)
 
-ERR_PROTOCOL = 1  # frame out of order: QUERY before SETUP, repeated SETUP
+ERR_PROTOCOL = 1  # unreadable frame, or QUERY before SETUP, or repeated SETUP
 ERR_BAD_SETUP = 2  # malformed or unsupported SETUP payload
 ERR_BAD_QUERY = 3  # malformed digits or wrong digit sum
 
-MAX_PAYLOAD = 2**32 - 1
 WIRE_MAX_MODULUS = 256
 WIRE_MAX_SERVERS = 255
 WIRE_MAX_MESSAGES = 65535
 
 _HEADER = struct.Struct(">IB")
 _SETUP_HEAD = struct.Struct(">BHIH")
+# The largest legal frame: a SETUP at the wire limits, with L = N-1 symbols.
+MAX_PAYLOAD = _SETUP_HEAD.size + WIRE_MAX_MESSAGES * (WIRE_MAX_SERVERS - 1)
 
 
 class FrameError(ValueError):
@@ -103,6 +104,8 @@ def read_frame(rfile) -> Optional[Frame]:
     if len(header) < _HEADER.size:
         raise ProtocolError("stream ended inside a frame header")
     length, kind = _HEADER.unpack(header)
+    if length > MAX_PAYLOAD:  # checked before the read reserves `length` bytes
+        raise ProtocolError(f"frame claims {length} payload bytes, limit is {MAX_PAYLOAD}")
     payload = rfile.read(length) if length else b""
     if len(payload) != length:
         raise ProtocolError("stream ended inside a frame payload")
@@ -246,17 +249,23 @@ class _Handler(socketserver.StreamRequestHandler):
         while True:
             try:
                 frame = read_frame(self.rfile)
-            except ProtocolError:
+            except ProtocolError as exc:
+                self._send(error_frame(ERR_PROTOCOL, str(exc)))
                 return
             if frame is None:
                 return
             with server._lock:
                 server._state, reply = handle_frame(server._state, frame)
-            try:
-                write_frame(self.wfile, reply)
-                self.wfile.flush()
-            except OSError:
+            if not self._send(reply):
                 return
+
+    def _send(self, frame: Frame) -> bool:
+        try:
+            write_frame(self.wfile, frame)
+            self.wfile.flush()
+        except OSError:
+            return False
+        return True
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):

@@ -2,17 +2,18 @@
 
 All transforms are mechanical re-wirings of an existing code: they permute
 server or message roles, or space-share several such variants over a longer
-message, with the combined key drawn independently per block.  None of them
-change the rate, and the output of every transform is a full code the
+message.  The combined key draws one key per block independently, except in
+variety symmetrization, where it orders the base keys.  None of them change
+the rate, and the output of every transform is a full code the
 verifier can re-check from scratch.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analysis import DEFAULT_CAP, _require_within_cap
@@ -112,6 +113,90 @@ def _lift_table(
     return ComponentTable(values, m, total_len, table.ans_modulus)
 
 
+def _assemble(blocks, labels, keys, query_combos, cap: int) -> SpaceShareCode:
+    """Run `blocks` side by side over disjoint slices of one longer message.
+
+    `keys` yields one (per-block key indices, label) pair per combined key;
+    `query_combos` yields, server by server, that server's per-block
+    query-index tuples in output order.  Each combined query answers with its
+    blocks' rows, lifted to the combined slice, and reconstruction splits the
+    answers per block.  The enumeration cap is checked while the combos are
+    indexed, before any table is lifted or any key is listed.
+    """
+    first = blocks[0].params
+    N, K, m, y = first.n_servers, first.n_messages, first.msg_modulus, first.ans_modulus
+    # where each block's slice starts, then the combined message length
+    *prefixes, total_len = itertools.accumulate((b.params.msg_len for b in blocks), initial=0)
+    table_size = m**total_len
+    _require_within_cap(table_size, cap)
+
+    entries = 0
+    index_of: list[dict[tuple[int, ...], int]] = []
+    for n, combos in enumerate(query_combos):
+        lookup: dict[tuple[int, ...], int] = {}
+        for combo in combos:
+            lookup[combo] = len(lookup)
+            length = sum(b.answer_length(n, qi) for b, qi in zip(blocks, combo))
+            entries += K * table_size * length
+            _require_within_cap(entries, cap)
+        index_of.append(lookup)
+
+    @functools.cache
+    def lift(table: ComponentTable, block_index: int) -> ComponentTable:
+        return _lift_table(table, prefixes[block_index], total_len)
+
+    varieties = []
+    for n, lookup in enumerate(index_of):
+        per_server = []
+        for combo in lookup:
+            rows = []
+            for i, b in enumerate(blocks):
+                for row in b.varieties[n][combo[i]].tables:
+                    rows.append(tuple(lift(row[k], i) for k in range(K)))
+            label = "|".join(b.query_label(n, combo[i]) for i, b in enumerate(blocks))
+            per_server.append(AnswerFunction(label, tuple(rows)))
+        varieties.append(tuple(per_server))
+
+    key_combos, key_labels = zip(*keys)
+
+    def block_queries(k: int, fc: tuple[int, ...], n: int) -> tuple[int, ...]:
+        return tuple(b.query_map[(k, fc[i])][n] for i, b in enumerate(blocks))
+
+    query_map = {
+        (k, fi): tuple(index_of[n][block_queries(k, fc, n)] for n in range(N))
+        for k in range(K)
+        for fi, fc in enumerate(key_combos)
+    }
+
+    reconstruct: Optional[Callable] = None
+    if all(b.reconstruct is not None for b in blocks):
+
+        def reconstruct(k: int, fi: int, answers) -> Message:
+            fc = key_combos[fi]
+            symbols = []
+            # per-server split points follow the block order of the combo
+            combos = [block_queries(k, fc, n) for n in range(N)]
+            offsets = [0] * N
+            for i, b in enumerate(blocks):
+                ends = [offsets[n] + b.answer_length(n, combos[n][i]) for n in range(N)]
+                block_answers = tuple(
+                    AnswerVector(answers[n].symbols[offsets[n] : ends[n]]) for n in range(N)
+                )
+                offsets = ends
+                part = b.reconstruct(k, fc[i], block_answers)
+                symbols.extend(part.symbols)
+            return Message(tuple(symbols))
+
+    return SpaceShareCode(
+        CodeParams(N, K, total_len, m, y),
+        tuple(varieties),
+        key_labels,
+        query_map,
+        reconstruct,
+        tuple(zip(blocks, labels)),
+    )
+
+
 def space_share(
     blocks, labels=None, cap: int = DEFAULT_CAP
 ) -> SpaceShareCode:
@@ -140,100 +225,16 @@ def space_share(
         ):
             raise ValueError("blocks must agree on servers, messages, and alphabets")
 
-    N, K, m, y = first.n_servers, first.n_messages, first.msg_modulus, first.ans_modulus
-    total_len = sum(b.params.msg_len for b in blocks)
-    prefixes = tuple(
-        sum(b.params.msg_len for b in blocks[:i]) for i in range(len(blocks))
+    _require_within_cap(math.prod(len(b.keys) for b in blocks), cap)
+    keys = (
+        (fc, "|".join(b.keys[f] for b, f in zip(blocks, fc)))
+        for fc in itertools.product(*(range(len(b.keys)) for b in blocks))
     )
-
-    key_counts = [len(b.keys) for b in blocks]
-    keys_total = math.prod(key_counts)
-    table_size = m**total_len
-    entries = 0
-    for n in range(N):
-        q_counts = [b.query_count(n) for b in blocks]
-        for i, b in enumerate(blocks):
-            sym_sum = sum(b.answer_length(n, qi) for qi in range(q_counts[i]))
-            entries += sym_sum * math.prod(q_counts) // q_counts[i] * K
-    _require_within_cap(max(keys_total, table_size, entries * table_size), cap)
-
-    lifted: dict[tuple[ComponentTable, int], ComponentTable] = {}
-
-    def lift(table: ComponentTable, block_index: int) -> ComponentTable:
-        memo_key = (table, block_index)
-        if memo_key not in lifted:
-            lifted[memo_key] = _lift_table(table, prefixes[block_index], total_len)
-        return lifted[memo_key]
-
-    varieties = []
-    index_of: list[dict[tuple[int, ...], int]] = []
-    for n in range(N):
-        per_server = []
-        lookup: dict[tuple[int, ...], int] = {}
-        for qi, combo in enumerate(
-            itertools.product(*(range(b.query_count(n)) for b in blocks))
-        ):
-            lookup[combo] = qi
-            rows = []
-            for i, b in enumerate(blocks):
-                for row in b.varieties[n][combo[i]].tables:
-                    rows.append(tuple(lift(row[k], i) for k in range(K)))
-            label = "|".join(b.query_label(n, combo[i]) for i, b in enumerate(blocks))
-            per_server.append(AnswerFunction(label, tuple(rows)))
-        varieties.append(tuple(per_server))
-        index_of.append(lookup)
-
-    key_combos = list(itertools.product(*(range(c) for c in key_counts)))
-    keys = tuple(
-        "|".join(blocks[i].keys[fc[i]] for i in range(len(blocks)))
-        for fc in key_combos
+    query_combos = (
+        itertools.product(*(range(b.query_count(n)) for b in blocks))
+        for n in range(first.n_servers)
     )
-
-    query_map: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k in range(K):
-        for fi, fc in enumerate(key_combos):
-            query_map[(k, fi)] = tuple(
-                index_of[n][
-                    tuple(blocks[i].query_map[(k, fc[i])][n] for i in range(len(blocks)))
-                ]
-                for n in range(N)
-            )
-
-    reconstruct: Optional[Callable] = None
-    if all(b.reconstruct is not None for b in blocks):
-
-        def reconstruct(k: int, fi: int, answers) -> Message:
-            fc = key_combos[fi]
-            symbols = []
-            # per-server split points follow the block order of the combo
-            combos = [
-                tuple(blocks[i].query_map[(k, fc[i])][n] for i in range(len(blocks)))
-                for n in range(N)
-            ]
-            offsets = [0] * N
-            for i, b in enumerate(blocks):
-                block_answers = []
-                for n in range(N):
-                    length = b.answer_length(n, combos[n][i])
-                    block_answers.append(
-                        AnswerVector(
-                            answers[n].symbols[offsets[n] : offsets[n] + length]
-                        )
-                    )
-                    offsets[n] += length
-                part = b.reconstruct(k, fc[i], tuple(block_answers))
-                symbols.extend(part.symbols)
-            return Message(tuple(symbols))
-
-    params = CodeParams(N, K, total_len, m, y)
-    return SpaceShareCode(
-        params,
-        tuple(varieties),
-        keys,
-        query_map,
-        reconstruct,
-        tuple(zip(blocks, labels)),
-    )
+    return _assemble(blocks, labels, keys, query_combos, cap)
 
 
 def server_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> SpaceShareCode:
@@ -243,12 +244,9 @@ def server_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> SpaceSh
     original counts) and the same expected answer length.
     """
     N = code.params.n_servers
-    blocks = []
-    labels = []
-    for i in range(N):
-        shift = tuple((n + i) % N for n in range(N))
-        blocks.append(server_permute(code, shift))
-        labels.append(f"shift{i}")
+    shifts = [tuple((n + i) % N for n in range(N)) for i in range(N)]
+    blocks = [server_permute(code, shift) for shift in shifts]
+    labels = [f"shift{i}" for i in range(N)]
     return space_share(blocks, labels, cap)
 
 
@@ -256,15 +254,23 @@ def message_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> SpaceS
     """Space-share all K! message relabelings of a code."""
     K = code.params.n_messages
     _require_within_cap(math.factorial(K), cap)
-    blocks = []
-    labels = []
-    for perm in itertools.permutations(range(K)):
-        blocks.append(message_permute(code, perm))
-        labels.append(f"perm{digits_label(perm)}")
+    perms = list(itertools.permutations(range(K)))
+    blocks = [message_permute(code, perm) for perm in perms]
+    labels = [f"perm{digits_label(perm)}" for perm in perms]
     return space_share(blocks, labels, cap)
 
 
-def variety_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> DecomposableCode:
+def _distinct_orderings(items: tuple[int, ...]):
+    """Yield the distinct orderings of a sorted tuple in lexicographic order."""
+    if not items:
+        yield ()
+    for i, first in enumerate(items):
+        if i == 0 or first != items[i - 1]:
+            for rest in _distinct_orderings(items[:i] + items[i + 1 :]):
+                yield (first,) + rest
+
+
+def variety_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> SpaceShareCode:
     """Equalize per-key answer lengths by running one block per base key.
 
     The new key orders the base keys uniformly at random (|F|! keys); block i
@@ -277,95 +283,19 @@ def variety_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Decomp
     """
     p = code.params
     B = len(code.keys)
-    K = p.n_messages
 
     base_seq = []
     for n in range(p.n_servers):
-        composition = Counter(code.query_map[(0, f)][n] for f in range(B))
-        for k in range(1, K):
-            other = Counter(code.query_map[(k, f)][n] for f in range(B))
-            if other != composition:
-                raise ValueError(
-                    f"server {n} query composition depends on the request; "
-                    "variety symmetrization needs a private base code"
-                )
-        base_seq.append(tuple(sorted(composition.elements())))
-
-    fact = math.factorial(B)
-    total_len = B * p.msg_len
-    table_size = p.msg_modulus**total_len
-    entries = 0
-    for n in range(p.n_servers):
-        composition = Counter(base_seq[n])
-        t_n = fact // math.prod(math.factorial(c) for c in composition.values())
-        ell_n = sum(c * code.answer_length(n, qi) for qi, c in composition.items())
-        entries += t_n * ell_n * K * table_size
-    _require_within_cap(max(fact, table_size, entries), cap)
-
-    lifted: dict[tuple[ComponentTable, int], ComponentTable] = {}
-
-    def lift(table: ComponentTable, block_index: int) -> ComponentTable:
-        memo_key = (table, block_index)
-        if memo_key not in lifted:
-            lifted[memo_key] = _lift_table(
-                table, block_index * p.msg_len, total_len
+        reference = code.query_pmf(n, 0)
+        if any(code.query_pmf(n, k) != reference for k in range(1, p.n_messages)):
+            raise ValueError(
+                f"server {n} query composition depends on the request; "
+                "variety symmetrization needs a private base code"
             )
-        return lifted[memo_key]
+        base_seq.append(tuple(sorted(code.query_map[(0, f)][n] for f in range(B))))
 
-    varieties = []
-    index_of: list[dict[tuple[int, ...], int]] = []
-    for n in range(p.n_servers):
-        per_server = []
-        lookup: dict[tuple[int, ...], int] = {}
-        for qi, seq in enumerate(sorted(set(itertools.permutations(base_seq[n])))):
-            lookup[seq] = qi
-            rows = []
-            for i, base_qi in enumerate(seq):
-                for row in code.varieties[n][base_qi].tables:
-                    rows.append(tuple(lift(row[k], i) for k in range(K)))
-            label = "|".join(code.query_label(n, bq) for bq in seq)
-            per_server.append(AnswerFunction(label, tuple(rows)))
-        varieties.append(tuple(per_server))
-        index_of.append(lookup)
-
-    orders = list(itertools.permutations(range(B)))
-    keys = tuple(digits_label(order) for order in orders)
-
-    query_map: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k in range(K):
-        for fi, order in enumerate(orders):
-            query_map[(k, fi)] = tuple(
-                index_of[n][
-                    tuple(code.query_map[(k, order[i])][n] for i in range(B))
-                ]
-                for n in range(p.n_servers)
-            )
-
-    base_reconstruct = code.reconstruct
-    reconstruct: Optional[Callable] = None
-    if base_reconstruct is not None:
-
-        def reconstruct(k: int, fi: int, answers) -> Message:
-            order = orders[fi]
-            seqs = [
-                tuple(code.query_map[(k, order[i])][n] for i in range(B))
-                for n in range(p.n_servers)
-            ]
-            offsets = [0] * p.n_servers
-            symbols = []
-            for i in range(B):
-                block_answers = []
-                for n in range(p.n_servers):
-                    length = code.answer_length(n, seqs[n][i])
-                    block_answers.append(
-                        AnswerVector(
-                            answers[n].symbols[offsets[n] : offsets[n] + length]
-                        )
-                    )
-                    offsets[n] += length
-                part = base_reconstruct(k, order[i], tuple(block_answers))
-                symbols.extend(part.symbols)
-            return Message(tuple(symbols))
-
-    params = CodeParams(p.n_servers, K, total_len, p.msg_modulus, p.ans_modulus)
-    return DecomposableCode(params, tuple(varieties), keys, query_map, reconstruct)
+    _require_within_cap(math.factorial(B), cap)
+    keys = ((order, digits_label(order)) for order in itertools.permutations(range(B)))
+    query_combos = (_distinct_orderings(seq) for seq in base_seq)
+    labels = [f"slice{i}" for i in range(B)]
+    return _assemble((code,) * B, labels, keys, query_combos, cap)

@@ -5,7 +5,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from pirlab.analysis import (
     AnswerVar,
@@ -26,9 +25,7 @@ from pirlab.analysis import (
     conditional_mutual_information_bits,
     entropy_bits,
     expected_answer_lengths,
-    information_theoretically_distinct,
     joint_pmf,
-    merge_tallies,
     message_size_bits,
     mutual_information_bits,
     positive_query_tuples,
@@ -78,25 +75,6 @@ def test_marginal_projection():
     assert d.marginal((1, 0)).prob(((0,), (1,))) == F(1, 4)
 
 
-tallies = st.dictionaries(
-    st.integers(min_value=0, max_value=5),
-    st.fractions(min_value=0, max_value=3),
-    max_size=5,
-)
-
-
-@given(tallies, tallies, tallies)
-def test_merge_tallies_associative_commutative(a, b, c):
-    assert merge_tallies(a, merge_tallies(b, c)) == merge_tallies(merge_tallies(a, b), c)
-    assert merge_tallies(a, b) == merge_tallies(b, a)
-
-
-def test_merge_tallies_is_exact():
-    a = {0: F(1, 3)}
-    b = {0: F(1, 6), 1: F(1, 2)}
-    assert merge_tallies(a, b) == {0: F(1, 2), 1: F(1, 2)}
-
-
 # ---------------------------------------------------------------- information
 
 
@@ -127,13 +105,6 @@ def test_conditional_mutual_information():
     )
     assert conditional_mutual_information_bits(d) == pytest.approx(1.0, abs=1e-12)
     assert mutual_information_bits(d.marginal((0, 1))) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_information_theoretically_distinct():
-    relabeled = ExactDistribution({(0, 1): F(1, 2), (1, 0): F(1, 2)})
-    assert not information_theoretically_distinct(relabeled)
-    fresh = ExactDistribution({(a, b): F(1, 4) for a in (0, 1) for b in (0, 1)})
-    assert information_theoretically_distinct(fresh)
 
 
 # ---------------------------------------------------------------- metrics

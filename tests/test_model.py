@@ -54,13 +54,6 @@ def test_rank_unrank_roundtrip(case):
 # ---------------------------------------------------------------- tables
 
 
-def test_component_table_apply():
-    t = ComponentTable.from_function(2, 2, 2, lambda w: (w[0] + w[1]) % 2)
-    assert t.apply((0, 0)) == 0
-    assert t.apply((1, 0)) == 1
-    assert t.apply((1, 1)) == 0
-
-
 def test_classify_constant():
     assert ComponentTable.constant(3, 2, 3, value=1).classify() == CONSTANT
     assert ComponentTable.constant(2, 1, 2).classify() == CONSTANT
@@ -164,14 +157,6 @@ def test_code_rejects_table_param_mismatch():
     )
     with pytest.raises(ValueError):
         _tiny_code(varieties=varieties)
-
-
-def test_key_index_lookup():
-    code = builtin_table1()
-    assert code.key_index("0") == 0
-    assert code.key_index("1") == 1
-    with pytest.raises(ValueError):
-        code.key_index("missing")
 
 
 # ---------------------------------------------------------------- reference code: two-server XOR

@@ -17,7 +17,6 @@ from pirlab.nary import (
     key_space,
     make_nary,
     message_letter,
-    pad_message,
     query_set,
     query_vector,
     random_key,
@@ -48,12 +47,6 @@ def test_nary_rejects_wrong_shapes():
         NaryCode(CodeParams(3, 3, 3, 2, 2))  # msg_len must be N-1
     with pytest.raises(ValueError):
         NaryCode(CodeParams(3, 3, 2, 2, 3))  # answers reuse the message alphabet
-
-
-def test_pad_message_prepends_zero():
-    msgs = _msgs(make_nary(3, 2, 3), lambda k, j: j + 1)
-    padded = pad_message(msgs[0])
-    assert [s.value for s in padded.symbols] == [0, 1, 2]
 
 
 def test_key_space_lexicographic():

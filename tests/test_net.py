@@ -3,6 +3,9 @@
 import io
 import random
 import socket
+import struct
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +21,7 @@ from pirlab.net import (
     KIND_ERROR,
     KIND_QUERY,
     KIND_SETUP,
+    MAX_PAYLOAD,
     SERVING,
     Frame,
     FrameError,
@@ -87,6 +91,28 @@ def test_read_frame_rejects_partial_streams():
         read_frame(io.BytesIO(good[:3]))
     with pytest.raises(ProtocolError, match="payload"):
         read_frame(io.BytesIO(good[:-1]))
+
+
+class _CountingStream(io.BytesIO):
+    def __init__(self, data):
+        super().__init__(data)
+        self.requested = []
+
+    def read(self, n=-1):
+        self.requested.append(n)
+        return super().read(n)
+
+
+def test_read_frame_bounds_length_before_reading():
+    stream = _CountingStream(struct.pack(">IB", 2**32 - 1, KIND_SETUP))
+    with pytest.raises(ProtocolError, match="limit"):
+        read_frame(stream)
+    assert stream.requested == [5]
+    # the largest legal SETUP still reads
+    frame = Frame(KIND_SETUP, bytes(MAX_PAYLOAD))
+    assert read_frame(io.BytesIO(encode_frame(frame))) == frame
+    with pytest.raises(FrameError, match="too large"):
+        Frame(KIND_SETUP, bytes(MAX_PAYLOAD + 1))
 
 
 # ---------------------------------------------------------------- payloads
@@ -338,3 +364,49 @@ def test_query_to_unconfigured_server_is_protocol_error():
             )
     finally:
         server.stop()
+
+
+def test_live_oversize_header_is_refused_without_allocation(trio):
+    code, servers = trio
+    tracemalloc.start()
+    try:
+        with socket.create_connection(servers[0].address, timeout=5.0) as sock:
+            sock.sendall(struct.pack(">IB", 2**32 - 1, KIND_SETUP))
+            reply = read_frame(sock.makefile("rb"))
+            assert sock.recv(1) == b""  # the server closed the connection
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert reply is None or (
+        reply.kind == KIND_ERROR and decode_error_payload(reply.payload)[0] == ERR_PROTOCOL
+    )
+    # the server is unharmed and still serves a normal retrieval
+    msgs = MessageSet.from_values(((1, 0), (0, 1)), 2)
+    endpoints = [s.address for s in servers]
+    for ep in endpoints:
+        setup_endpoint(ep, code, msgs)
+    assert client_retrieve(code, endpoints, 1, key=RandomKey((2,), 3)).values == (0, 1)
+
+
+def test_client_refuses_oversize_reply():
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+
+    def reply_oversize():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(64)
+            conn.sendall(struct.pack(">IB", 2**32 - 1, KIND_ANSWER))
+
+    thread = threading.Thread(target=reply_oversize, daemon=True)
+    thread.start()
+    try:
+        code = make_nary(2, 2)
+        msgs = MessageSet.from_values(((1,), (0,)), 2)
+        with pytest.raises(RetrievalError, match="limit"):
+            setup_endpoint(listener.getsockname(), code, msgs)
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
+    assert not thread.is_alive()

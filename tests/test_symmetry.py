@@ -1,10 +1,12 @@
 """Server/message relabelings, space sharing, and length equalization."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from pirlab import codefile
 from pirlab.analysis import (
     EnumerationCapExceeded,
     expected_answer_lengths,
@@ -14,7 +16,7 @@ from pirlab.analysis import (
     verify_privacy,
 )
 from pirlab.groups import MessageSet
-from pirlab.model import DecomposableCode, builtin_table1
+from pirlab.model import DecomposableCode, builtin_sunjafar22, builtin_table1
 from pirlab.nary import export_decomposable, make_nary
 from pirlab.symmetry import (
     SpaceShareCode,
@@ -269,3 +271,80 @@ def test_variety_symmetrize_cap_refusal():
     # 9 base keys would need 9! orderings
     with pytest.raises(EnumerationCapExceeded):
         variety_symmetrize(export_decomposable(make_nary(3, 3)), cap=1000)
+
+
+# ---------------------------------------------------------------- byte identity
+
+_SOURCES = {
+    "table1": builtin_table1,
+    "nary 2 2": lambda: export_decomposable(make_nary(2, 2)),
+    "nary 3 2": lambda: export_decomposable(make_nary(3, 2)),
+    "nary 2 3": lambda: export_decomposable(make_nary(2, 3)),
+    "nary 3 2 3": lambda: export_decomposable(make_nary(3, 2, 3)),
+}
+_TRANSFORMS = {
+    "server": server_symmetrize,
+    "message": message_symmetrize,
+    "variety": variety_symmetrize,
+}
+
+# SHA-256 of the emitted pir-code text, recorded before the transforms shared
+# one space-sharing engine; ("message", "nary 2 3") is the benchmark's code.
+_EMIT_SHA256 = [
+    ("server", "table1", "222c89034926b8ecf39e8f036e80fe034f80359df8c830e2b96d43d62337eafe"),
+    ("server", "nary 2 2", "6fc3c1ccfa972de92c2149dd962ea945f78e2cb516d02464c65f24e256cb0fc3"),
+    ("server", "nary 3 2", "df935344f193fce7a3936ef35742852a56b5a1526706e347bbce181dce943efc"),
+    ("server", "nary 2 3", "688c61317771c671b355a3dc9b155bf12d8ad4dff2b76731cb069b718f0a8889"),
+    ("server", "nary 3 2 3", "8476ddc8630e9b0a5abd2a63d9104bc7b0ee9b7d377716d7a3dab01fe9ca6168"),
+    ("message", "table1", "4dc82a445e6c9f0aa7b8416f3b72e650e2991c743080286dd15fbd074371a9c8"),
+    ("message", "nary 2 2", "eb3c964467b91b24760f07eb98669ac5ce0edd7350337a4950671be3c5ad68a6"),
+    ("message", "nary 3 2", "18ac6d477566c66eb5d339ed1f20086677c91cf2415691c2db116440e100017a"),
+    ("message", "nary 2 3", "639538103e83ade51d21d58742af26e62d7d8ded7b90471eb51c021cc6ed1446"),
+    ("message", "nary 3 2 3", "e81f23e9eab86ffa22ff6a4e93bebface2dbb444901ef4afc8efc721c9594bbd"),
+    ("variety", "table1", "03570a56292295f7b34a26fc18bc79768896467ddce9e3f64479809594ef4708"),
+    ("variety", "nary 2 2", "45cbd80818f479c63f8ea8ad893e058b6573a1f3eac2f2bae09a356e924d83a0"),
+    ("variety", "nary 3 2", "45b8944c0e384ff8a35c8404ecb6eb768e608eec24d48a4db8407151a0a08144"),
+    ("variety", "nary 2 3", "cb39cad252114948a51b8a5a8f615b939a8543b802ce00505dab00937e41fe35"),
+    ("variety", "nary 3 2 3", "32cc08495b0f8cdfdcee0b6e87522f06a6e69b7281115dadb3881dcde522acbb"),
+]
+
+
+def _emit_sha256(code) -> str:
+    return hashlib.sha256(codefile.emit(code).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("transform,source,digest", _EMIT_SHA256)
+def test_transform_output_is_byte_stable(transform, source, digest):
+    assert _emit_sha256(_TRANSFORMS[transform](_SOURCES[source]())) == digest
+
+
+def test_space_share_output_is_byte_stable():
+    shared = space_share([builtin_table1(), _SOURCES["nary 2 2"]()])
+    assert _emit_sha256(shared) == (
+        "484857a495b9503de8d1e3c3734ac59c23f7d167e3cdc81fb0f0ffe530dac457"
+    )
+
+
+def test_variety_symmetrize_refuses_table2():
+    # 24 base keys would need 24! orderings
+    with pytest.raises(EnumerationCapExceeded):
+        variety_symmetrize(builtin_sunjafar22())
+
+
+def test_variety_symmetrize_output_is_byte_stable_with_repeated_queries():
+    # every base query serves two keys, so each server has 4!/(2!2!) = 6
+    # distinct block orderings rather than 24
+    base = builtin_table1()
+    doubled = DecomposableCode(
+        base.params,
+        base.varieties,
+        ("0", "1", "2", "3"),
+        {(k, f): base.query_map[(k, f % 2)] for k in range(2) for f in range(4)},
+        lambda k, f, answers: base.reconstruct(k, f % 2, answers),
+    )
+    sym = variety_symmetrize(doubled)
+    assert [sym.query_count(n) for n in range(2)] == [6, 6]
+    assert _emit_sha256(sym) == (
+        "5d10b2889fa4ae8a86316619c281239a06395acd847366a26b9eeff36cd50fdf"
+    )
+    _assert_still_a_working_code(sym)
