@@ -1,12 +1,14 @@
 """Exact verification and information metrics for table-driven codes.
 
-Everything that decides pass/fail works in exact rational arithmetic
-(`fractions.Fraction`) over full enumerations -- no sampling, ever.  Floats
-appear only at the very end, when entropies or mutual informations are
-reported in bits; those carry a 1e-9 tolerance.
+Every verifier enumerates all databases -- no sampling, ever -- and decides
+pass/fail on integer counts over one exact total.  The checks read one
+private answer cube per code (see `_AnswerCube`), tally its integer columns
+and divide once, at the end.  Floats appear only when entropies or mutual
+informations are reported in bits; those carry a 1e-9 tolerance.
 
 Enumerations refuse to start when the required work exceeds a cap
-(default 2^24 elementary evaluations) and say how much work they wanted.
+(default 2^24 elementary evaluations) and say how much work they wanted;
+the cube is built only after that check has passed.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .groups import MessageSet
+from .groups import AnswerVector, MessageSet
 from .model import DecomposableCode, input_rank
 
 DEFAULT_CAP = 1 << 24
@@ -47,85 +49,104 @@ def _require_within_cap(required: int, cap: int) -> None:
 
 
 class ExactDistribution:
-    """An exact rational pmf over tuples of values.
+    """An exact rational pmf over tuples of values, held as integer counts.
 
-    The support holds only strictly positive probabilities and the total is
-    exactly 1; both are enforced.  Values must be mutually comparable --
-    in this package they are always (nested) tuples of ints.
+    Every probability is a count over one total shared by the whole support.
+    The support holds only strictly positive counts and they sum to the
+    total; both are enforced.  Values must be mutually comparable -- in this
+    package they are always (nested) tuples of ints.
     """
 
-    __slots__ = ("_probs",)
+    __slots__ = ("_counts", "_total")
 
     def __init__(self, weights):
         probs = {v: Fraction(p) for v, p in dict(weights).items() if p != 0}
         if any(p < 0 for p in probs.values()):
             raise ValueError("probabilities must be positive on the support")
-        if sum(probs.values(), Fraction(0)) != 1:
+        total = math.lcm(*(p.denominator for p in probs.values()))
+        counts = {v: p.numerator * (total // p.denominator) for v, p in probs.items()}
+        dist = ExactDistribution.from_counts(counts, total)
+        self._counts, self._total = dist._counts, dist._total
+
+    @classmethod
+    def from_counts(cls, counts, total: int) -> "ExactDistribution":
+        """The pmf value -> count / total; the counts must be positive."""
+        if sum(counts.values()) != total:
             raise ValueError("probabilities must sum to exactly 1")
-        self._probs = dict(sorted(probs.items()))
+        dist = cls.__new__(cls)
+        dist._counts, dist._total = dict(sorted(counts.items())), total
+        return dist
 
     def items(self):
-        return self._probs.items()
+        return ((v, Fraction(c, self._total)) for v, c in self._counts.items())
 
     def support(self):
-        return tuple(self._probs)
+        return tuple(self._counts)
 
     def prob(self, value) -> Fraction:
-        return self._probs.get(value, Fraction(0))
+        return Fraction(self._counts.get(value, 0), self._total)
 
     def __len__(self) -> int:
-        return len(self._probs)
+        return len(self._counts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactDistribution):
             return NotImplemented
-        return self._probs == other._probs
+        return self._counts.keys() == other._counts.keys() and all(
+            c * other._total == other._counts[v] * self._total
+            for v, c in self._counts.items()
+        )
 
     def __repr__(self) -> str:
-        return f"ExactDistribution({self._probs!r})"
+        return f"ExactDistribution({dict(self.items())!r})"
 
     def marginal(self, positions) -> "ExactDistribution":
         """Project a joint distribution onto the given component positions."""
         pos = tuple(positions)
-        out: dict = defaultdict(Fraction)
-        for value, p in self._probs.items():
-            out[tuple(value[i] for i in pos)] += p
-        return ExactDistribution(out)
+        out: Counter = Counter()
+        for value, c in self._counts.items():
+            out[tuple(value[i] for i in pos)] += c
+        return ExactDistribution.from_counts(out, self._total)
+
+
+def _log2_ratio(num: int, den: int) -> float:
+    """log2(num/den) from the ratio in lowest terms.
+
+    With p taken as count / total (int true division rounds correctly, as
+    float(Fraction) does) and terms summed in support order, every measure
+    below gives one float whatever scale its counts have."""
+    g = math.gcd(num, den)
+    return math.log2(num // g) - math.log2(den // g)
 
 
 def entropy_bits(dist: ExactDistribution) -> float:
-    """Shannon entropy in bits; exact pmf, float only at the log step."""
-    return -sum(float(p) * _log2_fraction(p) for _, p in dist.items())
-
-
-def _log2_fraction(fr: Fraction) -> float:
-    return math.log2(fr.numerator) - math.log2(fr.denominator)
+    """Shannon entropy in bits; exact counts, float only at the log step."""
+    total = dist._total
+    return -sum((c / total) * _log2_ratio(c, total) for c in dist._counts.values())
 
 
 def mutual_information_bits(joint: ExactDistribution) -> float:
     """I between the two components of a joint distribution over pairs."""
-    pa = joint.marginal((0,))
-    pb = joint.marginal((1,))
+    t = joint._total
+    p_a = joint.marginal((0,))._counts
+    p_b = joint.marginal((1,))._counts
     total = 0.0
-    for (a, b), p in joint.items():
-        ratio = p / (pa.prob((a,)) * pb.prob((b,)))
-        total += float(p) * _log2_fraction(ratio)
+    for (a, b), c in joint._counts.items():
+        total += (c / t) * _log2_ratio(c * t, p_a[a,] * p_b[b,])
     return total
 
 
 def conditional_mutual_information_bits(joint: ExactDistribution) -> float:
     """I(X;Y|Z) for a joint distribution over (x, y, z) triples."""
-    p_z: dict = defaultdict(Fraction)
-    p_xz: dict = defaultdict(Fraction)
-    p_yz: dict = defaultdict(Fraction)
-    for (x, y, z), p in joint.items():
-        p_z[z] += p
-        p_xz[(x, z)] += p
-        p_yz[(y, z)] += p
+    t = joint._total
+    p_z, p_xz, p_yz = Counter(), Counter(), Counter()
+    for (x, y, z), c in joint._counts.items():
+        p_z[z] += c
+        p_xz[x, z] += c
+        p_yz[y, z] += c
     total = 0.0
-    for (x, y, z), p in joint.items():
-        ratio = p * p_z[z] / (p_xz[(x, z)] * p_yz[(y, z)])
-        total += float(p) * _log2_fraction(ratio)
+    for (x, y, z), c in joint._counts.items():
+        total += (c / t) * _log2_ratio(c * p_z[z], p_xz[x, z] * p_yz[y, z])
     return total
 
 
@@ -252,10 +273,76 @@ def all_message_sets(code: DecomposableCode) -> list[MessageSet]:
     return out
 
 
-def _answers_for(code: DecomposableCode, queries, msgs: MessageSet):
-    return tuple(
-        code.eval_answer(n, qi, msgs) for n, qi in enumerate(queries)
-    )
+def _masked_answers(rows, mask: int, ranks, modulus: int) -> list[tuple[int, ...]]:
+    """One answer per database, counting only the messages set in `mask`.
+
+    `rows` are an answer function's table rows and `ranks[j]` lists message
+    j's input rank in each database; every answer symbol is the sum of the
+    selected messages' table entries mod `modulus` (0 when none is selected).
+    """
+    n_databases = len(ranks[0])
+    symbols = []
+    for row in rows:
+        parts = [
+            list(map(table.values.__getitem__, ranks[j]))
+            for j, table in enumerate(row)
+            if mask >> j & 1
+        ]
+        symbols.append(
+            [sum(s) % modulus for s in zip(*parts)] if parts else [0] * n_databases
+        )
+    return list(zip(*symbols)) if symbols else [()] * n_databases
+
+
+class _AnswerCube:
+    """Every database of one code, with its answers tabulated as plain ints.
+
+    `values[d]` is database d's messages, in `all_message_sets` order, and
+    `ranks[j][d]` message j's input rank there.  `column(n, qi, mask)` lists
+    server n's answer to query qi on every database, counting only the
+    messages set in `mask`; it is computed once and equal answer tuples are
+    one object.
+    """
+
+    def __init__(self, code: DecomposableCode):
+        p = code.params
+        self.values = [msgs.values for msgs in all_message_sets(code)]
+        self.ranks = [
+            [input_rank(v[j], p.msg_modulus) for v in self.values]
+            for j in range(p.n_messages)
+        ]
+        self._radix = p.msg_modulus**p.msg_len
+        self._varieties = code.varieties
+        self._modulus = p.ans_modulus
+        self._columns: dict = {}
+        self._interned: dict = {}
+
+    def column(self, n: int, query_index: int, mask: int) -> list[tuple[int, ...]]:
+        key = (n, query_index, mask)
+        col = self._columns.get(key)
+        if col is None:
+            rows = self._varieties[n][query_index].tables
+            answers = _masked_answers(rows, mask, self.ranks, self._modulus)
+            intern = self._interned.setdefault
+            col = self._columns[key] = [intern(a, a) for a in answers]
+        return col
+
+    def message_codes(self, which) -> list[int]:
+        """Per database, the messages in `which` as one int that orders like
+        their value tuples do."""
+        codes = [0] * len(self.values)
+        for j in which:
+            codes = [c * self._radix + r for c, r in zip(codes, self.ranks[j])]
+        return codes
+
+
+def _answer_cube(code: DecomposableCode) -> _AnswerCube:
+    """The code's answer cube: built on first use, then kept on the code."""
+    cube = vars(code).get("_answer_cube")
+    if cube is None:
+        cube = _AnswerCube(code)
+        object.__setattr__(code, "_answer_cube", cube)
+    return cube
 
 
 def _query_labels(code: DecomposableCode, queries) -> tuple[str, ...]:
@@ -278,46 +365,35 @@ def verify_correctness(
     """
     p = code.params
     _require_within_cap(_enumeration_size(code) * len(code.keys), cap)
-    databases = all_message_sets(code)
+    cube = _answer_cube(code)
+    vectors: dict = {}  # answer tuple -> AnswerVector, for the reconstruction
     checked = 0
     for k in range(p.n_messages):
         for f in range(len(code.keys)):
             queries = code.query_map[(k, f)]
+            columns = [cube.column(n, qi, -1) for n, qi in enumerate(queries)]
+            if code.reconstruct is not None:
+                for a in set().union(*columns) - vectors.keys():
+                    vectors[a] = AnswerVector.from_values(a, p.ans_modulus)
             seen: dict = {}
-            for msgs in databases:
-                answers = _answers_for(code, queries, msgs)
+            for d, answers in enumerate(zip(*columns)):
                 checked += 1
+                stored = cube.values[d][k]
                 if code.reconstruct is not None:
-                    got = code.reconstruct(k, f, answers)
-                    if got.values != msgs[k].values:
-                        return VerificationReport(
-                            False,
-                            checked,
-                            Witness(
-                                f"reconstructed {got.values}, stored {msgs[k].values}",
-                                msgs.values,
-                                code.keys[f],
-                                k,
-                                _query_labels(code, queries),
-                            ),
-                        )
+                    got = code.reconstruct(k, f, tuple(map(vectors.get, answers))).values
+                    detail = "reconstructed {}, stored {}"
                 else:
-                    key_tuple = tuple(a.values for a in answers)
-                    prev = seen.get(key_tuple)
-                    if prev is None:
-                        seen[key_tuple] = msgs[k].values
-                    elif prev != msgs[k].values:
-                        return VerificationReport(
-                            False,
-                            checked,
-                            Witness(
-                                f"answers consistent with both {prev} and {msgs[k].values}",
-                                msgs.values,
-                                code.keys[f],
-                                k,
-                                _query_labels(code, queries),
-                            ),
-                        )
+                    got = seen.setdefault(answers, stored)
+                    detail = "answers consistent with both {} and {}"
+                if got != stored:
+                    witness = Witness(
+                        detail.format(got, stored),
+                        cube.values[d],
+                        code.keys[f],
+                        k,
+                        _query_labels(code, queries),
+                    )
+                    return VerificationReport(False, checked, witness)
     return VerificationReport(True, checked)
 
 
@@ -350,55 +426,37 @@ def verify_privacy(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Verificati
 
 
 @dataclass(frozen=True)
-class AnswerVar:
+class MaskedAnswerVar:
+    """Server `server`'s answer to query `query_index`, counting only the
+    messages whose bit is set in `mask` (-1, the default: every message)."""
+
+    server: int
+    query_index: int
+    mask: int = -1
+
+    def evaluate(self, code: DecomposableCode, msgs: MessageSet) -> tuple[int, ...]:
+        p = code.params
+        ranks = [[input_rank(w, p.msg_modulus)] for w in msgs.values]
+        rows = code.varieties[self.server][self.query_index].tables
+        return _masked_answers(rows, self.mask, ranks, p.ans_modulus)[0]
+
+    def column(self, cube: _AnswerCube) -> list[tuple[int, ...]]:
+        return cube.column(self.server, self.query_index, self.mask)
+
+
+def AnswerVar(server: int, query_index: int) -> MaskedAnswerVar:
     """The full answer of server `server` to query `query_index`."""
-
-    server: int
-    query_index: int
-
-    def evaluate(self, code: DecomposableCode, msgs: MessageSet) -> tuple[int, ...]:
-        return code.eval_answer(self.server, self.query_index, msgs).values
+    return MaskedAnswerVar(server, query_index)
 
 
-@dataclass(frozen=True)
-class ResidualVar:
+def ResidualVar(server: int, query_index: int, k: int) -> MaskedAnswerVar:
     """Everything in an answer that the unwanted messages contribute."""
-
-    server: int
-    query_index: int
-    k: int
-
-    def evaluate(self, code: DecomposableCode, msgs: MessageSet) -> tuple[int, ...]:
-        p = code.params
-        rows = code.varieties[self.server][self.query_index].tables
-        values = msgs.values
-        out = []
-        for row in rows:
-            acc = 0
-            for j in range(p.n_messages):
-                if j == self.k:
-                    continue
-                acc += row[j].values[input_rank(values[j], p.msg_modulus)]
-            out.append(acc % p.ans_modulus)
-        return tuple(out)
+    return MaskedAnswerVar(server, query_index, ~(1 << k))
 
 
-@dataclass(frozen=True)
-class RequestedVar:
+def RequestedVar(server: int, query_index: int, k: int) -> MaskedAnswerVar:
     """The requested message's own contribution to an answer."""
-
-    server: int
-    query_index: int
-    k: int
-
-    def evaluate(self, code: DecomposableCode, msgs: MessageSet) -> tuple[int, ...]:
-        p = code.params
-        rows = code.varieties[self.server][self.query_index].tables
-        values = msgs.values
-        return tuple(
-            row[self.k].values[input_rank(values[self.k], p.msg_modulus)] % p.ans_modulus
-            for row in rows
-        )
+    return MaskedAnswerVar(server, query_index, 1 << k)
 
 
 @dataclass(frozen=True)
@@ -407,22 +465,19 @@ class MessageVar:
 
     k: int
 
-    def evaluate(self, code: DecomposableCode, msgs: MessageSet) -> tuple[int, ...]:
-        return msgs[self.k].values
+    def column(self, cube: _AnswerCube) -> list[tuple[int, ...]]:
+        return [v[self.k] for v in cube.values]
 
 
 def joint_pmf(
     code: DecomposableCode, variables, cap: int = DEFAULT_CAP
 ) -> ExactDistribution:
     """Exact joint distribution of derived variables under uniform messages."""
-    variables = tuple(variables)
     size = _enumeration_size(code)
     _require_within_cap(size, cap)
-    unit = Fraction(1, size)
-    tally: dict = defaultdict(Fraction)
-    for msgs in all_message_sets(code):
-        tally[tuple(var.evaluate(code, msgs) for var in variables)] += unit
-    return ExactDistribution(tally)
+    cube = _answer_cube(code)
+    columns = [var.column(cube) for var in variables]
+    return ExactDistribution.from_counts(Counter(zip(*columns)), size)
 
 
 def positive_query_tuples(code: DecomposableCode, k: int) -> tuple[tuple[int, ...], ...]:
@@ -439,99 +494,69 @@ def _tuple_probability(code: DecomposableCode, k: int, queries) -> Fraction:
     return Fraction(hits, len(code.keys))
 
 
-def _is_product_of_marginals(joint: ExactDistribution, arity: int):
-    """Mutual independence: joint == product of marginals, exactly."""
+def _independent(joint: ExactDistribution, arity: int) -> Optional[str]:
+    """None when the joint is the product of its marginals, exactly; else why not."""
+    total = joint._total
     marginals = [joint.marginal((i,)) for i in range(arity)]
     for combo in itertools.product(*(m.support() for m in marginals)):
-        expected = Fraction(1)
-        for i, v in enumerate(combo):
-            expected *= marginals[i].prob(v)
-        actual = joint.prob(tuple(v[0] for v in combo))
-        if actual != expected:
-            return False, (tuple(v[0] for v in combo), actual, expected)
-    return True, None
+        value = tuple(v[0] for v in combo)
+        actual = joint._counts.get(value, 0)
+        expected = math.prod(m._counts[v] for m, v in zip(marginals, combo))
+        if actual * total ** (arity - 1) != expected:
+            return (
+                f"joint probability {Fraction(actual, total)} of {value} "
+                f"differs from product {Fraction(expected, total**arity)}"
+            )
+    return None
 
 
-def _mutually_determining(joint: ExactDistribution, arity: int):
-    """Every variable is a function of every other on the joint support."""
-    for i in range(arity):
-        for j in range(arity):
-            if i == j:
-                continue
-            seen: dict = {}
-            for value in joint.support():
-                vi, vj = value[i], value[j]
-                if vi in seen and seen[vi] != vj:
-                    return False, (i, j, vi, seen[vi], vj)
-                seen[vi] = vj
-    return True, None
+def _mutually_determining(joint: ExactDistribution, arity: int) -> Optional[str]:
+    """None when every variable is a function of every other on the support."""
+    for i, j in itertools.permutations(range(arity), 2):
+        seen: dict = {}
+        for value in joint.support():
+            vi, vj = value[i], value[j]
+            if seen.setdefault(vi, vj) != vj:
+                return (
+                    f"residual at server {i} value {vi} co-occurs with both "
+                    f"{seen[vi]} and {vj} at server {j}"
+                )
+    return None
+
+
+def _check_property(code, k: int, queries, cap: int, mask: int, holds) -> VerificationReport:
+    """Tally the masked answers to `queries` and test them with `holds`."""
+    queries = tuple(queries)
+    if _tuple_probability(code, k, queries) == 0:
+        raise ValueError(f"query tuple {queries} has zero probability for k={k}")
+    joint = joint_pmf(
+        code, [MaskedAnswerVar(n, qi, mask) for n, qi in enumerate(queries)], cap
+    )
+    detail = holds(joint, len(queries))
+    labels = _query_labels(code, queries)
+    witness = None if detail is None else Witness(detail, k=k, queries=labels)
+    return VerificationReport(detail is None, len(joint), witness)
 
 
 def check_P1(
     code: DecomposableCode, k: int, queries, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Answers across servers are mutually independent for this query tuple."""
-    queries = tuple(queries)
-    if _tuple_probability(code, k, queries) == 0:
-        raise ValueError(f"query tuple {queries} has zero probability for k={k}")
-    joint = joint_pmf(
-        code, [AnswerVar(n, qi) for n, qi in enumerate(queries)], cap
-    )
-    ok, detail = _is_product_of_marginals(joint, len(queries))
-    witness = None
-    if not ok:
-        value, actual, expected = detail
-        witness = Witness(
-            f"joint probability {actual} of {value} differs from product {expected}",
-            k=k,
-            queries=_query_labels(code, queries),
-        )
-    return VerificationReport(ok, len(joint), witness)
+    return _check_property(code, k, queries, cap, -1, _independent)
 
 
 def check_P2(
     code: DecomposableCode, k: int, queries, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Unwanted-message contributions pairwise determine each other."""
-    queries = tuple(queries)
-    if _tuple_probability(code, k, queries) == 0:
-        raise ValueError(f"query tuple {queries} has zero probability for k={k}")
-    joint = joint_pmf(
-        code, [ResidualVar(n, qi, k) for n, qi in enumerate(queries)], cap
-    )
-    ok, detail = _mutually_determining(joint, len(queries))
-    witness = None
-    if not ok:
-        i, j, vi, first, second = detail
-        witness = Witness(
-            f"residual at server {i} value {vi} co-occurs with both "
-            f"{first} and {second} at server {j}",
-            k=k,
-            queries=_query_labels(code, queries),
-        )
-    return VerificationReport(ok, len(joint), witness)
+    return _check_property(code, k, queries, cap, ~(1 << k), _mutually_determining)
 
 
 def check_P3(
     code: DecomposableCode, k: int, queries, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Requested-message contributions are mutually independent across servers."""
-    queries = tuple(queries)
-    if _tuple_probability(code, k, queries) == 0:
-        raise ValueError(f"query tuple {queries} has zero probability for k={k}")
-    joint = joint_pmf(
-        code, [RequestedVar(n, qi, k) for n, qi in enumerate(queries)], cap
-    )
-    ok, detail = _is_product_of_marginals(joint, len(queries))
-    witness = None
-    if not ok:
-        value, actual, expected = detail
-        witness = Witness(
-            f"joint probability {actual} of {value} differs from product {expected}",
-            k=k,
-            queries=_query_labels(code, queries),
-        )
-    return VerificationReport(ok, len(joint), witness)
+    return _check_property(code, k, queries, cap, 1 << k, _independent)
 
 
 # ---------------------------------------------------------------------------
@@ -540,23 +565,22 @@ def check_P3(
 
 def _request_mi_bits(code: DecomposableCode, request: int, info, given, cap: int) -> float:
     """I(W_info ; all answers for `request` | W_given, key), by enumeration."""
-    p = code.params
     size = _enumeration_size(code) * len(code.keys)
     _require_within_cap(size, cap)
-    info = tuple(info)
-    given = tuple(given)
-    unit = Fraction(1, size)
-    weights: dict = defaultdict(Fraction)
-    databases = all_message_sets(code)
-    for f in range(len(code.keys)):
+    cube = _answer_cube(code)
+    n_keys = len(code.keys)
+    xs = cube.message_codes(info)
+    zs = [g * n_keys for g in cube.message_codes(given)]
+    tally: Counter = Counter()
+    for f in range(n_keys):
         queries = code.query_map[(request, f)]
-        for msgs in databases:
-            values = msgs.values
-            x = tuple(values[j] for j in info)
-            y = tuple(a.values for a in _answers_for(code, queries, msgs))
-            z = (tuple(values[j] for j in given), f)
-            weights[(x, y, z)] += unit
-    return conditional_mutual_information_bits(ExactDistribution(weights))
+        columns = [cube.column(n, qi, -1) for n, qi in enumerate(queries)]
+        tally.update(zip(xs, zip(*columns), [z + f for z in zs]))
+    # x, y and z as ints that order like the tuples they stand for: the
+    # terms of the sum keep their order, and keys hash and compare faster
+    rank = {y: i for i, y in enumerate(sorted({y for _, y, _ in tally}))}
+    counts = {(x, rank[y], z): c for (x, y, z), c in tally.items()}
+    return conditional_mutual_information_bits(ExactDistribution.from_counts(counts, size))
 
 
 def check_lemma1_equality(

@@ -161,12 +161,17 @@ def reconstruct(
     N = code.n_servers
     if len(answers) != N:
         raise ValueError(f"need {N} answers, got {len(answers)}")
+    if not 0 <= k < code.n_messages:
+        raise ValueError(f"message index {k} out of range")
+    if key.base != N or len(key.digits) != code.n_messages - 1:
+        raise ValueError("key shape disagrees with code params")
     star = key_offset(key)
-    expected = [answer_length(code, n, query_vector(code, n, k, key)) for n in range(N)]
     for n, ans in enumerate(answers):
-        if len(ans) != expected[n]:
+        # only server 0 under the all-zero key gets the all-zero query
+        expected = 0 if n == 0 and not any(key.digits) else 1
+        if len(ans) != expected:
             raise ValueError(
-                f"answer {n} has {len(ans)} symbols, query demands {expected[n]}"
+                f"answer {n} has {len(ans)} symbols, query demands {expected}"
             )
     interference = (
         answers[star].symbols[0] if len(answers[star]) else zero(code.modulus)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -188,6 +190,47 @@ def test_cap_refusal_carries_work_estimate():
     assert exc.value.required == 8  # 2^(2*1) databases x 2 keys
     assert exc.value.cap == 3
     assert "8" in str(exc.value)
+
+
+def _wide_code():
+    """K=3 messages of L=9 bits: 2^27 databases, beyond the default cap."""
+    const = ComponentTable.constant(2, 9, 2)
+    variety = (AnswerFunction("c", ((const, const, const),)),)
+    return DecomposableCode(
+        CodeParams(2, 3, 9, 2, 2),
+        (variety, variety),
+        ("0",),
+        {(k, 0): (0, 0) for k in range(3)},
+    )
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        verify_correctness,
+        lambda code: check_P1(code, 0, (0, 0)),
+        lambda code: check_P2(code, 0, (0, 0)),
+        lambda code: check_P3(code, 0, (0, 0)),
+        lambda code: joint_pmf(code, [MessageVar(0)]),
+        lambda code: check_lemma1_equality(code, 0),
+        lambda code: check_lemma2_equality(code, 1, (0, 1, 2)),
+    ],
+    ids=["correctness", "P1", "P2", "P3", "joint_pmf", "lemma1", "lemma2"],
+)
+def test_cap_refusal_allocates_nothing(check):
+    code = _wide_code()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            check(code)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.required == 1 << 27
+    assert elapsed < 1.0
+    assert peak < 1 << 20
 
 
 def test_joint_pmf_cap_refusal():

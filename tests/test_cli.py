@@ -1,7 +1,9 @@
 """CLI behaviour: deterministic reports, exit codes, live subcommands."""
 
+import hashlib
 import json
 import os
+import random
 import re
 import socket
 import subprocess
@@ -125,6 +127,132 @@ def test_verify_rejects_bad_source(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "/no/such/file.pir"])
     assert exc.value.code == 2
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden")
+
+# SHA-256 of `pirlab verify SOURCE` stdout followed by its --out JSONL
+VERIFY_DIGESTS = {
+    "table1": "f394acb570324311b7059cb1c05dd32f44c97b8b2ffa4b64251afe1a0ddd533a",
+    "table2": "25a705898f3fad13c5e09d8ac11feb52a8076a439d401be622bc63a5df49471f",
+    "nary 2 2": "f394acb570324311b7059cb1c05dd32f44c97b8b2ffa4b64251afe1a0ddd533a",
+    "nary 3 3": "340d0010692008a50ac3058aa5d0906e5c01248b313b19617d47972f8bdeb39b",
+    "nary 2 3 3": "52d5f48d582bfd57174caad74144d161acc2f105c3bb2da53aec5711bac3b959",
+    "nary 2 4": "c682e66db3444e7cb6129ef25fd8f0677428769f19442746627085b84e1c74b5",
+}
+
+# seed -> (digest, witnesses) for `nary 3 3` with one table entry flipped
+MUTATION_DIGESTS = {
+    0: (
+        "f4b9e8871c52950d52c94d7475f8d27ac555523c2fc623135e613d61c187417e",
+        [
+            "answers consistent with both (0, 0) and (0, 1) k=0 key=20 "
+            "queries=120,220,020 messages=01;01;00",
+            "first offender (1, 8, 0, 1)",
+            "joint probability 0 of ((0,), (0,), (1,)) differs from product 1/8 "
+            "k=1 queries=210,220,200",
+            "residual at server 0 value (1,) co-occurs with both (0,) and (1,) "
+            "at server 1 k=0 queries=120,220,020",
+            "residual at server 0 value (0,) co-occurs with both (0,) and (1,) "
+            "at server 1 k=2 queries=222,220,221",
+            "joint probability 1/4 of ((0,), (0,), (0,)) differs from product 3/8 "
+            "k=1 queries=210,220,200",
+        ],
+    ),
+    1: (
+        "be1db11c7d1b333d2d30116c480f12695624d833e182c023c759fc63b101f2ac",
+        [
+            "answers consistent with both (0, 0) and (0, 1) k=0 key=01 "
+            "queries=201,001,101 messages=01;00;00",
+            "first offender (0, 6, 0, 2)",
+            "joint probability 0 of ((0,), (0,), (0,)) differs from product 1/8 "
+            "k=2 queries=201,202,200",
+            "residual at server 0 value (1,) co-occurs with both (0,) and (1,) "
+            "at server 1 k=0 queries=201,001,101",
+            "residual at server 0 value (0,) co-occurs with both (0,) and (1,) "
+            "at server 1 k=1 queries=201,211,221",
+            "joint probability 0 of ((0,), (0,), (0,)) differs from product 1/8 "
+            "k=2 queries=201,202,200",
+        ],
+    ),
+    2: (
+        "5a8aef0d512470234cfa9c0d68c0dd0e3f9ea49a6f1982c3faad134eb513cca5",
+        [
+            "answers consistent with both (0, 0) and (1, 0) k=0 key=02 "
+            "queries=102,202,002 messages=10;00;00",
+            "first offender (0, 3, 0, 1)",
+            "joint probability 0 of ((0,), (0,), (0,)) differs from product 1/8 "
+            "k=1 queries=102,112,122",
+            "residual at server 0 value (0,) co-occurs with both (0,) and (1,) "
+            "at server 1 k=0 queries=102,202,002",
+            "residual at server 0 value (0,) co-occurs with both (0,) and (1,) "
+            "at server 1 k=2 queries=102,100,101",
+            "joint probability 0 of ((0,), (0,), (0,)) differs from product 3/16 "
+            "k=1 queries=102,112,122",
+        ],
+    ),
+    3: (
+        "7a2cbb6490fbd2cab1d325c495f4e1984097fd7fd408a351403dfad48b3bbdcb",
+        [
+            "answers consistent with both (0, 1) and (1, 0) k=0 key=22 "
+            "queries=222,022,122 messages=10;00;00",
+            "first offender (1, 2, 0, 0)",
+            "joint probability 1/4 of ((0,), (0,), (1,)) differs from product 1/8 "
+            "k=0 queries=222,022,122",
+            "residual at server 0 value (0,) co-occurs with both (0,) and (1,) "
+            "at server 1 k=1 queries=012,022,002",
+            "residual at server 0 value (0,) co-occurs with both (0,) and (1,) "
+            "at server 1 k=2 queries=021,022,020",
+            "joint probability 1/4 of ((0,), (0,), (0,)) differs from product 3/16 "
+            "k=0 queries=222,022,122",
+        ],
+    ),
+}
+
+
+def _verify_outputs(capsys, tmp_path, *source):
+    out_path = tmp_path / "records.jsonl"
+    code, out, _ = run_cli(capsys, "verify", *source, "--out", str(out_path))
+    return code, out, out_path.read_text()
+
+
+def _flip_one_entry(text: str, seed: int) -> str:
+    """Flip one binary table entry of an emitted code, chosen by `seed`."""
+    lines = text.splitlines()
+    rng = random.Random(seed)
+    i = rng.choice([i for i, line in enumerate(lines) if line.startswith("table ")])
+    tokens = lines[i].split()
+    j = rng.randrange(3, len(tokens))
+    tokens[j] = str(1 - int(tokens[j]))
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", sorted(VERIFY_DIGESTS))
+def test_verify_records_are_byte_stable(source, tmp_path, capsys):
+    code, out, jsonl = _verify_outputs(capsys, tmp_path, *source.split())
+    assert code == 0
+    assert hashlib.sha256((out + jsonl).encode()).hexdigest() == VERIFY_DIGESTS[source]
+
+
+@pytest.mark.parametrize("seed", sorted(MUTATION_DIGESTS))
+def test_verify_records_of_mutated_code_are_byte_stable(seed, tmp_path, capsys):
+    path = tmp_path / "mutated.pir"
+    path.write_text(_flip_one_entry(emit(export_decomposable(make_nary(3, 3))), seed))
+    code, out, jsonl = _verify_outputs(capsys, tmp_path, str(path))
+    digest, witnesses = MUTATION_DIGESTS[seed]
+    assert code == 1
+    assert re.findall(r"witness\[(.*)\]$", out, re.MULTILINE) == witnesses
+    assert hashlib.sha256((out + jsonl).encode()).hexdigest() == digest
+
+
+def test_verify_nary34_matches_benchmark_golden(tmp_path, capsys):
+    code, out, jsonl = _verify_outputs(capsys, tmp_path, "nary", "3", "4")
+    assert code == 0
+    with open(os.path.join(GOLDEN, "verify-nary-3-4.txt"), encoding="ascii") as fh:
+        assert out == fh.read()
+    with open(os.path.join(GOLDEN, "verify-nary-3-4.jsonl"), encoding="ascii") as fh:
+        assert jsonl == fh.read()
 
 
 def test_symmetrize_variety_to_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirlab.groups import CodeParams, MessageSet, QueryVector, RandomKey
+from pirlab.groups import AnswerVector, CodeParams, MessageSet, QueryVector, RandomKey
 from pirlab.nary import (
     NaryCode,
     answer,
@@ -189,6 +189,37 @@ def test_reconstruct_validates_answer_count_and_lengths():
         reconstruct(code, answers[:1], 0, key)
     with pytest.raises(ValueError):
         reconstruct(code, (answers[1], answers[0]), 0, key)  # lengths 1,0 vs 0,1
+
+
+@pytest.mark.parametrize("n_servers", [2, 3, 4])
+@pytest.mark.parametrize("n_messages", [1, 2, 3, 4])
+def test_reconstruct_demands_the_query_answer_lengths(n_servers, n_messages):
+    code = make_nary(n_servers, n_messages)
+    one, empty = AnswerVector.from_values((0,), 2), AnswerVector(())
+    for key in key_space(code):
+        for k in range(n_messages):
+            lengths = [
+                answer_length(code, n, query_vector(code, n, k, key))
+                for n in range(n_servers)
+            ]
+            answers = [one if length else empty for length in lengths]
+            reconstruct(code, tuple(answers), k, key)
+            for n in range(n_servers):
+                wrong = list(answers)
+                wrong[n] = empty if lengths[n] else one
+                with pytest.raises(ValueError, match="query demands"):
+                    reconstruct(code, tuple(wrong), k, key)
+
+
+def test_reconstruct_validates_request_and_key_shape():
+    code = make_nary(3, 3)
+    answers = (AnswerVector.from_values((0,), 2),) * 3
+    with pytest.raises(ValueError, match="message index"):
+        reconstruct(code, answers, 3, RandomKey((0, 1), 3))
+    with pytest.raises(ValueError, match="key shape"):
+        reconstruct(code, answers, 0, RandomKey((0,), 3))
+    with pytest.raises(ValueError, match="key shape"):
+        reconstruct(code, answers, 0, RandomKey((0, 1), 2))
 
 
 def test_random_key_is_seeded_and_in_range():
