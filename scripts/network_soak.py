@@ -12,16 +12,18 @@ import random
 import time
 from fractions import Fraction
 
-from pirlab.analysis import expected_answer_lengths
 from pirlab.groups import MessageSet
-from pirlab.nary import (
-    answer_length,
-    export_decomposable,
-    make_nary,
-    query_vector,
-    random_key,
-)
+from pirlab.nary import answer_length, make_nary, query_vector, random_key
 from pirlab.net import PirServer, client_retrieve, setup_endpoint
+
+
+def expected_download(code) -> Fraction:
+    """Exact mean ANSWER symbols per retrieval.
+
+    Every answer is one symbol except server 0's answer to the all-zero
+    query, which is empty and is sent under exactly one of the N^(K-1) keys.
+    """
+    return code.n_servers - Fraction(1, code.n_servers ** (code.n_messages - 1))
 
 
 def main() -> int:
@@ -66,9 +68,7 @@ def main() -> int:
                 print(f"round {i}: MISMATCH for message {k}: {got.values}")
         elapsed = time.perf_counter() - t0
 
-        expected = sum(
-            expected_answer_lengths(export_decomposable(code)), Fraction(0)
-        )
+        expected = expected_download(code)
         observed = Fraction(downloaded, args.rounds)
         print(
             f"{args.rounds} retrievals in {elapsed:.2f}s "

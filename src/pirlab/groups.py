@@ -169,7 +169,7 @@ class QueryVector:
             raise ValueError("digit base must be >= 2")
         if not self.digits:
             raise ValueError("a query carries at least one digit")
-        if any(not 0 <= d < self.base for d in self.digits):
+        if min(self.digits) < 0 or max(self.digits) >= self.base:
             raise ValueError(f"query digits must lie in 0..{self.base - 1}")
 
     @property
@@ -190,7 +190,7 @@ class RandomKey:
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValueError("digit base must be >= 2")
-        if any(not 0 <= d < self.base for d in self.digits):
+        if self.digits and (min(self.digits) < 0 or max(self.digits) >= self.base):
             raise ValueError(f"key digits must lie in 0..{self.base - 1}")
 
     def label(self) -> str:

@@ -17,21 +17,26 @@ One-byte symbols and digits bound the supported shapes: modulus <= 256,
 n_servers <= 255, n_messages <= 65535.  A server is a pure function of the
 frames it has seen: SETUP installs the replicated database exactly once
 (second SETUPs are errors), QUERYs are answered read-only, so connections
-may be interleaved or replayed freely.
+may be interleaved or replayed freely.  The server keeps the database as one
+`bytes` row per message, each padded with the zero dummy, and answers a QUERY
+with one integer sum of the symbols its digits select.
 """
 
 from __future__ import annotations
 
+import operator
 import socket
 import socketserver
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  unused; perfbench/tracing.py patches it here
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .groups import AnswerVector, MessageSet, QueryVector, RandomKey
-from .nary import NaryCode, answer, answer_length, make_nary, query_vector, random_key
+from .groups import EMPTY_ANSWER, AnswerVector, MessageSet, RandomKey
+from .nary import answer  # noqa: F401  unused; perfbench/tracing.py patches it here
+from .nary import NaryCode, answer_length, make_nary, query_vector, random_key
 
 KIND_SETUP = 0x01
 KIND_QUERY = 0x02
@@ -51,6 +56,7 @@ _HEADER = struct.Struct(">IB")
 _SETUP_HEAD = struct.Struct(">BHIH")
 # The largest legal frame: a SETUP at the wire limits, with L = N-1 symbols.
 MAX_PAYLOAD = _SETUP_HEAD.size + WIRE_MAX_MESSAGES * (WIRE_MAX_SERVERS - 1)
+_BYTE_VALUES = bytes(range(256))
 
 
 class FrameError(ValueError):
@@ -132,7 +138,8 @@ def encode_setup_payload(code: NaryCode, msgs: MessageSet) -> bytes:
     return _SETUP_HEAD.pack(p.n_servers, p.n_messages, p.msg_len, p.msg_modulus) + body
 
 
-def decode_setup_payload(payload: bytes) -> tuple[NaryCode, MessageSet]:
+def decode_setup_payload(payload: bytes) -> tuple[NaryCode, tuple[bytes, ...]]:
+    """Validate a SETUP payload; returns the code and one `bytes` row per message."""
     if len(payload) < _SETUP_HEAD.size:
         raise ValueError("SETUP payload truncated")
     n_servers, n_messages, msg_len, modulus = _SETUP_HEAD.unpack_from(payload)
@@ -146,12 +153,10 @@ def decode_setup_payload(payload: bytes) -> tuple[NaryCode, MessageSet]:
         raise ValueError(
             f"SETUP carries {len(body)} symbols, expected {n_messages * msg_len}"
         )
-    if any(v >= modulus for v in body):
+    if body.translate(None, _BYTE_VALUES[:modulus]):  # a symbol >= m is left
         raise ValueError("SETUP symbol out of range")
-    rows = [
-        tuple(body[k * msg_len : (k + 1) * msg_len]) for k in range(n_messages)
-    ]
-    return code, MessageSet.from_values(rows, modulus)
+    rows = tuple(body[k * msg_len : (k + 1) * msg_len] for k in range(n_messages))
+    return code, rows
 
 
 def encode_answer_payload(ans: AnswerVector) -> bytes:
@@ -194,12 +199,16 @@ SERVING = "serving"
 
 @dataclass(frozen=True)
 class ServerState:
-    """Everything a server knows; `handle_frame` is pure over this."""
+    """Everything a server knows; `handle_frame` is pure over this.
+
+    `rows[k]` is message k padded with the zero dummy, so `rows[k][d]` is the
+    symbol digit d selects.
+    """
 
     server_index: int
     phase: str = AWAITING_SETUP
     code: Optional[NaryCode] = None
-    msgs: Optional[MessageSet] = None
+    rows: tuple[bytes, ...] = ()
 
 
 def handle_frame(state: ServerState, frame: Frame) -> tuple[ServerState, Frame]:
@@ -208,7 +217,7 @@ def handle_frame(state: ServerState, frame: Frame) -> tuple[ServerState, Frame]:
         if state.phase == SERVING:
             return state, error_frame(ERR_PROTOCOL, "already set up")
         try:
-            code, msgs = decode_setup_payload(frame.payload)
+            code, rows = decode_setup_payload(frame.payload)
         except ValueError as exc:
             return state, error_frame(ERR_BAD_SETUP, str(exc))
         if state.server_index >= code.n_servers:
@@ -216,34 +225,43 @@ def handle_frame(state: ServerState, frame: Frame) -> tuple[ServerState, Frame]:
                 ERR_BAD_SETUP,
                 f"server index {state.server_index} outside 0..{code.n_servers - 1}",
             )
-        new = replace(state, phase=SERVING, code=code, msgs=msgs)
+        padded = tuple(b"\x00" + row for row in rows)
+        new = replace(state, phase=SERVING, code=code, rows=padded)
         return new, Frame(KIND_ANSWER, b"\x00")
     if frame.kind == KIND_QUERY:
         if state.phase != SERVING:
             return state, error_frame(ERR_PROTOCOL, "QUERY before SETUP")
         code = state.code
-        assert code is not None and state.msgs is not None
-        digits = tuple(frame.payload)
+        assert code is not None
+        digits = frame.payload
         if len(digits) != code.n_messages:
             return state, error_frame(
                 ERR_BAD_QUERY,
                 f"query carries {len(digits)} digits, expected {code.n_messages}",
             )
-        if any(d >= code.n_servers for d in digits):
+        if digits.translate(None, _BYTE_VALUES[: code.n_servers]):  # a digit >= N is left
             return state, error_frame(ERR_BAD_QUERY, "query digit out of range")
-        q = QueryVector(digits, code.n_servers)
-        if q.server != state.server_index:
+        total = sum(digits)
+        addressed = total % code.n_servers
+        if addressed != state.server_index:
             return state, error_frame(
                 ERR_BAD_QUERY,
-                f"digit sum addresses server {q.server}, this is server {state.server_index}",
+                f"digit sum addresses server {addressed}, this is server {state.server_index}",
             )
-        ans = answer(code, state.server_index, q, state.msgs)
+        if not total:  # the all-zero query, which only server 0 accepts
+            return state, Frame(KIND_ANSWER, encode_answer_payload(EMPTY_ANSWER))
+        value = sum(map(operator.getitem, state.rows, digits)) % code.modulus
+        ans = AnswerVector.from_values((value,), code.modulus)
         return state, Frame(KIND_ANSWER, encode_answer_payload(ans))
     # SETUP/QUERY are the only requests; ANSWER/ERROR from a client are nonsense
     return state, error_frame(ERR_PROTOCOL, f"unexpected frame kind {frame.kind:#x}")
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # seconds a connection may sit idle (or stall inside a frame) before the
+    # server closes it
+    timeout = 60.0
+
     def handle(self) -> None:
         server: "PirServer" = self.server.pir_server  # type: ignore[attr-defined]
         while True:
@@ -252,10 +270,16 @@ class _Handler(socketserver.StreamRequestHandler):
             except ProtocolError as exc:
                 self._send(error_frame(ERR_PROTOCOL, str(exc)))
                 return
+            except OSError:  # idle timeout or a reset peer: close quietly
+                return
             if frame is None:
                 return
-            with server._lock:
-                server._state, reply = handle_frame(server._state, frame)
+            if frame.kind == KIND_SETUP:
+                with server._lock:
+                    server._state, reply = handle_frame(server._state, frame)
+            else:
+                # state is immutable once set up, and only SETUP replaces it
+                _, reply = handle_frame(server._state, frame)
             if not self._send(reply):
                 return
 
@@ -315,34 +339,80 @@ class PirServer:
 # client
 
 
-def _round_trip(endpoint: tuple[str, int], frame: Frame, timeout: float) -> Frame:
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+def _send(endpoint: tuple[str, int], frame: Frame, deadline: float, conns: list) -> None:
+    """Connect to `endpoint` and send `frame`; the connection joins `conns`."""
     host, port = endpoint
     try:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            sock.sendall(encode_frame(frame))
-            rfile = sock.makefile("rb")
-            reply = read_frame(rfile)
+        sock = socket.create_connection((host, port), timeout=_time_left(deadline))
+        conns.append((sock, sock.makefile("rb")))
+        sock.sendall(encode_frame(frame))
     except OSError as exc:
         raise RetrievalError(f"endpoint {host}:{port}: {exc}") from exc
-    except ProtocolError as exc:
+
+
+def _receive(endpoint: tuple[str, int], conn, deadline: float) -> Frame:
+    """Read one reply frame, waiting no later than `deadline`."""
+    host, port = endpoint
+    sock, rfile = conn
+    try:
+        sock.settimeout(_time_left(deadline))
+        reply = read_frame(rfile)
+    except (OSError, ProtocolError) as exc:
         raise RetrievalError(f"endpoint {host}:{port}: {exc}") from exc
     if reply is None:
         raise RetrievalError(f"endpoint {host}:{port} closed the connection")
     return reply
 
 
+def _close(conns: list) -> None:
+    for sock, rfile in conns:
+        rfile.close()
+        sock.close()
+
+
 def setup_endpoint(
     endpoint: tuple[str, int], code: NaryCode, msgs: MessageSet, timeout: float = 5.0
 ) -> None:
     """Install the replicated database on one server; raises on rejection."""
-    reply = _round_trip(
-        endpoint, Frame(KIND_SETUP, encode_setup_payload(code, msgs)), timeout
-    )
+    frame = Frame(KIND_SETUP, encode_setup_payload(code, msgs))
+    deadline = time.monotonic() + timeout
+    conns: list = []
+    try:
+        _send(endpoint, frame, deadline, conns)
+        reply = _receive(endpoint, conns[0], deadline)
+    finally:
+        _close(conns)
     if reply.kind == KIND_ERROR:
         err, text = decode_error_payload(reply.payload)
         raise RetrievalError(f"SETUP rejected ({err}): {text}")
     if reply.kind != KIND_ANSWER:
         raise RetrievalError(f"unexpected SETUP reply kind {reply.kind:#x}")
+
+
+def _check_answer(code: NaryCode, n: int, query, reply: Frame) -> AnswerVector:
+    """Server n's reply to `query` as an answer of the length the query demands."""
+    if reply.kind == KIND_ERROR:
+        err, text = decode_error_payload(reply.payload)
+        raise RetrievalError(f"server {n} replied error ({err}): {text}")
+    if reply.kind != KIND_ANSWER:
+        raise RetrievalError(f"server {n} sent frame kind {reply.kind:#x}")
+    try:
+        ans = decode_answer_payload(reply.payload, code.modulus)
+    except ValueError as exc:
+        raise RetrievalError(f"server {n} sent a malformed answer: {exc}") from exc
+    expected = answer_length(code, n, query)
+    if len(ans) != expected:
+        raise RetrievalError(
+            f"server {n} sent {len(ans)} symbols, query demands {expected}"
+        )
+    return ans
 
 
 def client_retrieve(
@@ -353,11 +423,14 @@ def client_retrieve(
     rng=None,
     timeout: float = 5.0,
 ):
-    """Query all servers concurrently and reconstruct message k.
+    """Query all servers and reconstruct message k.
 
-    `key` may be omitted in favor of an `rng` (a `random.Random`) to sample
-    one.  Any connection failure, ERROR frame, or malformed/mis-sized answer
-    aborts the whole retrieval; there are no partial results.
+    Every QUERY is sent before any reply is read, so the servers compute
+    their answers in parallel while this thread waits.  `timeout` bounds the
+    whole retrieval.  `key` may be omitted in favor of an `rng` (a
+    `random.Random`) to sample one.  Any connection failure, timeout, ERROR
+    frame, or malformed/mis-sized answer aborts the whole retrieval; there
+    are no partial results.
     """
     endpoints = tuple(endpoints)
     if len(endpoints) != code.n_servers:
@@ -367,29 +440,17 @@ def client_retrieve(
             raise ValueError("provide a key or an rng to sample one")
         key = random_key(code, rng)
     queries = [query_vector(code, n, k, key) for n in range(code.n_servers)]
-
-    def ask(n: int) -> AnswerVector:
-        frame = Frame(KIND_QUERY, bytes(queries[n].digits))
-        reply = _round_trip(endpoints[n], frame, timeout)
-        if reply.kind == KIND_ERROR:
-            err, text = decode_error_payload(reply.payload)
-            raise RetrievalError(f"server {n} replied error ({err}): {text}")
-        if reply.kind != KIND_ANSWER:
-            raise RetrievalError(f"server {n} sent frame kind {reply.kind:#x}")
-        try:
-            ans = decode_answer_payload(reply.payload, code.modulus)
-        except ValueError as exc:
-            raise RetrievalError(f"server {n} sent a malformed answer: {exc}") from exc
-        expected = answer_length(code, n, queries[n])
-        if len(ans) != expected:
-            raise RetrievalError(
-                f"server {n} sent {len(ans)} symbols, query demands {expected}"
-            )
-        return ans
-
-    with ThreadPoolExecutor(max_workers=len(endpoints)) as pool:
-        futures = [pool.submit(ask, n) for n in range(code.n_servers)]
-        answers = tuple(f.result() for f in futures)
+    deadline = time.monotonic() + timeout
+    conns: list = []
+    try:
+        for endpoint, query in zip(endpoints, queries):
+            _send(endpoint, Frame(KIND_QUERY, bytes(query.digits)), deadline, conns)
+        answers = tuple(
+            _check_answer(code, n, queries[n], _receive(endpoints[n], conns[n], deadline))
+            for n in range(code.n_servers)
+        )
+    finally:
+        _close(conns)
 
     from .nary import reconstruct
 

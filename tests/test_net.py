@@ -1,14 +1,21 @@
 """Framing, the pure protocol step, and live loopback round trips."""
 
+import gc
 import io
+import itertools
 import random
 import socket
 import struct
+import sys
 import threading
+import time
 import tracemalloc
+import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from pirlab import net
 
 from pirlab.groups import MessageSet, QueryVector, RandomKey
 from pirlab.nary import answer, make_nary, query_vector, retrieve
@@ -121,9 +128,10 @@ def test_read_frame_bounds_length_before_reading():
 def test_setup_payload_round_trip():
     code = make_nary(3, 2, 5)
     msgs = MessageSet.from_values(((4, 0), (1, 3)), 5)
-    got_code, got_msgs = decode_setup_payload(encode_setup_payload(code, msgs))
+    got_code, got_rows = decode_setup_payload(encode_setup_payload(code, msgs))
     assert got_code == code
-    assert got_msgs == msgs
+    assert all(type(row) is bytes for row in got_rows)
+    assert tuple(tuple(row) for row in got_rows) == msgs.values
 
 
 def test_setup_payload_enforces_wire_limits():
@@ -271,6 +279,69 @@ def test_handle_frame_rejects_client_side_kinds():
     assert decode_error_payload(reply.payload)[0] == ERR_PROTOCOL
 
 
+# ---------------------------------------------------------------- integer server vs nary.answer
+
+
+def _reference_reply(code, msgs, server, digits):
+    """The reply to QUERY `digits` at `server`, from the reference arithmetic
+    `nary.answer` and the server's error texts."""
+    N, K = code.n_servers, code.n_messages
+    if len(digits) != K:
+        return error_frame(ERR_BAD_QUERY, f"query carries {len(digits)} digits, expected {K}")
+    if any(d >= N for d in digits):
+        return error_frame(ERR_BAD_QUERY, "query digit out of range")
+    if sum(digits) % N != server:
+        return error_frame(
+            ERR_BAD_QUERY,
+            f"digit sum addresses server {sum(digits) % N}, this is server {server}",
+        )
+    ans = answer(code, server, QueryVector(tuple(digits), N), msgs)
+    return Frame(KIND_ANSWER, encode_answer_payload(ans))
+
+
+@pytest.mark.parametrize("m", [2, 5, 256])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_integer_server_matches_reference_answer_exhaustively(N, K, m):
+    code = make_nary(N, K, m)
+    rng = random.Random(100 * N + 10 * K + m)
+    databases = [
+        [[rng.randrange(m) for _ in range(N - 1)] for _ in range(K)],
+        [[m - 1] * (N - 1)] * K,  # every sum wraps around the modulus
+    ]
+    for rows in databases:
+        msgs = MessageSet.from_values(rows, m)
+        setup = _setup_frame(code, msgs)
+        for server in range(N):
+            state, _ = handle_frame(ServerState(server), setup)
+            # every digit vector over 0..N (N is out of range), one digit short,
+            # exact and one digit long
+            for length in (K - 1, K, K + 1):
+                for digits in itertools.product(range(N + 1), repeat=length):
+                    _, reply = handle_frame(state, Frame(KIND_QUERY, bytes(digits)))
+                    assert reply == _reference_reply(code, msgs, server, digits), digits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_server_matches_reference_answer_at_large_k(data):
+    N = data.draw(st.integers(2, 6), label="N")
+    K = data.draw(st.integers(1, 300), label="K")
+    m = data.draw(st.integers(2, 256), label="m")
+    body = data.draw(st.binary(min_size=K * (N - 1), max_size=K * (N - 1)), label="body")
+    digits = tuple(
+        d % N for d in data.draw(st.binary(min_size=K, max_size=K), label="digits")
+    )
+    code = make_nary(N, K, m)
+    rows = [[v % m for v in body[k * (N - 1) : (k + 1) * (N - 1)]] for k in range(K)]
+    msgs = MessageSet.from_values(rows, m)
+    setup = _setup_frame(code, msgs)
+    for server in {sum(digits) % N, data.draw(st.integers(0, N - 1), label="server")}:
+        state, _ = handle_frame(ServerState(server), setup)
+        _, reply = handle_frame(state, Frame(KIND_QUERY, bytes(digits)))
+        assert reply == _reference_reply(code, msgs, server, digits)
+
+
 # ---------------------------------------------------------------- live loopback
 
 
@@ -340,15 +411,83 @@ def test_client_retrieve_validates_inputs(trio):
         client_retrieve(code, endpoints, 0)
 
 
+def _dead_endpoint():
+    # bind-and-release to get a port nothing listens on
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()
+
+
 def test_client_retrieve_fails_cleanly_on_dead_endpoint():
     code = make_nary(2, 2)
-    # bind-and-release to get a port nothing listens on
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    dead = probe.getsockname()
-    probe.close()
+    dead = _dead_endpoint()
     with pytest.raises(RetrievalError):
         client_retrieve(code, [dead, dead], 0, key=RandomKey((0,), 2))
+
+
+def test_failed_retrieval_leaves_no_socket_open(monkeypatch):
+    # the first endpoint takes the connection and the QUERY; the second is dead
+    listener = socket.create_server(("127.0.0.1", 0))
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            try:
+                client_retrieve(
+                    make_nary(2, 2),
+                    [listener.getsockname(), _dead_endpoint()],
+                    0,
+                    key=RandomKey((0,), 2),
+                )
+            except RetrievalError:
+                pass
+            else:
+                pytest.fail("a retrieval with a dead endpoint succeeded")
+            gc.collect()  # an unclosed socket warns when it is collected
+    finally:
+        listener.close()
+    assert [u.exc_value for u in unraisable] == []
+
+
+@pytest.mark.parametrize("first_reply_after", [None, 0.9], ids=["silent", "slow-then-silent"])
+def test_client_deadline_bounds_the_whole_retrieval(first_reply_after):
+    # two endpoints that take the connection; the second never replies, the
+    # first never does either or sends its (empty) answer after a delay
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
+    listeners[0].settimeout(5.0)
+
+    def reply_late():
+        conn, _ = listeners[0].accept()
+        with conn:
+            conn.recv(64)
+            time.sleep(first_reply_after)
+            conn.sendall(encode_frame(Frame(KIND_ANSWER, b"\x00")))
+            conn.recv(64)  # hold the connection until the client closes it
+
+    thread = threading.Thread(target=reply_late, daemon=True)
+    if first_reply_after is not None:
+        thread.start()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(RetrievalError, match="timed out"):
+            client_retrieve(
+                make_nary(2, 2),
+                [listener.getsockname() for listener in listeners],
+                0,
+                key=RandomKey((0,), 2),  # server 0 gets the all-zero query
+                timeout=1.0,
+            )
+        elapsed = time.monotonic() - t0
+    finally:
+        if thread.is_alive():
+            thread.join(timeout=5.0)
+        for listener in listeners:
+            listener.close()
+    assert not thread.is_alive()
+    # one deadline for the retrieval (about 1.0 s), not one timeout per read
+    # (about 1.9 s when the first reply comes at 0.9 s)
+    assert 0.9 <= elapsed < 1.6
 
 
 def test_query_to_unconfigured_server_is_protocol_error():
@@ -410,3 +549,67 @@ def test_client_refuses_oversize_reply():
         thread.join(timeout=5.0)
         listener.close()
     assert not thread.is_alive()
+
+
+def test_concurrent_setups_install_exactly_once():
+    code = make_nary(2, 2)
+    msgs = MessageSet.from_values(((1,), (0,)), 2)
+    setup = encode_frame(_setup_frame(code, msgs))
+    servers = [PirServer(n).start() for n in range(2)]
+    try:
+        barrier = threading.Barrier(8)
+        replies = [None] * 8
+
+        def race(i):
+            with socket.create_connection(servers[0].address, timeout=5.0) as sock:
+                barrier.wait(timeout=5.0)
+                sock.sendall(setup)
+                with sock.makefile("rb") as rfile:
+                    replies[i] = read_frame(rfile)
+
+        threads = [threading.Thread(target=race, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [r.kind for r in replies].count(KIND_ANSWER) == 1
+        assert [r.payload for r in replies if r.kind == KIND_ANSWER] == [b"\x00"]
+        errors = [decode_error_payload(r.payload) for r in replies if r.kind == KIND_ERROR]
+        assert errors == [(ERR_PROTOCOL, "already set up")] * 7
+        setup_endpoint(servers[1].address, code, msgs)
+        endpoints = [s.address for s in servers]
+        for k in range(2):
+            got = client_retrieve(code, endpoints, k, key=RandomKey((1,), 2))
+            assert got.values == msgs[k].values
+    finally:
+        for s in servers:
+            s.stop()
+
+
+def test_idle_connection_is_closed_quietly(monkeypatch, capfd):
+    monkeypatch.setattr(net._Handler, "timeout", 0.2)
+    code = make_nary(3, 2)
+    servers = [PirServer(n).start() for n in range(3)]
+    try:
+        # idle from the start, and stalled inside a frame header
+        for sent in (b"", encode_frame(Frame(KIND_QUERY, b"\x00\x00"))[:3]):
+            with socket.create_connection(servers[0].address, timeout=2.0) as sock:
+                sock.sendall(sent)
+                t0 = time.monotonic()
+                assert sock.recv(1) == b""  # EOF: the server closed the connection
+                assert time.monotonic() - t0 < 2.0
+        msgs = MessageSet.from_values(((1, 0), (0, 1)), 2)
+        endpoints = [s.address for s in servers]
+        for ep in endpoints:
+            setup_endpoint(ep, code, msgs)
+        assert client_retrieve(code, endpoints, 1, key=RandomKey((2,), 3)).values == (0, 1)
+    finally:
+        for s in servers:
+            s.stop()
+    assert capfd.readouterr().err == ""
