@@ -48,10 +48,12 @@ def _build_source(tokens: list[str], parser: argparse.ArgumentParser) -> Decompo
     if len(tokens) != 1:
         parser.error(f"unrecognized code source: {' '.join(tokens)}")
     path = tokens[0]
-    if not os.path.exists(path):
-        parser.error(f"no such code file: {path}")
     try:
         return codefile.load(path)
+    except FileNotFoundError:
+        parser.error(f"no such code file: {path}")
+    except OSError as exc:
+        parser.error(f"cannot read code file {path}: {exc.strerror or exc}")
     except codefile.CodeFormatError as exc:
         parser.error(f"bad code file {path}: {exc}")
     raise AssertionError("unreachable")

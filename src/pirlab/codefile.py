@@ -17,16 +17,29 @@ row-major input order (`model.input_rank`).  The reconstruction callable of
 a code is *not* representable here: parsed codes carry ``reconstruct=None``
 and the verifier falls back to a decodability check for them.
 
+Code files are ASCII.  Every integer is canonical ASCII decimal, the only
+spelling `emit` writes: ``0``, or an optional ``-`` and a nonzero digit
+followed by digits; ``+1``, ``01``, ``0_2`` and non-ASCII digits are
+rejected, so ``emit(parse(text)) == text`` for every accepted text laid
+out as `emit` lays it out (single spaces, each line ended by ``\n``).
+
+Transformed codes repeat a few tables many times.  `emit` renders each
+table object once and `parse` reads each distinct value text once; equal
+tables of a parsed code are one shared `ComponentTable`.
+
 ``parse(emit(code)) == code`` holds structurally (params, varieties, keys,
 query map) for every code this package produces.
 """
 
 from __future__ import annotations
 
+import re
+
 from .groups import CodeParams
 from .model import AnswerFunction, ComponentTable, DecomposableCode
 
 MAGIC = ("pir-code", "v1")
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class CodeFormatError(ValueError):
@@ -36,6 +49,7 @@ class CodeFormatError(ValueError):
 def emit(code: DecomposableCode) -> str:
     """Serialize a code; deterministic, byte-stable output."""
     p = code.params
+    rendered: dict[int, str] = {}  # id(table) -> its value text
     lines = [f"pir-code v1 {p.n_servers} {p.n_messages} {p.msg_len} {p.msg_modulus} {p.ans_modulus}"]
     for n, per_server in enumerate(code.varieties):
         lines.append(f"server {n} {len(per_server)}")
@@ -43,7 +57,9 @@ def emit(code: DecomposableCode) -> str:
             lines.append(f"query {qi} {variety.label} {variety.length}")
             for i, row in enumerate(variety.tables):
                 for k, table in enumerate(row):
-                    vals = " ".join(str(v) for v in table.values)
+                    vals = rendered.get(id(table))
+                    if vals is None:
+                        vals = rendered[id(table)] = " ".join(map(str, table.values))
                     lines.append(f"table {i} {k} {vals}")
     lines.append(f"keys {len(code.keys)}")
     for f, label in enumerate(code.keys):
@@ -57,32 +73,40 @@ def emit(code: DecomposableCode) -> str:
 
 
 class _Reader:
-    def __init__(self, text: str):
-        self.rows = [line.split() for line in text.splitlines() if line.strip()]
-        self.pos = 0
+    """The non-blank lines of a document, each split only when it is read."""
 
-    def next(self, directive: str, count: int | None = None) -> list[str]:
-        if self.pos >= len(self.rows):
+    def __init__(self, text: str):
+        self.lines = [line for line in text.splitlines() if line.strip()]
+        self.pos = 0  # also the number of the line read last
+
+    def next(self, directive: str, count: int | None = None, maxsplit: int = -1) -> list[str]:
+        if self.pos >= len(self.lines):
             raise CodeFormatError(f"unexpected end of input, wanted '{directive}'")
-        row = self.rows[self.pos]
+        row = self.lines[self.pos].split(None, maxsplit)
         self.pos += 1
         if row[0] != directive:
             raise CodeFormatError(f"expected '{directive}' at line {self.pos}, got '{row[0]}'")
-        if count is not None and len(row) != count:
+        if count is not None:
+            self.check_count(directive, row, count)
+        return row
+
+    def check_count(self, directive: str, row: list[str], count: int) -> None:
+        if len(row) != count:
             raise CodeFormatError(
                 f"'{directive}' at line {self.pos} needs {count} tokens, got {len(row)}"
             )
-        return row
 
     def done(self) -> bool:
-        return self.pos >= len(self.rows)
+        return self.pos >= len(self.lines)
 
 
 def _int(token: str, what: str) -> int:
     try:
-        return int(token)
+        if _CANONICAL_INT.fullmatch(token):
+            return int(token)  # raises past int()'s limit on digits
     except ValueError:
-        raise CodeFormatError(f"bad integer for {what}: {token!r}") from None
+        pass
+    raise CodeFormatError(f"bad integer for {what}: {token!r}")
 
 
 def parse(text: str) -> DecomposableCode:
@@ -97,8 +121,10 @@ def parse(text: str) -> DecomposableCode:
     except ValueError as exc:
         raise CodeFormatError(str(exc)) from None
     table_size = m**msg_len
-    # transformed codes repeat a few tables many times; equal ones share an object
+    # transformed codes repeat a few tables many times: each distinct value
+    # text is read once, and tables with equal values share one object
     tables: dict[tuple[int, ...], ComponentTable] = {}
+    by_text: dict[str, ComponentTable] = {}
 
     varieties = []
     for n in range(n_servers):
@@ -121,18 +147,28 @@ def parse(text: str) -> DecomposableCode:
             for i in range(length):
                 cols = []
                 for k in range(n_messages):
-                    trow = r.next("table", 3 + table_size)
-                    if _int(trow[1], "table row") != i or _int(trow[2], "table col") != k:
+                    trow = r.next("table", maxsplit=3)
+                    value_text = trow[3] if len(trow) == 4 else ""
+                    table = by_text.get(value_text)
+                    if table is None:
+                        trow[3:] = value_text.split()
+                        r.check_count("table", trow, 3 + table_size)
+                    # canonical tokens are equal exactly when their integers are
+                    if (trow[1], trow[2]) != (str(i), str(k)) and (
+                        _int(trow[1], "table row") != i or _int(trow[2], "table col") != k
+                    ):
                         raise CodeFormatError(
                             f"table blocks must appear row-major, got ({trow[1]},{trow[2]})"
                         )
-                    values = tuple(_int(t, "table value") for t in trow[3:])
-                    if values not in tables:
-                        try:
-                            tables[values] = ComponentTable(values, m, msg_len, y)
-                        except ValueError as exc:
-                            raise CodeFormatError(str(exc)) from None
-                    cols.append(tables[values])
+                    if table is None:
+                        values = tuple(_int(t, "table value") for t in trow[3:])
+                        if values not in tables:
+                            try:
+                                tables[values] = ComponentTable(values, m, msg_len, y)
+                            except ValueError as exc:
+                                raise CodeFormatError(str(exc)) from None
+                        table = by_text[value_text] = tables[values]
+                    cols.append(table)
                 rows.append(tuple(cols))
             try:
                 per_server.append(AnswerFunction(label, tuple(rows)))
@@ -177,5 +213,13 @@ def save(code: DecomposableCode, path) -> None:
 
 
 def load(path) -> DecomposableCode:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CodeFormatError(
+            f"not an ASCII file: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    del data  # parse the text alone: the bytes are a second copy
+    return parse(text)

@@ -255,6 +255,35 @@ def test_verify_nary34_matches_benchmark_golden(tmp_path, capsys):
         assert jsonl == fh.read()
 
 
+def test_symmetrize_message_nary23_matches_benchmark_golden(tmp_path, capsys):
+    out_path = str(tmp_path / "transform.pircode")
+    code, out, _ = run_cli(
+        capsys, "symmetrize", "message", "nary", "2", "3", "--out", out_path
+    )
+    assert code == 0
+    with open(os.path.join(GOLDEN, "transform-stdout.txt"), encoding="ascii") as fh:
+        assert out == fh.read().replace("{out}", out_path)
+    with open(os.path.join(GOLDEN, "transform.sha256"), encoding="ascii") as fh:
+        digest = fh.read().strip()
+    with open(out_path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [["verify"], ["symmetrize", "message"]])
+def test_unreadable_code_file_is_usage_error(command, tmp_path, capsys):
+    text = emit(builtin_table1())
+    non_ascii = tmp_path / "non-ascii.pir"
+    non_ascii.write_bytes(text.replace("a+b", "a\xe9b").encode("latin-1"))
+    for path, message in [
+        (non_ascii, f"not an ASCII file: byte 0xe9 at offset {text.index('a+b') + 1}"),
+        (tmp_path, "cannot read code file"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(command + [str(path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_symmetrize_variety_to_file(tmp_path, capsys):
     out_path = tmp_path / "sym.pir"
     code, out, _ = run_cli(

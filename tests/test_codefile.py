@@ -1,12 +1,15 @@
 """pir-code v1 serialization: round trips, strictness, decodability of parsed codes."""
 
+import hashlib
+import tracemalloc
+
 import pytest
 
 from pirlab.analysis import rate, verify_correctness, verify_privacy
 from pirlab.codefile import CodeFormatError, emit, load, parse, save
 from pirlab.model import builtin_sunjafar22, builtin_table1
 from pirlab.nary import export_decomposable, make_nary
-from pirlab.symmetry import server_symmetrize, variety_symmetrize
+from pirlab.symmetry import message_symmetrize, server_symmetrize, variety_symmetrize
 
 
 CODES = {
@@ -85,6 +88,36 @@ def test_parse_rejects_non_integer_tokens():
         parse(text)
 
 
+@pytest.mark.parametrize("token", ["+1", "0_2", "01", "\u0661", "-0"])
+@pytest.mark.parametrize(
+    "where,line,position",
+    [
+        ("table value", "table 0 0 0 1", 4),
+        ("header", "pir-code v1", 2),
+        ("map query", "map 0 1", 4),
+    ],
+)
+def test_parse_accepts_only_canonical_integers(token, where, line, position):
+    # int() reads each of these tokens, but emit never writes them
+    lines = emit(builtin_table1()).splitlines()
+    i = next(i for i, text in enumerate(lines) if text.startswith(line))
+    tokens = lines[i].split()
+    tokens[position] = token
+    lines[i] = " ".join(tokens)
+    with pytest.raises(CodeFormatError) as exc:
+        parse("\n".join(lines) + "\n")
+    assert str(exc.value) == f"bad integer for {where}: {token!r}"
+
+
+def test_load_rejects_non_ascii_file(tmp_path):
+    path = tmp_path / "code.pir"
+    text = emit(builtin_table1())
+    path.write_bytes(text.encode("ascii") + b"\xff\n")
+    with pytest.raises(CodeFormatError) as exc:
+        load(path)
+    assert str(exc.value) == f"not an ASCII file: byte 0xff at offset {len(text)}"
+
+
 def test_parse_rejects_bad_header_params():
     with pytest.raises(CodeFormatError):
         parse("pir-code v1 1 2 1 2 2\nend\n")  # one server is not a code
@@ -109,3 +142,77 @@ def test_mutated_table_entry_changes_behaviour_not_format():
     assert mutated != text
     code = parse(mutated)
     assert not verify_correctness(code).passed or not verify_privacy(code).passed
+
+
+# ------------------------------------------------- error messages and sharing
+
+
+def _outcome(text: str) -> str:
+    try:
+        parse(text)
+    except Exception as exc:  # a crash other than CodeFormatError is pinned too
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def _mutation_corpus() -> list[str]:
+    """One-line mutations of a code whose table lines repeat, in a fixed order.
+
+    Every line of the emitted message-symmetrized `nary 2 2` is cut at,
+    dropped, swapped with its successor, preceded by a blank line, given one
+    token more and one token fewer, and has each of its tokens replaced in
+    turn by a non-integer, a negative, an out-of-range, a shifted and an
+    overlong integer.  Each of the 24 table lines repeats one of three value
+    tuples, so the first and the repeated occurrences are both hit.
+    """
+    lines = emit(message_symmetrize(export_decomposable(make_nary(2, 2)))).splitlines()
+
+    def doc(rows):
+        return "\n".join(rows) + "\n"
+
+    texts = []
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        before, after = lines[:i], lines[i + 1 :]
+        texts.append(doc(before))
+        texts.append(doc(before + after))
+        texts.append(doc(before + after[:1] + [line] + after[1:]))
+        texts.append(doc(before + [""] + [line] + after))
+        texts.append(doc(before + [line + " 0"] + after))
+        texts.append(doc(before + [" ".join(tokens[:-1])] + after))
+        for j, token in enumerate(tokens):
+            shifted = str(int(token) + 1) if token.isdigit() else token + "x"
+            for bad in ("x", "-1", "2", shifted, "9" * 5000):
+                replaced = " ".join(tokens[:j] + [bad] + tokens[j + 1 :])
+                texts.append(doc(before + [replaced] + after))
+    return texts
+
+
+def test_error_messages_are_stable():
+    # SHA-256 of every outcome in corpus order, recorded before the parser
+    # learned to read each distinct table text once
+    outcomes = [_outcome(text) for text in _mutation_corpus()]
+    assert len(outcomes) == 1634
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "55d99921a7011c3a973896159d96a8e0e859497164240f967c4bb4b15605efeb"
+
+
+def test_parse_reads_a_repeated_table_text_once_and_shares_the_table():
+    code = message_symmetrize(export_decomposable(make_nary(2, 3)))
+    text = emit(code)
+    tracemalloc.start()
+    try:
+        parsed = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert parsed == code
+    tables = {
+        id(table): table.values
+        for per_server in parsed.varieties
+        for variety in per_server
+        for row in variety.tables
+        for table in row
+    }
+    assert len(tables) == len(set(tables.values())) == 7

@@ -325,6 +325,19 @@ def test_space_share_output_is_byte_stable():
     )
 
 
+@pytest.mark.parametrize(
+    "transform,source", [(transform, source) for transform, source, _ in _EMIT_SHA256]
+)
+def test_transform_output_round_trips_byte_identically(transform, source):
+    text = codefile.emit(_TRANSFORMS[transform](_SOURCES[source]()))
+    assert codefile.emit(codefile.parse(text)) == text
+
+
+def test_space_share_output_round_trips_byte_identically():
+    text = codefile.emit(space_share([builtin_table1(), _SOURCES["nary 2 2"]()]))
+    assert codefile.emit(codefile.parse(text)) == text
+
+
 def test_variety_symmetrize_refuses_table2():
     # 24 base keys would need 24! orderings
     with pytest.raises(EnumerationCapExceeded):
