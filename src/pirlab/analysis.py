@@ -3,8 +3,10 @@
 Every verifier enumerates all databases -- no sampling, ever -- and decides
 pass/fail on integer counts over one exact total.  The checks read one
 private answer cube per code (see `_AnswerCube`), tally its integer columns
-and divide once, at the end.  Floats appear only when entropies or mutual
-informations are reported in bits; those carry a 1e-9 tolerance.
+and divide once, at the end.  A code's decoder runs once per distinct answer
+tuple of each (request, key); every database is still compared.  Floats
+appear only when entropies or mutual informations are reported in bits;
+those carry a 1e-9 tolerance.
 
 Enumerations refuse to start when the required work exceeds a cap
 (default 2^24 elementary evaluations) and say how much work they wanted;
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -139,14 +141,21 @@ def mutual_information_bits(joint: ExactDistribution) -> float:
 def conditional_mutual_information_bits(joint: ExactDistribution) -> float:
     """I(X;Y|Z) for a joint distribution over (x, y, z) triples."""
     t = joint._total
-    p_z, p_xz, p_yz = Counter(), Counter(), Counter()
+    p_z, p_xz, p_yz = defaultdict(int), defaultdict(int), defaultdict(int)
     for (x, y, z), c in joint._counts.items():
         p_z[z] += c
         p_xz[x, z] += c
         p_yz[y, z] += c
+    # a tally has few distinct terms: each is computed once, and they are
+    # added in support order (not by sum(), whose rounding varies by version)
+    terms: dict = {}
     total = 0.0
     for (x, y, z), c in joint._counts.items():
-        total += (c / t) * _log2_ratio(c * p_z[z], p_xz[x, z] * p_yz[y, z])
+        key = (c, c * p_z[z], p_xz[x, z] * p_yz[y, z])
+        term = terms.get(key)
+        if term is None:
+            term = terms[key] = (c / t) * _log2_ratio(key[1], key[2])
+        total += term
     return total
 
 
@@ -359,32 +368,45 @@ def verify_correctness(
     """Exhaustively confirm the requested message always comes back intact.
 
     With a reconstruction callable, its output is compared against the stored
-    message for every (database, key, request).  Codes without one (loaded
+    message for every (database, key, request).  The callable sees only
+    (request, key, answers), so it runs once per distinct answer tuple of each
+    (request, key) and its output is reused for the databases that repeat
+    that tuple; every database is still compared.  Codes without one (loaded
     from files) pass iff the answer tuple plus (request, key) always pins
     down the requested message uniquely -- i.e. some decoder exists.
     """
     p = code.params
     _require_within_cap(_enumeration_size(code) * len(code.keys), cap)
     cube = _answer_cube(code)
+    decode = code.reconstruct
+    detail = (
+        "answers consistent with both {} and {}"
+        if decode is None
+        else "reconstructed {}, stored {}"
+    )
     vectors: dict = {}  # answer tuple -> AnswerVector, for the reconstruction
+
+    def vector(a: tuple[int, ...]) -> AnswerVector:
+        v = vectors.get(a)
+        if v is None:
+            v = vectors[a] = AnswerVector.from_values(a, p.ans_modulus)
+        return v
+
     checked = 0
     for k in range(p.n_messages):
         for f in range(len(code.keys)):
             queries = code.query_map[(k, f)]
             columns = [cube.column(n, qi, -1) for n, qi in enumerate(queries)]
-            if code.reconstruct is not None:
-                for a in set().union(*columns) - vectors.keys():
-                    vectors[a] = AnswerVector.from_values(a, p.ans_modulus)
-            seen: dict = {}
+            seen: dict = {}  # answer tuple -> the message it decodes to
             for d, answers in enumerate(zip(*columns)):
                 checked += 1
                 stored = cube.values[d][k]
-                if code.reconstruct is not None:
-                    got = code.reconstruct(k, f, tuple(map(vectors.get, answers))).values
-                    detail = "reconstructed {}, stored {}"
-                else:
+                if decode is None:
                     got = seen.setdefault(answers, stored)
-                    detail = "answers consistent with both {} and {}"
+                else:
+                    got = seen.get(answers)
+                    if got is None:
+                        got = seen[answers] = decode(k, f, tuple(map(vector, answers))).values
                 if got != stored:
                     witness = Witness(
                         detail.format(got, stored),
@@ -567,20 +589,32 @@ def _request_mi_bits(code: DecomposableCode, request: int, info, given, cap: int
     """I(W_info ; all answers for `request` | W_given, key), by enumeration."""
     size = _enumeration_size(code) * len(code.keys)
     _require_within_cap(size, cap)
+    if not info:
+        return 0.0  # X is constant: every term is log2(1)
     cube = _answer_cube(code)
     n_keys = len(code.keys)
+    columns = [
+        [cube.column(n, qi, -1) for n, qi in enumerate(code.query_map[(request, f)])]
+        for f in range(n_keys)
+    ]
+    # x, y and z as ints that order like the tuples they stand for, so the
+    # terms of the sum keep their order and keys hash and compare fast; y is
+    # a mixed-radix number whose digit n ranks server n's answer among that
+    # server's distinct answers (server 0's digit is the most significant)
+    digits = []
+    place = 1
+    for n in reversed(range(code.params.n_servers)):
+        distinct = sorted(set().union(*(cols[n] for cols in columns)))
+        digits.append({a: r * place for r, a in enumerate(distinct)})
+        place *= len(distinct)
+    digits.reverse()
     xs = cube.message_codes(info)
     zs = [g * n_keys for g in cube.message_codes(given)]
     tally: Counter = Counter()
-    for f in range(n_keys):
-        queries = code.query_map[(request, f)]
-        columns = [cube.column(n, qi, -1) for n, qi in enumerate(queries)]
-        tally.update(zip(xs, zip(*columns), [z + f for z in zs]))
-    # x, y and z as ints that order like the tuples they stand for: the
-    # terms of the sum keep their order, and keys hash and compare faster
-    rank = {y: i for i, y in enumerate(sorted({y for _, y, _ in tally}))}
-    counts = {(x, rank[y], z): c for (x, y, z), c in tally.items()}
-    return conditional_mutual_information_bits(ExactDistribution.from_counts(counts, size))
+    for f, cols in enumerate(columns):
+        ys = map(sum, zip(*(map(digit.__getitem__, col) for digit, col in zip(digits, cols))))
+        tally.update(zip(xs, ys, map(f.__add__, zs)))
+    return conditional_mutual_information_bits(ExactDistribution.from_counts(tally, size))
 
 
 def check_lemma1_equality(

@@ -17,11 +17,12 @@ row-major input order (`model.input_rank`).  The reconstruction callable of
 a code is *not* representable here: parsed codes carry ``reconstruct=None``
 and the verifier falls back to a decodability check for them.
 
-Code files are ASCII.  Every integer is canonical ASCII decimal, the only
-spelling `emit` writes: ``0``, or an optional ``-`` and a nonzero digit
-followed by digits; ``+1``, ``01``, ``0_2`` and non-ASCII digits are
-rejected, so ``emit(parse(text)) == text`` for every accepted text laid
-out as `emit` lays it out (single spaces, each line ended by ``\n``).
+Code files are ASCII, and `parse` rejects any other text.  Every integer
+is canonical ASCII decimal, the only spelling `emit` writes: ``0``, or an
+optional ``-`` and a nonzero digit followed by digits; ``+1``, ``01``,
+``0_2`` and non-ASCII digits are rejected, so ``emit(parse(text)) == text``
+for every accepted text laid out as `emit` lays it out (single spaces, each
+line ended by ``\n``).
 
 Transformed codes repeat a few tables many times.  `emit` renders each
 table object once and `parse` reads each distinct value text once; equal
@@ -200,6 +201,11 @@ def parse(text: str) -> DecomposableCode:
     r.next("end", 1)
     if not r.done():
         raise CodeFormatError("trailing content after 'end'")
+    if not text.isascii():
+        # a non-ASCII integer has failed as a bad integer by now, so this is
+        # a label or a separator, which `emit` could not write back
+        i = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise CodeFormatError(f"not ASCII text: {text[i]!r} at offset {i}")
 
     try:
         return DecomposableCode(params, tuple(varieties), tuple(keys), query_map, None)
@@ -208,8 +214,10 @@ def parse(text: str) -> DecomposableCode:
 
 
 def save(code: DecomposableCode, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(emit(code))
+    """Write `emit(code)` to `path`; a code that is not ASCII leaves it untouched."""
+    data = emit(code).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def load(path) -> DecomposableCode:

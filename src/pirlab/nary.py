@@ -250,9 +250,13 @@ def export_decomposable(code: NaryCode) -> DecomposableCode:
 
     keys = key_space(code)
     key_labels = tuple(key.label() for key in keys)
+    # server n's query: the key digits with (n - key offset) mod N inserted at
+    # position k, as `query_vector` builds it
+    offsets = [key_offset(key) for key in keys]
     query_map = {
         (k, f): tuple(
-            index_of[n][query_vector(code, n, k, key).digits] for n in range(N)
+            index_of[n][key.digits[:k] + ((n - offsets[f]) % N,) + key.digits[k:]]
+            for n in range(N)
         )
         for k in range(K)
         for f, key in enumerate(keys)

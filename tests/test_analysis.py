@@ -4,10 +4,13 @@ import json
 import math
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pirlab import analysis
 from pirlab.analysis import (
     AnswerVar,
     CheckRecord,
@@ -36,14 +39,17 @@ from pirlab.analysis import (
     verify_correctness,
     verify_privacy,
 )
-from pirlab.groups import CodeParams, MessageSet
+from pirlab.codefile import emit, parse
+from pirlab.groups import CodeParams, Message, MessageSet
 from pirlab.model import (
     AnswerFunction,
     ComponentTable,
     DecomposableCode,
+    builtin_sunjafar22,
     builtin_table1,
 )
 from pirlab.nary import export_decomposable, make_nary
+from pirlab.symmetry import message_symmetrize, server_symmetrize, variety_symmetrize
 
 
 F = Fraction
@@ -107,6 +113,41 @@ def test_conditional_mutual_information():
     )
     assert conditional_mutual_information_bits(d) == pytest.approx(1.0, abs=1e-12)
     assert mutual_information_bits(d.marginal((0, 1))) == pytest.approx(0.0, abs=1e-12)
+
+
+def _reference_cmi(joint):
+    """The term loop of the tuple-keyed implementation, kept as the reference
+    for the float each measure must reproduce bit for bit."""
+
+    def log2_ratio(num, den):
+        g = math.gcd(num, den)
+        return math.log2(num // g) - math.log2(den // g)
+
+    t = joint._total
+    p_z, p_xz, p_yz = Counter(), Counter(), Counter()
+    for (x, y, z), c in joint._counts.items():
+        p_z[z] += c
+        p_xz[x, z] += c
+        p_yz[y, z] += c
+    total = 0.0
+    for (x, y, z), c in joint._counts.items():
+        total += (c / t) * log2_ratio(c * p_z[z], p_xz[x, z] * p_yz[y, z])
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+        st.one_of(st.integers(1, 4), st.integers(1, 1 << 24)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_conditional_mutual_information_is_bit_identical_to_reference(counts):
+    # small counts repeat, so the same term recurs across the support
+    joint = ExactDistribution.from_counts(counts, sum(counts.values()))
+    assert conditional_mutual_information_bits(joint) == _reference_cmi(joint)
 
 
 # ---------------------------------------------------------------- metrics
@@ -450,3 +491,148 @@ def test_check_record_json_round_trip():
     assert obj["passed"] is False
     assert obj["residual"] is None
     assert "boom" in obj["witness"]
+
+
+# ---------------------------------------------------------------- byte stability
+# Values below were recorded with the tuple-keyed information tally and the
+# decoder run once per database; the verifier must reproduce them exactly.
+
+
+def _reference_request_mi_bits(code, request, info, given):
+    """The tuple-keyed tally that ranks whole answer tuples, as a reference."""
+    size = analysis._enumeration_size(code) * len(code.keys)
+    cube = analysis._answer_cube(code)
+    n_keys = len(code.keys)
+    xs = cube.message_codes(info)
+    zs = [g * n_keys for g in cube.message_codes(given)]
+    tally = Counter()
+    for f in range(n_keys):
+        queries = code.query_map[(request, f)]
+        columns = [cube.column(n, qi, -1) for n, qi in enumerate(queries)]
+        tally.update(zip(xs, zip(*columns), [z + f for z in zs]))
+    rank = {y: i for i, y in enumerate(sorted({y for _, y, _ in tally}))}
+    counts = {(x, rank[y], z): c for (x, y, z), c in tally.items()}
+    return _reference_cmi(ExactDistribution.from_counts(counts, size))
+
+
+def _nary22():
+    return export_decomposable(make_nary(2, 2))
+
+
+# decoders that are symmetry.py wrappers, and a builtin whose three-symbol
+# answers repeat across databases
+GUARDED_CODES = {
+    "server-symmetrized nary 2 2": lambda: server_symmetrize(_nary22()),
+    "message-symmetrized nary 2 2": lambda: message_symmetrize(_nary22()),
+    "variety-symmetrized nary 2 2": lambda: variety_symmetrize(_nary22()),
+    "sunjafar22": builtin_sunjafar22,
+}
+
+# name -> (correctness (passed, checked), lemma1 reprs by k, lemma2 reprs
+# for perm 0..K-1 then its reverse, split points ascending)
+GUARDED_RECORDS = {
+    "server-symmetrized nary 2 2": ((True, 128), ["0.0", "0.0"], ["0.0", "0.0"]),
+    "message-symmetrized nary 2 2": ((True, 128), ["0.0", "0.0"], ["0.0", "0.0"]),
+    "variety-symmetrized nary 2 2": ((True, 64), ["0.0", "0.0"], ["0.0", "0.0"]),
+    "sunjafar22": (
+        (True, 12288),
+        ["-1.8207657603852567e-13", "-1.8207657603852567e-13"],
+        ["-3.6415315207705135e-13", "-3.6415315207705135e-13"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_CODES))
+def test_verifier_records_of_wrapped_and_builtin_decoders_are_stable(name):
+    code = GUARDED_CODES[name]()
+    correctness, lemma1, lemma2 = GUARDED_RECORDS[name]
+    report = verify_correctness(code)
+    assert (report.passed, report.checked, report.witness) == (*correctness, None)
+    K = code.params.n_messages
+    assert [repr(check_lemma1_equality(code, k)) for k in range(K)] == lemma1
+    perms = [tuple(range(K)), tuple(reversed(range(K)))]
+    residuals = [check_lemma2_equality(code, k, perm) for perm in perms for k in range(1, K)]
+    assert list(map(repr, residuals)) == lemma2
+
+
+def _nary33_with_one_flipped_entry():
+    """nary 3 3 with the first entry of its second table line flipped: its
+    information residuals are no longer zero."""
+    lines = emit(export_decomposable(make_nary(3, 3))).splitlines()
+    i = [i for i, line in enumerate(lines) if line.startswith("table ")][1]
+    tokens = lines[i].split()
+    tokens[3] = str(1 - int(tokens[3]))
+    lines[i] = " ".join(tokens)
+    return parse("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["sunjafar22", "server-symmetrized nary 2 2", "nary 3 3", "nary 2 3 m3", "flipped nary 3 3"],
+)
+def test_request_mi_bits_matches_the_tuple_keyed_tally(name):
+    codes = {
+        "nary 3 3": lambda: export_decomposable(make_nary(3, 3)),
+        "nary 2 3 m3": lambda: export_decomposable(make_nary(2, 3, 3)),
+        "flipped nary 3 3": _nary33_with_one_flipped_entry,
+        **GUARDED_CODES,
+    }
+    code = codes[name]()
+    K = code.params.n_messages
+    for request in range(K):
+        others = [j for j in range(K) if j != request]
+        for split in range(len(others) + 1):
+            info, given = others[split:], others[:split] + [request]
+            got = analysis._request_mi_bits(code, request, info, given, analysis.DEFAULT_CAP)
+            assert got == _reference_request_mi_bits(code, request, info, given)
+
+
+def test_request_mi_bits_without_information_is_exactly_zero():
+    code = builtin_sunjafar22()
+    got = analysis._request_mi_bits(code, 0, [], [0, 1], analysis.DEFAULT_CAP)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+def _wrap_decoder(code, wrong=None):
+    """`code` with its decoder wrapped: each call is logged, and the decode of
+    the (k, key index, answer values) triple `wrong` has its first symbol
+    flipped."""
+    calls = []
+    inner = code.reconstruct
+
+    def decode(k, f, answers):
+        triple = (k, f, tuple(a.values for a in answers))
+        calls.append(triple)
+        msg = inner(k, f, answers)
+        if triple == wrong:
+            values = msg.values
+            return Message.from_values(((values[0] + 1) % 2,) + values[1:], 2)
+        return msg
+
+    wrapped = DecomposableCode(code.params, code.varieties, code.keys, code.query_map, decode)
+    return wrapped, calls
+
+
+def test_decoder_runs_once_per_distinct_answer_tuple():
+    code, calls = _wrap_decoder(export_decomposable(make_nary(3, 3)))
+    report = verify_correctness(code)
+    assert report.passed and report.checked == 3 * 9 * 64
+    # 8 answer tuples under each non-zero key, 4 under key 00 (empty answer)
+    assert len(calls) == len(set(calls)) == 204
+
+
+def test_memoized_decoder_still_catches_one_wrong_decode():
+    code, calls = _wrap_decoder(
+        export_decomposable(make_nary(3, 3)), wrong=(1, 5, ((1,), (0,), (1,)))
+    )
+    report = verify_correctness(code)
+    assert not report.passed
+    assert report.checked == 906
+    assert report.witness == Witness(
+        "reconstructed (0, 0), stored (1, 0)",
+        ((0, 0), (1, 0), (0, 1)),
+        "12",
+        1,
+        ("102", "112", "122"),
+    )
+    assert len(calls) == len(set(calls))

@@ -139,6 +139,8 @@ VERIFY_DIGESTS = {
     "nary 3 3": "340d0010692008a50ac3058aa5d0906e5c01248b313b19617d47972f8bdeb39b",
     "nary 2 3 3": "52d5f48d582bfd57174caad74144d161acc2f105c3bb2da53aec5711bac3b959",
     "nary 2 4": "c682e66db3444e7cb6129ef25fd8f0677428769f19442746627085b84e1c74b5",
+    "nary 2 5": "feb255f979e4d0fef756bf88830de1a0a8cb842df152fcd1e130ebbd9c2976cc",
+    "nary 4 3": "f71b5e8f7f67dd4f540c54f8016f872d9452123180a1cee1863c3d306625e775",
 }
 
 # seed -> (digest, witnesses) for `nary 3 3` with one table entry flipped

@@ -7,7 +7,7 @@ import pytest
 
 from pirlab.analysis import rate, verify_correctness, verify_privacy
 from pirlab.codefile import CodeFormatError, emit, load, parse, save
-from pirlab.model import builtin_sunjafar22, builtin_table1
+from pirlab.model import DecomposableCode, builtin_sunjafar22, builtin_table1
 from pirlab.nary import export_decomposable, make_nary
 from pirlab.symmetry import message_symmetrize, server_symmetrize, variety_symmetrize
 
@@ -44,6 +44,28 @@ def test_save_load(tmp_path):
     path = tmp_path / "code.pir"
     save(builtin_table1(), path)
     assert load(path) == builtin_table1()
+
+
+def test_failed_save_leaves_the_file_unchanged(tmp_path):
+    # DecomposableCode takes any whitespace-free label; the file format does not
+    path = tmp_path / "code.pir"
+    save(builtin_table1(), path)
+    before = path.read_bytes()
+    code = builtin_table1()
+    non_ascii = DecomposableCode(
+        code.params, code.varieties, ("a\xe9b",) + code.keys[1:], code.query_map
+    )
+    with pytest.raises(UnicodeEncodeError):
+        save(non_ascii, path)
+    assert path.read_bytes() == before
+
+
+def test_parse_rejects_non_ascii_label():
+    text = emit(builtin_table1())
+    assert "a+b" in text
+    with pytest.raises(CodeFormatError) as exc:
+        parse(text.replace("a+b", "a\xe9b"))
+    assert str(exc.value) == f"not ASCII text: '\xe9' at offset {text.index('a+b') + 1}"
 
 
 def test_parsed_code_has_no_reconstructor_but_verifies():
