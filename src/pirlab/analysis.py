@@ -146,16 +146,11 @@ def conditional_mutual_information_bits(joint: ExactDistribution) -> float:
         p_z[z] += c
         p_xz[x, z] += c
         p_yz[y, z] += c
-    # a tally has few distinct terms: each is computed once, and they are
-    # added in support order (not by sum(), whose rounding varies by version)
-    terms: dict = {}
+    # terms are added in support order (not by sum(), whose rounding varies
+    # by Python version)
     total = 0.0
     for (x, y, z), c in joint._counts.items():
-        key = (c, c * p_z[z], p_xz[x, z] * p_yz[y, z])
-        term = terms.get(key)
-        if term is None:
-            term = terms[key] = (c / t) * _log2_ratio(key[1], key[2])
-        total += term
+        total += (c / t) * _log2_ratio(c * p_z[z], p_xz[x, z] * p_yz[y, z])
     return total
 
 

@@ -97,9 +97,15 @@ def query_vector(code: NaryCode, n: int, k: int, key: RandomKey) -> QueryVector:
         raise ValueError(f"message index {k} out of range")
     if key.base != N or len(key.digits) != code.n_messages - 1:
         raise ValueError("key shape disagrees with code params")
-    own = (n - key_offset(key)) % N
-    digits = key.digits[:k] + (own,) + key.digits[k:]
-    return QueryVector(digits, N)
+    return QueryVector(_query_digits(key.digits, key_offset(key), n, k, N), N)
+
+
+def _query_digits(
+    key_digits: tuple[int, ...], offset: int, n: int, k: int, N: int
+) -> tuple[int, ...]:
+    """Server n's query digits for message k: the key digits with
+    (n - offset) mod N inserted at position k."""
+    return key_digits[:k] + ((n - offset) % N,) + key_digits[k:]
 
 
 def query_set(code: NaryCode, n: int) -> tuple[QueryVector, ...]:
@@ -250,12 +256,10 @@ def export_decomposable(code: NaryCode) -> DecomposableCode:
 
     keys = key_space(code)
     key_labels = tuple(key.label() for key in keys)
-    # server n's query: the key digits with (n - key offset) mod N inserted at
-    # position k, as `query_vector` builds it
     offsets = [key_offset(key) for key in keys]
     query_map = {
         (k, f): tuple(
-            index_of[n][key.digits[:k] + ((n - offsets[f]) % N,) + key.digits[k:]]
+            index_of[n][_query_digits(key.digits, offsets[f], n, k, N)]
             for n in range(N)
         )
         for k in range(K)

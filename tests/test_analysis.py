@@ -145,7 +145,6 @@ def _reference_cmi(joint):
     )
 )
 def test_conditional_mutual_information_is_bit_identical_to_reference(counts):
-    # small counts repeat, so the same term recurs across the support
     joint = ExactDistribution.from_counts(counts, sum(counts.values()))
     assert conditional_mutual_information_bits(joint) == _reference_cmi(joint)
 

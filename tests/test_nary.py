@@ -273,32 +273,17 @@ def test_export_matches_direct_evaluation():
 
 
 def test_export_query_map_follows_construction():
-    code = make_nary(3, 2)
-    exported = export_decomposable(code)
-    keys = key_space(code)
-    for k in range(2):
-        for f, key in enumerate(keys):
-            for n in range(3):
-                qi = exported.query_map[(k, f)][n]
-                assert exported.query_label(n, qi) == query_vector(code, n, k, key).label()
-
-
-@pytest.mark.parametrize("n_servers", [2, 3, 4])
-@pytest.mark.parametrize("n_messages", [1, 2, 3, 4])
-def test_export_query_map_matches_query_vector(n_servers, n_messages):
-    code = make_nary(n_servers, n_messages)
-    index_of = [
-        {q.digits: qi for qi, q in enumerate(query_set(code, n))}
-        for n in range(n_servers)
-    ]
-    expected = {
-        (k, f): tuple(
-            index_of[n][query_vector(code, n, k, key).digits] for n in range(n_servers)
-        )
-        for k in range(n_messages)
-        for f, key in enumerate(key_space(code))
-    }
-    assert export_decomposable(code).query_map == expected
+    for n_servers in (2, 3, 4):
+        for n_messages in (1, 2, 3, 4):
+            code = make_nary(n_servers, n_messages)
+            exported = export_decomposable(code)
+            for k in range(n_messages):
+                for f, key in enumerate(key_space(code)):
+                    for n in range(n_servers):
+                        qi = exported.query_map[(k, f)][n]
+                        assert exported.query_label(n, qi) == query_vector(
+                            code, n, k, key
+                        ).label()
 
 
 def test_export_reconstruct_round_trip():
