@@ -63,7 +63,7 @@ def main() -> int:
                 answer_length(code, n, query_vector(code, n, k, key))
                 for n in range(args.servers)
             )
-            if got != msgs.messages[k]:
+            if got != msgs[k]:
                 failures += 1
                 print(f"round {i}: MISMATCH for message {k}: {got.values}")
         elapsed = time.perf_counter() - t0

@@ -26,18 +26,7 @@ from .analysis import (
     verify_correctness,
     verify_privacy,
 )
-from .groups import (
-    AnswerVector,
-    CodeParams,
-    Message,
-    MessageSet,
-    ModulusMismatchError,
-    QueryVector,
-    RandomKey,
-    Symbol,
-    mod_add,
-    mod_sub,
-)
+from .groups import CodeParams, Message, MessageSet, QueryVector, RandomKey
 from .model import (
     ComponentTable,
     DecomposableCode,
@@ -59,7 +48,6 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnswerVector",
     "CodeParams",
     "ComponentTable",
     "DecomposableCode",
@@ -68,12 +56,10 @@ __all__ = [
     "ExactDistribution",
     "Message",
     "MessageSet",
-    "ModulusMismatchError",
     "NaryCode",
     "QueryVector",
     "RandomKey",
     "SpaceShareCode",
-    "Symbol",
     "VerificationReport",
     "Witness",
     "builtin_sunjafar22",
@@ -92,8 +78,6 @@ __all__ = [
     "message_permute",
     "message_size_bits",
     "message_symmetrize",
-    "mod_add",
-    "mod_sub",
     "rate",
     "retrieve",
     "server_permute",

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .groups import AnswerVector, MessageSet
 from .model import DecomposableCode, input_rank
 
 DEFAULT_CAP = 1 << 24
@@ -84,9 +83,6 @@ class ExactDistribution:
 
     def support(self):
         return tuple(self._counts)
-
-    def prob(self, value) -> Fraction:
-        return Fraction(self._counts.get(value, 0), self._total)
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -263,18 +259,15 @@ def _enumeration_size(code: DecomposableCode) -> int:
     return p.msg_modulus ** (p.n_messages * p.msg_len)
 
 
-def all_message_sets(code: DecomposableCode) -> list[MessageSet]:
-    """Every database realization, in lexicographic symbol order."""
+def all_message_sets(code: DecomposableCode) -> list[tuple[tuple[int, ...], ...]]:
+    """Every database realization as its message value tuples, in
+    lexicographic symbol order."""
     p = code.params
-    out = []
-    for flat in itertools.product(
-        range(p.msg_modulus), repeat=p.n_messages * p.msg_len
-    ):
-        rows = [
-            flat[k * p.msg_len : (k + 1) * p.msg_len] for k in range(p.n_messages)
-        ]
-        out.append(MessageSet.from_values(rows, p.msg_modulus))
-    return out
+    L = p.msg_len
+    return [
+        tuple(flat[k * L : (k + 1) * L] for k in range(p.n_messages))
+        for flat in itertools.product(range(p.msg_modulus), repeat=p.n_messages * L)
+    ]
 
 
 def _masked_answers(rows, mask: int, ranks, modulus: int) -> list[tuple[int, ...]]:
@@ -310,7 +303,7 @@ class _AnswerCube:
 
     def __init__(self, code: DecomposableCode):
         p = code.params
-        self.values = [msgs.values for msgs in all_message_sets(code)]
+        self.values = all_message_sets(code)
         self.ranks = [
             [input_rank(v[j], p.msg_modulus) for v in self.values]
             for j in range(p.n_messages)
@@ -379,14 +372,6 @@ def verify_correctness(
         if decode is None
         else "reconstructed {}, stored {}"
     )
-    vectors: dict = {}  # answer tuple -> AnswerVector, for the reconstruction
-
-    def vector(a: tuple[int, ...]) -> AnswerVector:
-        v = vectors.get(a)
-        if v is None:
-            v = vectors[a] = AnswerVector.from_values(a, p.ans_modulus)
-        return v
-
     checked = 0
     for k in range(p.n_messages):
         for f in range(len(code.keys)):
@@ -401,7 +386,7 @@ def verify_correctness(
                 else:
                     got = seen.get(answers)
                     if got is None:
-                        got = seen[answers] = decode(k, f, tuple(map(vector, answers))).values
+                        got = seen[answers] = decode(k, f, answers)
                 if got != stored:
                     witness = Witness(
                         detail.format(got, stored),
@@ -451,29 +436,8 @@ class MaskedAnswerVar:
     query_index: int
     mask: int = -1
 
-    def evaluate(self, code: DecomposableCode, msgs: MessageSet) -> tuple[int, ...]:
-        p = code.params
-        ranks = [[input_rank(w, p.msg_modulus)] for w in msgs.values]
-        rows = code.varieties[self.server][self.query_index].tables
-        return _masked_answers(rows, self.mask, ranks, p.ans_modulus)[0]
-
     def column(self, cube: _AnswerCube) -> list[tuple[int, ...]]:
         return cube.column(self.server, self.query_index, self.mask)
-
-
-def AnswerVar(server: int, query_index: int) -> MaskedAnswerVar:
-    """The full answer of server `server` to query `query_index`."""
-    return MaskedAnswerVar(server, query_index)
-
-
-def ResidualVar(server: int, query_index: int, k: int) -> MaskedAnswerVar:
-    """Everything in an answer that the unwanted messages contribute."""
-    return MaskedAnswerVar(server, query_index, ~(1 << k))
-
-
-def RequestedVar(server: int, query_index: int, k: int) -> MaskedAnswerVar:
-    """The requested message's own contribution to an answer."""
-    return MaskedAnswerVar(server, query_index, 1 << k)
 
 
 @dataclass(frozen=True)

@@ -167,11 +167,11 @@ def cmd_demo(args, parser) -> int:
     )
     print(
         "  answers:  "
-        + "  ".join("()" if not len(a) else ",".join(map(str, a.values)) for a in answers)
+        + "  ".join(",".join(map(str, a)) if a else "()" for a in answers)
     )
-    ok = got.values == msgs[k].values
+    ok = got == msgs.values[k]
     print(
-        f"  recovered {nary.message_letter(k)} = {''.join(map(str, got.values))} "
+        f"  recovered {nary.message_letter(k)} = {''.join(map(str, got))} "
         + ("(matches stored message)" if ok else "(MISMATCH)")
     )
     return 0 if ok else 1
@@ -308,21 +308,26 @@ def cmd_symmetrize(args, parser) -> int:
         return 1
     print(f"before: {_metrics_line(code)}")
     print(f"after:  {_metrics_line(out_code)}")
-    text = codefile.emit(out_code)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        codefile.save(out_code, args.out)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(codefile.emit(out_code))
     return 0
 
 
 def cmd_serve(args, parser) -> int:
+    if args.server_index < 0:
+        parser.error(f"--server-index must be >= 0, got {args.server_index}")
     port = args.port
     if port is None:
         env = os.environ.get(PORT_ENV)
-        port = int(env) if env else 0
+        try:
+            port = int(env) if env else 0
+        except ValueError:
+            parser.error(f"${PORT_ENV} must be an integer port, got {env!r}")
+    if not 0 <= port <= 65535:
+        parser.error(f"port {port} outside 0..65535")
     server = net.PirServer(args.server_index, args.host, port)
     host, bound = server.address
     print(f"server {args.server_index} listening on {host}:{bound}", flush=True)

@@ -1,8 +1,9 @@
-"""Cyclic-group symbol arithmetic and the value containers shared by every code.
+"""The value containers shared by every code.
 
-Every alphabet in this package is an additive group Z_m.  Message symbols and
-answer symbols may live in different groups (moduli m and y); combining symbols
-from different groups is always a hard error, never a silent coercion.
+Every alphabet in this package is an additive group Z_m, and a symbol is a
+plain int in 0..m-1: the modulus is held once, in `CodeParams`, or beside
+the values in `Message` and `MessageSet`.  Message symbols and answer
+symbols may live in different groups (moduli m and y).
 
 All types here are immutable, so they are safe to share across threads.
 """
@@ -12,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class ModulusMismatchError(ValueError):
-    """Two symbols from different alphabets were combined."""
-
-
 @dataclass(frozen=True)
 class Symbol:
-    """An element of Z_modulus."""
+    """An element of Z_modulus.  The package builds none: symbols are ints.
+
+    Kept only because `perfbench/tracing.py` patches its `__post_init__`.
+    """
 
     value: int
     modulus: int
@@ -28,35 +28,6 @@ class Symbol:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if not 0 <= self.value < self.modulus:
             raise ValueError(f"value {self.value} outside Z_{self.modulus}")
-
-    def __add__(self, other: "Symbol") -> "Symbol":
-        return mod_add(self, other)
-
-    def __sub__(self, other: "Symbol") -> "Symbol":
-        return mod_sub(self, other)
-
-
-def mod_add(a: Symbol, b: Symbol) -> Symbol:
-    """Group addition; both operands must share a modulus."""
-    if a.modulus != b.modulus:
-        raise ModulusMismatchError(
-            f"cannot add a Z_{a.modulus} symbol and a Z_{b.modulus} symbol"
-        )
-    return Symbol((a.value + b.value) % a.modulus, a.modulus)
-
-
-def mod_sub(a: Symbol, b: Symbol) -> Symbol:
-    """Group subtraction (a plus the inverse of b)."""
-    if a.modulus != b.modulus:
-        raise ModulusMismatchError(
-            f"cannot subtract a Z_{b.modulus} symbol from a Z_{a.modulus} symbol"
-        )
-    return Symbol((a.value - b.value) % a.modulus, a.modulus)
-
-
-def zero(modulus: int) -> Symbol:
-    """The group identity of Z_modulus."""
-    return Symbol(0, modulus)
 
 
 @dataclass(frozen=True)
@@ -89,68 +60,48 @@ class CodeParams:
 
 @dataclass(frozen=True)
 class Message:
-    """One stored message: a fixed-length vector of same-modulus symbols."""
+    """One stored message: a non-empty vector of symbols in Z_modulus."""
 
-    symbols: tuple[Symbol, ...]
+    values: tuple[int, ...]
+    modulus: int
 
     def __post_init__(self) -> None:
-        if not self.symbols:
+        if self.modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
+        if not self.values:
             raise ValueError("a message has at least one symbol")
-        mod = self.symbols[0].modulus
-        if any(s.modulus != mod for s in self.symbols):
-            raise ModulusMismatchError("message symbols must share one modulus")
-
-    @classmethod
-    def from_values(cls, values, modulus: int) -> "Message":
-        return cls(tuple(Symbol(v, modulus) for v in values))
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(s.value for s in self.symbols)
-
-    @property
-    def modulus(self) -> int:
-        return self.symbols[0].modulus
-
-    def __len__(self) -> int:
-        return len(self.symbols)
+        if min(self.values) < 0 or max(self.values) >= self.modulus:
+            raise ValueError(f"message symbols must lie in 0..{self.modulus - 1}")
 
 
 @dataclass(frozen=True)
 class MessageSet:
-    """The full replicated database: K equal-shape messages."""
+    """The full replicated database: K equal-length messages over Z_modulus."""
 
-    messages: tuple[Message, ...]
+    values: tuple[tuple[int, ...], ...]
+    modulus: int
 
     def __post_init__(self) -> None:
-        if not self.messages:
+        if not self.values:
             raise ValueError("a message set has at least one message")
-        first = self.messages[0]
-        for msg in self.messages[1:]:
-            if len(msg) != len(first) or msg.modulus != first.modulus:
-                raise ValueError("all messages must share length and modulus")
+        for row in self.values:
+            Message(row, self.modulus)  # checks the row's symbols
+        if any(len(row) != len(self.values[0]) for row in self.values):
+            raise ValueError("all messages must share one length")
 
     @classmethod
     def from_values(cls, rows, modulus: int) -> "MessageSet":
-        return cls(tuple(Message.from_values(row, modulus) for row in rows))
-
-    @property
-    def values(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(m.values for m in self.messages)
+        return cls(tuple(tuple(row) for row in rows), modulus)
 
     @property
     def msg_len(self) -> int:
-        return len(self.messages[0])
-
-    @property
-    def modulus(self) -> int:
-        return self.messages[0].modulus
+        return len(self.values[0])
 
     def __getitem__(self, k: int) -> Message:
-        return self.messages[k]
+        return Message(self.values[k], self.modulus)
 
     def __len__(self) -> int:
-        return len(self.messages)
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -195,33 +146,6 @@ class RandomKey:
 
     def label(self) -> str:
         return digits_label(self.digits)
-
-
-@dataclass(frozen=True)
-class AnswerVector:
-    """One server's reply: zero or more same-modulus symbols."""
-
-    symbols: tuple[Symbol, ...]
-
-    def __post_init__(self) -> None:
-        if self.symbols:
-            mod = self.symbols[0].modulus
-            if any(s.modulus != mod for s in self.symbols):
-                raise ModulusMismatchError("answer symbols must share one modulus")
-
-    @classmethod
-    def from_values(cls, values, modulus: int) -> "AnswerVector":
-        return cls(tuple(Symbol(v, modulus) for v in values))
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(s.value for s in self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-EMPTY_ANSWER = AnswerVector(())
 
 
 def digits_label(digits) -> str:

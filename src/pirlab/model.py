@@ -13,7 +13,8 @@ Layout of one code:
 * per variety: its length ``l`` and an ``l x K`` grid of component tables,
 * an ordered key space of opaque key labels,
 * a query map ``(k, key index) -> one query index per server``,
-* optionally a reconstruction callable ``(k, key index, answers) -> Message``.
+* optionally a reconstruction callable ``(k, key index, answers) -> values``,
+  where each answer and the recovered message are tuples of int symbols.
 
 Codes parsed from files carry no reconstruction callable; the verifier then
 falls back to a unique-decodability check.
@@ -26,14 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .groups import (
-    AnswerVector,
-    CodeParams,
-    Message,
-    MessageSet,
-    Symbol,
-    digits_label,
-)
+from .groups import CodeParams, MessageSet, digits_label
 
 CONSTANT = "constant"
 BALANCED = "balanced"
@@ -168,9 +162,9 @@ class DecomposableCode:
     varieties: tuple[tuple[AnswerFunction, ...], ...]
     keys: tuple[str, ...]
     query_map: dict[tuple[int, int], tuple[int, ...]]
-    reconstruct: Optional[Callable[[int, int, tuple[AnswerVector, ...]], Message]] = field(
-        default=None
-    )
+    reconstruct: Optional[
+        Callable[[int, int, tuple[tuple[int, ...], ...]], tuple[int, ...]]
+    ] = field(default=None)
 
     def __post_init__(self) -> None:
         p = self.params
@@ -233,7 +227,7 @@ class DecomposableCode:
     def answer_length(self, n: int, query_index: int) -> int:
         return self.varieties[n][query_index].length
 
-    def eval_answer(self, n: int, query_index: int, msgs: MessageSet) -> AnswerVector:
+    def eval_answer(self, n: int, query_index: int, msgs: MessageSet) -> tuple[int, ...]:
         """Run one server's answer function on a concrete database."""
         p = self.params
         if (
@@ -249,8 +243,8 @@ class DecomposableCode:
             acc = 0
             for k in range(p.n_messages):
                 acc += row[k].values[input_rank(values[k], p.msg_modulus)]
-            out.append(Symbol(acc % p.ans_modulus, p.ans_modulus))
-        return AnswerVector(tuple(out))
+            out.append(acc % p.ans_modulus)
+        return tuple(out)
 
     def query_pmf(self, n: int, k: int) -> QueryPmf:
         """Distribution of the query sent to server n when requesting message k."""
@@ -320,10 +314,10 @@ def builtin_table1() -> DecomposableCode:
         (1, 1): (1, 0),
     }
 
-    def reconstruct(k: int, key_index: int, answers) -> Message:
+    def reconstruct(k: int, key_index: int, answers) -> tuple[int, ...]:
         if key_index == 0:
-            return Message((answers[1].symbols[0],))
-        return Message((answers[0].symbols[0] - answers[1].symbols[0],))
+            return (answers[1][0],)
+        return ((answers[0][0] - answers[1][0]) % 2,)
 
     return DecomposableCode(params, (server0, server1), ("0", "1"), query_map, reconstruct)
 
@@ -381,20 +375,20 @@ def builtin_sunjafar22() -> DecomposableCode:
             triple_index[(inv[1], inv[0], inv[3])],
         )
 
-    def reconstruct(k: int, key_index: int, answers) -> Message:
+    def reconstruct(k: int, key_index: int, answers) -> tuple[int, ...]:
         inv = invs[key_index]
         a0, a1 = answers
-        out: list[Symbol | None] = [None] * 4
+        out = [0] * 4
         if k == 0:
-            out[inv[0]] = a0.symbols[0]
-            out[inv[1]] = a1.symbols[0]
-            out[inv[2]] = a0.symbols[2] - a1.symbols[1]
-            out[inv[3]] = a1.symbols[2] - a0.symbols[1]
+            out[inv[0]] = a0[0]
+            out[inv[1]] = a1[0]
+            out[inv[2]] = (a0[2] - a1[1]) % 2
+            out[inv[3]] = (a1[2] - a0[1]) % 2
         else:
-            out[inv[0]] = a0.symbols[1]
-            out[inv[1]] = a1.symbols[1]
-            out[inv[2]] = a0.symbols[2] - a1.symbols[0]
-            out[inv[3]] = a1.symbols[2] - a0.symbols[0]
-        return Message(tuple(out))  # type: ignore[arg-type]
+            out[inv[0]] = a0[1]
+            out[inv[1]] = a1[1]
+            out[inv[2]] = (a0[2] - a1[0]) % 2
+            out[inv[3]] = (a1[2] - a0[0]) % 2
+        return tuple(out)
 
     return DecomposableCode(params, varieties, keys, query_map, reconstruct)

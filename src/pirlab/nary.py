@@ -21,17 +21,7 @@ import random
 from dataclasses import dataclass
 from string import ascii_lowercase
 
-from .groups import (
-    EMPTY_ANSWER,
-    AnswerVector,
-    CodeParams,
-    Message,
-    MessageSet,
-    QueryVector,
-    RandomKey,
-    Symbol,
-    zero,
-)
+from .groups import CodeParams, Message, MessageSet, QueryVector, RandomKey
 from .model import AnswerFunction, ComponentTable, DecomposableCode
 
 
@@ -134,35 +124,32 @@ def answer_length(code: NaryCode, n: int, q: QueryVector) -> int:
     return 1
 
 
-def answer(code: NaryCode, n: int, q: QueryVector, msgs: MessageSet) -> AnswerVector:
+def answer(code: NaryCode, n: int, q: QueryVector, msgs: MessageSet) -> tuple[int, ...]:
     """Group sum of the padded-message symbols the query digits select.
 
     Digit 0 selects the zero dummy, so only non-zero digits add a symbol.
     """
     if answer_length(code, n, q) == 0:
-        return EMPTY_ANSWER
+        return ()
     if (
         len(msgs) != code.n_messages
         or msgs.msg_len != code.params.msg_len
         or msgs.modulus != code.modulus
     ):
         raise ValueError("message set shape disagrees with code params")
-    acc = zero(code.modulus)
-    for k, digit in enumerate(q.digits):
-        if digit:
-            acc = acc + msgs[k].symbols[digit - 1]
-    return AnswerVector((acc,))
+    rows = msgs.values
+    return (sum(rows[k][d - 1] for k, d in enumerate(q.digits) if d) % code.modulus,)
 
 
 def reconstruct(
-    code: NaryCode, answers: tuple[AnswerVector, ...], k: int, key: RandomKey
-) -> Message:
+    code: NaryCode, answers: tuple[tuple[int, ...], ...], k: int, key: RandomKey
+) -> tuple[int, ...]:
     """Subtract the interference answer from every other answer.
 
     Server F* (the key's digit sum) selected the dummy symbol of message k,
     so its answer carries interference only; an empty answer stands for the
     group identity.  Server n's answer then yields payload symbol
-    (n - F*) mod N of message k.
+    (n - F*) mod N of message k.  Returns message k's symbol values.
     """
     N = code.n_servers
     if len(answers) != N:
@@ -179,16 +166,12 @@ def reconstruct(
             raise ValueError(
                 f"answer {n} has {len(ans)} symbols, query demands {expected}"
             )
-    interference = (
-        answers[star].symbols[0] if len(answers[star]) else zero(code.modulus)
+    interference = answers[star][0] if answers[star] else 0
+    m = code.modulus
+    # payload symbol pos-1 comes from server F* + pos; pos 0 is the dummy
+    return tuple(
+        (answers[(star + pos) % N][0] - interference) % m for pos in range(1, N)
     )
-    payload: list[Symbol] = [zero(code.modulus)] * (N - 1)
-    for n in range(N):
-        pos = (n - star) % N
-        if pos == 0:
-            continue  # the dummy index; nothing to recover here
-        payload[pos - 1] = answers[n].symbols[0] - interference
-    return Message(tuple(payload))
 
 
 def retrieve(code: NaryCode, msgs: MessageSet, k: int, key: RandomKey) -> Message:
@@ -197,7 +180,7 @@ def retrieve(code: NaryCode, msgs: MessageSet, k: int, key: RandomKey) -> Messag
         answer(code, n, query_vector(code, n, k, key), msgs)
         for n in range(code.n_servers)
     )
-    return reconstruct(code, answers, k, key)
+    return Message(reconstruct(code, answers, k, key), code.modulus)
 
 
 def message_letter(k: int) -> str:
@@ -266,8 +249,8 @@ def export_decomposable(code: NaryCode) -> DecomposableCode:
         for f, key in enumerate(keys)
     }
 
-    def _reconstruct(k: int, key_index: int, answers) -> Message:
-        return reconstruct(code, tuple(answers), k, keys[key_index])
+    def _reconstruct(k: int, key_index: int, answers) -> tuple[int, ...]:
+        return reconstruct(code, answers, k, keys[key_index])
 
     return DecomposableCode(
         p, tuple(varieties), key_labels, query_map, _reconstruct

@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401  unused; perfben
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .groups import EMPTY_ANSWER, AnswerVector, MessageSet, RandomKey
+from .groups import Message, MessageSet, RandomKey
 from .nary import answer  # noqa: F401  unused; perfbench/tracing.py patches it here
 from .nary import NaryCode, answer_length, make_nary, query_vector, random_key
 
@@ -85,21 +85,6 @@ class Frame:
 
 def encode_frame(frame: Frame) -> bytes:
     return _HEADER.pack(len(frame.payload), frame.kind) + frame.payload
-
-
-def decode_frame(data: bytes) -> Frame:
-    """Decode exactly one frame; trailing or missing bytes are errors."""
-    if len(data) < _HEADER.size:
-        raise FrameError(f"truncated frame header: {len(data)} bytes")
-    length, kind = _HEADER.unpack_from(data)
-    if kind not in _KINDS:
-        raise FrameError(f"unknown frame kind {kind:#x}")
-    if len(data) != _HEADER.size + length:
-        raise FrameError(
-            f"frame length mismatch: header says {length}, "
-            f"got {len(data) - _HEADER.size} payload bytes"
-        )
-    return Frame(kind, data[_HEADER.size :])
 
 
 def read_frame(rfile) -> Optional[Frame]:
@@ -159,13 +144,13 @@ def decode_setup_payload(payload: bytes) -> tuple[NaryCode, tuple[bytes, ...]]:
     return code, rows
 
 
-def encode_answer_payload(ans: AnswerVector) -> bytes:
+def encode_answer_payload(ans: tuple[int, ...]) -> bytes:
     if len(ans) > 255:
         raise ValueError("answers longer than 255 symbols do not fit the wire")
-    return bytes([len(ans)]) + bytes(ans.values)
+    return bytes([len(ans), *ans])
 
 
-def decode_answer_payload(payload: bytes, modulus: int) -> AnswerVector:
+def decode_answer_payload(payload: bytes, modulus: int) -> tuple[int, ...]:
     if not payload:
         raise ValueError("empty ANSWER payload")
     count = payload[0]
@@ -176,7 +161,7 @@ def decode_answer_payload(payload: bytes, modulus: int) -> AnswerVector:
     symbols = payload[1:]
     if any(v >= modulus for v in symbols):
         raise ValueError("ANSWER symbol out of range")
-    return AnswerVector.from_values(symbols, modulus) if count else AnswerVector(())
+    return tuple(symbols)
 
 
 def error_frame(code: int, text: str) -> Frame:
@@ -249,10 +234,9 @@ def handle_frame(state: ServerState, frame: Frame) -> tuple[ServerState, Frame]:
                 f"digit sum addresses server {addressed}, this is server {state.server_index}",
             )
         if not total:  # the all-zero query, which only server 0 accepts
-            return state, Frame(KIND_ANSWER, encode_answer_payload(EMPTY_ANSWER))
+            return state, Frame(KIND_ANSWER, encode_answer_payload(()))
         value = sum(map(operator.getitem, state.rows, digits)) % code.modulus
-        ans = AnswerVector.from_values((value,), code.modulus)
-        return state, Frame(KIND_ANSWER, encode_answer_payload(ans))
+        return state, Frame(KIND_ANSWER, encode_answer_payload((value,)))
     # SETUP/QUERY are the only requests; ANSWER/ERROR from a client are nonsense
     return state, error_frame(ERR_PROTOCOL, f"unexpected frame kind {frame.kind:#x}")
 
@@ -396,7 +380,7 @@ def setup_endpoint(
         raise RetrievalError(f"unexpected SETUP reply kind {reply.kind:#x}")
 
 
-def _check_answer(code: NaryCode, n: int, query, reply: Frame) -> AnswerVector:
+def _check_answer(code: NaryCode, n: int, query, reply: Frame) -> tuple[int, ...]:
     """Server n's reply to `query` as an answer of the length the query demands."""
     if reply.kind == KIND_ERROR:
         err, text = decode_error_payload(reply.payload)
@@ -422,7 +406,7 @@ def client_retrieve(
     key: Optional[RandomKey] = None,
     rng=None,
     timeout: float = 5.0,
-):
+) -> Message:
     """Query all servers and reconstruct message k.
 
     Every QUERY is sent before any reply is read, so the servers compute
@@ -454,4 +438,4 @@ def client_retrieve(
 
     from .nary import reconstruct
 
-    return reconstruct(code, answers, k, key)
+    return Message(reconstruct(code, answers, k, key), code.modulus)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analysis import DEFAULT_CAP, _require_within_cap
-from .groups import AnswerVector, CodeParams, Message
+from .groups import CodeParams
 from .model import AnswerFunction, ComponentTable, DecomposableCode, digits_label
 
 
@@ -60,7 +60,7 @@ def server_permute(code: DecomposableCode, perm) -> DecomposableCode:
     reconstruct: Optional[Callable] = None
     if base_reconstruct is not None:
 
-        def reconstruct(k: int, f: int, answers) -> Message:
+        def reconstruct(k: int, f: int, answers) -> tuple[int, ...]:
             return base_reconstruct(k, f, tuple(answers[inv[j]] for j in range(N)))
 
     return DecomposableCode(code.params, varieties, code.keys, query_map, reconstruct)
@@ -94,7 +94,7 @@ def message_permute(code: DecomposableCode, perm) -> DecomposableCode:
     reconstruct: Optional[Callable] = None
     if base_reconstruct is not None:
 
-        def reconstruct(k: int, f: int, answers) -> Message:
+        def reconstruct(k: int, f: int, answers) -> tuple[int, ...]:
             return base_reconstruct(inv[k], f, answers)
 
     return DecomposableCode(code.params, varieties, code.keys, query_map, reconstruct)
@@ -171,21 +171,18 @@ def _assemble(blocks, labels, keys, query_combos, cap: int) -> SpaceShareCode:
     reconstruct: Optional[Callable] = None
     if all(b.reconstruct is not None for b in blocks):
 
-        def reconstruct(k: int, fi: int, answers) -> Message:
+        def reconstruct(k: int, fi: int, answers) -> tuple[int, ...]:
             fc = key_combos[fi]
-            symbols = []
+            values: list[int] = []
             # per-server split points follow the block order of the combo
             combos = [block_queries(k, fc, n) for n in range(N)]
             offsets = [0] * N
             for i, b in enumerate(blocks):
                 ends = [offsets[n] + b.answer_length(n, combos[n][i]) for n in range(N)]
-                block_answers = tuple(
-                    AnswerVector(answers[n].symbols[offsets[n] : ends[n]]) for n in range(N)
-                )
+                block_answers = tuple(answers[n][offsets[n] : ends[n]] for n in range(N))
                 offsets = ends
-                part = b.reconstruct(k, fc[i], block_answers)
-                symbols.extend(part.symbols)
-            return Message(tuple(symbols))
+                values.extend(b.reconstruct(k, fc[i], block_answers))
+            return tuple(values)
 
     return SpaceShareCode(
         CodeParams(N, K, total_len, m, y),

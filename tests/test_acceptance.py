@@ -5,6 +5,7 @@ budget and reports `acceptance NN <title>: PASS/FAIL (elapsed)` on the real
 terminal, bypassing capture.
 """
 
+import io
 import itertools
 import math
 import random
@@ -54,8 +55,8 @@ from pirlab.net import (
     KIND_SETUP,
     PirServer,
     client_retrieve,
-    decode_frame,
     encode_frame,
+    read_frame,
     setup_endpoint,
 )
 from pirlab.symmetry import server_symmetrize, variety_symmetrize
@@ -377,5 +378,7 @@ def test_criterion_10_network_end_to_end(criterion):
                 frame_rng.choice(kinds),
                 bytes(frame_rng.randrange(256) for _ in range(frame_rng.randrange(64))),
             )
-            assert decode_frame(encode_frame(frame)) == frame
+            stream = io.BytesIO(encode_frame(frame))
+            assert read_frame(stream) == frame
+            assert read_frame(stream) is None  # the frame used every byte
         assert time.perf_counter() - start < 10.0

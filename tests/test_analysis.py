@@ -12,13 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from pirlab import analysis
 from pirlab.analysis import (
-    AnswerVar,
     CheckRecord,
     EnumerationCapExceeded,
     ExactDistribution,
+    MaskedAnswerVar,
     MessageVar,
-    RequestedVar,
-    ResidualVar,
     Witness,
     all_message_sets,
     capacity,
@@ -40,7 +38,7 @@ from pirlab.analysis import (
     verify_privacy,
 )
 from pirlab.codefile import emit, parse
-from pirlab.groups import CodeParams, Message, MessageSet
+from pirlab.groups import CodeParams
 from pirlab.model import (
     AnswerFunction,
     ComponentTable,
@@ -61,8 +59,7 @@ F = Fraction
 def test_exact_distribution_normalizes_support():
     d = ExactDistribution({(0,): F(1, 2), (1,): F(1, 2), (2,): F(0)})
     assert d.support() == ((0,), (1,))
-    assert d.prob((2,)) == 0
-    assert d.prob((0,)) == F(1, 2)
+    assert dict(d.items()) == {(0,): F(1, 2), (1,): F(1, 2)}
     assert len(d) == 2
 
 
@@ -80,7 +77,9 @@ def test_marginal_projection():
     assert d.marginal((0,)) == ExactDistribution(
         {((0,),): F(1, 2), ((1,),): F(1, 2)}
     )
-    assert d.marginal((1, 0)).prob(((0,), (1,))) == F(1, 4)
+    assert d.marginal((1, 0)) == ExactDistribution(
+        {((0,), (0,)): F(1, 2), ((0,), (1,)): F(1, 4), ((1,), (1,)): F(1, 4)}
+    )
 
 
 # ---------------------------------------------------------------- information
@@ -220,7 +219,7 @@ def test_all_message_sets_order_and_count():
     code = builtin_table1()
     sets = all_message_sets(code)
     assert len(sets) == 4
-    assert [m.values for m in sets[:2]] == [((0,), (0,)), ((0,), (1,))]
+    assert sets[:2] == [((0,), (0,)), ((0,), (1,))]
 
 
 def test_cap_refusal_carries_work_estimate():
@@ -288,17 +287,21 @@ def test_joint_pmf_message_variable_uniform():
 def test_joint_pmf_answer_follows_message():
     # server 1 query 0 returns message 0 verbatim
     code = builtin_table1()
-    d = joint_pmf(code, [MessageVar(0), AnswerVar(1, 0)])
+    d = joint_pmf(code, [MessageVar(0), MaskedAnswerVar(1, 0)])
     assert d == ExactDistribution({((0,), (0,)): F(1, 2), ((1,), (1,)): F(1, 2)})
 
 
 def test_residual_and_requested_split_the_answer():
     code = builtin_table1()
-    msgs = MessageSet.from_values(((1,), (1,)), 2)
-    # server 0 query 1 is the two-message sum; split it against k=0
-    assert RequestedVar(0, 1, 0).evaluate(code, msgs) == (1,)
-    assert ResidualVar(0, 1, 0).evaluate(code, msgs) == (1,)
-    assert AnswerVar(0, 1).evaluate(code, msgs) == (0,)
+    # server 0 query 1 is the two-message sum a+b; split it against k=0 into
+    # the requested part (a) and the residual (b)
+    requested, residual, whole = (MaskedAnswerVar(0, 1, mask) for mask in (1, ~1, -1))
+    d = joint_pmf(code, [MessageVar(0), MessageVar(1), requested, residual, whole])
+    assert dict(d.items()) == {
+        ((a,), (b,), (a,), (b,), ((a + b) % 2,)): F(1, 4)
+        for a in (0, 1)
+        for b in (0, 1)
+    }
 
 
 def test_positive_query_tuples_table1():
@@ -600,13 +603,12 @@ def _wrap_decoder(code, wrong=None):
     inner = code.reconstruct
 
     def decode(k, f, answers):
-        triple = (k, f, tuple(a.values for a in answers))
+        triple = (k, f, answers)
         calls.append(triple)
-        msg = inner(k, f, answers)
+        values = inner(k, f, answers)
         if triple == wrong:
-            values = msg.values
-            return Message.from_values(((values[0] + 1) % 2,) + values[1:], 2)
-        return msg
+            return ((values[0] + 1) % 2,) + values[1:]
+        return values
 
     wrapped = DecomposableCode(code.params, code.varieties, code.keys, code.query_map, decode)
     return wrapped, calls

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from pirlab import cli
 from pirlab.cli import main
 from pirlab.codefile import emit, parse, save
 from pirlab.model import DecomposableCode, builtin_table1
@@ -409,6 +410,43 @@ def test_serve_honors_port_env_and_flag_precedence():
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+@pytest.mark.parametrize(
+    "argv,env_port",
+    [
+        (["--server-index", "0", "--port", "abc"], None),
+        (["--server-index", "0", "--port", "65536"], None),
+        (["--server-index", "0", "--port", "-1"], None),
+        (["--server-index", "0"], "abc"),
+        (["--server-index", "0"], "1.5"),
+        (["--server-index", "0"], "70000"),
+        (["--server-index", "0"], "-5"),
+        (["--server-index", "-1"], None),
+    ],
+    ids=[
+        "port-flag-text",
+        "port-flag-too-big",
+        "port-flag-negative",
+        "port-env-text",
+        "port-env-fraction",
+        "port-env-too-big",
+        "port-env-negative",
+        "negative-server-index",
+    ],
+)
+def test_serve_bad_input_is_usage_error(argv, env_port, monkeypatch, capsys):
+    def no_server(*args, **kwargs):
+        raise AssertionError("bad input reached the server")
+
+    monkeypatch.setattr(cli.net, "PirServer", no_server)
+    monkeypatch.delenv("PIRLAB_PORT", raising=False)
+    if env_port is not None:
+        monkeypatch.setenv("PIRLAB_PORT", env_port)
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", *argv])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_retrieve_fails_cleanly_without_servers(capsys):

@@ -4,77 +4,119 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pirlab.groups import (
-    EMPTY_ANSWER,
-    AnswerVector,
     CodeParams,
     Message,
     MessageSet,
-    ModulusMismatchError,
     QueryVector,
     RandomKey,
-    Symbol,
     digits_label,
-    mod_add,
-    mod_sub,
-    zero,
 )
+from pirlab.nary import (
+    answer,
+    export_decomposable,
+    key_space,
+    make_nary,
+    query_set,
+    reconstruct,
+    retrieve,
+)
+
+
+def _pair_set(a, b, m):
+    return MessageSet.from_values(((a,), (b,)), m)
+
+
+def _add(m, *xs):
+    # the all-ones query of a (2, len(xs), m) code sums one symbol of each
+    # message; its digit sum names the server it goes to
+    code = make_nary(2, len(xs), m)
+    q = QueryVector((1,) * len(xs), 2)
+    msgs = MessageSet.from_values(tuple((x,) for x in xs), m)
+    (out,) = answer(code, q.server, q, msgs)
+    return out
+
+
+def _recover(m, a, b):
+    # every key and target of the (2, 2, m) code: retrieval subtracts the
+    # interference answer, so it must give back a and b
+    code = make_nary(2, 2, m)
+    return {
+        (k, retrieve(code, _pair_set(a, b, m), k, key).values)
+        for key in key_space(code)
+        for k in range(2)
+    }
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_group_laws_exhaustive(m):
     # associativity, commutativity, identity, inverse for every pair/triple
-    elems = [Symbol(v, m) for v in range(m)]
-    e = zero(m)
+    # of symbols, as the codes' answers and decoder compute them
+    elems = range(m)
     for a in elems:
-        assert mod_add(a, e) == a
-        assert mod_sub(a, a) == e
+        assert _add(m, a, 0) == a
+        assert _add(m, 0, a) == a
         for b in elems:
-            assert mod_add(a, b) == mod_add(b, a)
-            assert mod_sub(mod_add(a, b), b) == a
+            assert _add(m, a, b) == _add(m, b, a)
+            assert _recover(m, a, b) == {(0, (a,)), (1, (b,))}
             for c in elems:
-                assert mod_add(mod_add(a, b), c) == mod_add(a, mod_add(b, c))
+                ab_c = _add(m, _add(m, a, b), c)
+                assert ab_c == _add(m, a, _add(m, b, c)) == _add(m, a, b, c)
 
 
 symbols = st.integers(min_value=2, max_value=64).flatmap(
     lambda m: st.tuples(
         st.integers(min_value=0, max_value=m - 1),
         st.integers(min_value=0, max_value=m - 1),
-    ).map(lambda pair: (Symbol(pair[0], m), Symbol(pair[1], m)))
+        st.just(m),
+    )
 )
 
 
 @given(symbols)
-def test_add_sub_roundtrip(pair):
-    a, b = pair
-    assert mod_sub(mod_add(a, b), b) == a
-    assert mod_add(mod_sub(a, b), b) == a
+def test_add_sub_roundtrip(triple):
+    a, b, m = triple
+    # (a + b) - b: retrieving a subtracts b's interference from the sum
+    assert _recover(m, a, b) == {(0, (a,)), (1, (b,))}
+    # (a - b) + b: the message a - b plus b answers a
+    assert _add(m, (a - b) % m, b) == a
 
 
 @given(symbols)
-def test_operator_sugar_matches_functions(pair):
-    a, b = pair
-    assert a + b == mod_add(a, b)
-    assert a - b == mod_sub(a, b)
+def test_operator_sugar_matches_functions(triple):
+    # the exported component tables add and subtract exactly as the
+    # construction's own answer and reconstruct do
+    a, b, m = triple
+    code = make_nary(2, 2, m)
+    exported = export_decomposable(code)
+    msgs = _pair_set(a, b, m)
+    for n in range(2):
+        for qi, q in enumerate(query_set(code, n)):
+            assert exported.eval_answer(n, qi, msgs) == answer(code, n, q, msgs)
+    for k in range(2):
+        for f, key in enumerate(key_space(code)):
+            answers = tuple(
+                exported.eval_answer(n, exported.query_map[(k, f)][n], msgs)
+                for n in range(2)
+            )
+            assert exported.reconstruct(k, f, answers) == reconstruct(
+                code, answers, k, key
+            )
 
 
 def test_symbol_validation():
+    # symbols are plain ints, checked where they enter a message
+    for values, modulus in [
+        ((2,), 2),  # a value >= m
+        ((0, -1), 3),  # a negative value
+        ((0,), 1),  # a modulus < 2
+        ((), 2),  # an empty message
+    ]:
+        with pytest.raises(ValueError):
+            Message(values, modulus)
+        with pytest.raises(ValueError):
+            MessageSet.from_values((values,), modulus)
     with pytest.raises(ValueError):
-        Symbol(2, 2)
-    with pytest.raises(ValueError):
-        Symbol(-1, 3)
-    with pytest.raises(ValueError):
-        Symbol(0, 1)
-
-
-def test_modulus_mismatch_raises():
-    with pytest.raises(ModulusMismatchError):
-        mod_add(Symbol(1, 2), Symbol(1, 3))
-    with pytest.raises(ModulusMismatchError):
-        Symbol(0, 2) - Symbol(0, 5)
-
-
-def test_modulus_mismatch_is_value_error():
-    assert issubclass(ModulusMismatchError, ValueError)
+        MessageSet.from_values(((0, 1), (1,)), 2)  # ragged rows
 
 
 def test_code_params_validation():
@@ -93,17 +135,21 @@ def test_code_params_validation():
 
 
 def test_message_from_values():
-    msg = Message.from_values((0, 1, 2), 3)
+    msg = MessageSet.from_values([[0, 1, 2]], 3)[0]
+    assert msg == Message((0, 1, 2), 3)
     assert msg.values == (0, 1, 2)
     assert msg.modulus == 3
-    assert len(msg) == 3
 
 
 def test_message_rejects_mixed_moduli():
-    with pytest.raises(ModulusMismatchError):
-        Message((Symbol(0, 2), Symbol(1, 3)))
+    # one modulus per message set: a row in Z_3 does not fit a Z_2 set
     with pytest.raises(ValueError):
-        Message(())
+        MessageSet.from_values(((0, 1), (2, 0)), 2)
+    with pytest.raises(ValueError):
+        Message((0, 2), 2)
+    assert MessageSet.from_values(((0, 1), (2, 0)), 3)[1].modulus == 3
+    with pytest.raises(ValueError):
+        Message((), 2)
 
 
 def test_message_set_shape_checks():
@@ -112,8 +158,7 @@ def test_message_set_shape_checks():
     assert ms.msg_len == 2
     assert ms.modulus == 2
     assert ms[1].values == (1, 0)
-    with pytest.raises(ValueError):
-        MessageSet.from_values(((0, 1), (1,)), 2)  # ragged rows
+    assert len(ms) == 2
     with pytest.raises(ValueError):
         MessageSet.from_values((), 2)
 
@@ -136,8 +181,12 @@ def test_random_key_allows_empty():
 
 
 def test_answer_vector_empty_singleton():
-    assert EMPTY_ANSWER.symbols == ()
-    assert len(AnswerVector((Symbol(1, 2),)).symbols) == 1
+    # answers are int tuples: the null query's is empty, every other one
+    # holds a single group symbol
+    code = make_nary(2, 2, 3)
+    msgs = _pair_set(1, 2, 3)
+    assert answer(code, 0, QueryVector((0, 0), 2), msgs) == ()
+    assert answer(code, 1, QueryVector((1, 0), 2), msgs) == (1,)
 
 
 @pytest.mark.parametrize(
@@ -159,16 +208,18 @@ def test_digits_label_small_digits_concatenate(ds):
 
 
 def test_symbols_hashable_and_frozen():
-    s = Symbol(1, 3)
-    assert hash(s) == hash(Symbol(1, 3))
+    msgs = MessageSet.from_values(((1, 2),), 3)
+    assert hash(msgs) == hash(MessageSet(((1, 2),), 3))
+    assert hash(msgs[0]) == hash(Message((1, 2), 3))
     with pytest.raises(AttributeError):
-        s.value = 2
+        msgs[0].values = (0, 0)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_all_sums_stay_in_range(m):
+    # server 0's query 11 in the (2, 2, m) code adds one symbol of each message
+    code, query = make_nary(2, 2, m), QueryVector((1, 1), 2)
     for a, b in itertools.product(range(m), repeat=2):
-        out = mod_add(Symbol(a, m), Symbol(b, m))
-        assert 0 <= out.value < m
-        assert out.modulus == m
-        assert out.value == (a + b) % m
+        (out,) = answer(code, 0, query, MessageSet.from_values(((a,), (b,)), m))
+        assert 0 <= out < m
+        assert out == (a + b) % m

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirlab.groups import AnswerVector, CodeParams, MessageSet, QueryVector, RandomKey
+from pirlab.groups import CodeParams, MessageSet, QueryVector, RandomKey
 from pirlab.nary import (
     NaryCode,
     answer,
@@ -89,8 +89,8 @@ def test_worked_retrieval_answers_and_reconstruction():
     answers = tuple(
         answer(code, n, query_vector(code, n, 1, key), msgs) for n in range(3)
     )
-    assert [ans.symbols[0].value for ans in answers] == expected
-    assert reconstruct(code, answers, 1, key).values == b
+    assert [ans[0] for ans in answers] == expected
+    assert reconstruct(code, answers, 1, key) == b
 
 
 @pytest.mark.parametrize("n_servers,n_messages", [(2, 2), (3, 2), (2, 3), (4, 2)])
@@ -132,7 +132,7 @@ def test_answer_length_rejects_foreign_query():
 def test_answer_null_query_is_empty():
     code = make_nary(2, 2)
     msgs = _msgs(code, lambda k, j: 1)
-    assert answer(code, 0, QueryVector((0, 0), 2), msgs).symbols == ()
+    assert answer(code, 0, QueryVector((0, 0), 2), msgs) == ()
 
 
 def test_answer_sums_selected_symbols_mod_m():
@@ -140,12 +140,12 @@ def test_answer_sums_selected_symbols_mod_m():
     msgs = MessageSet.from_values(((3, 4), (2, 1)), 5)
     # digits (2,1): symbol 2 of a plus symbol 1 of b = 4 + 2 = 6 = 1 mod 5
     got = answer(code, 0, QueryVector((2, 1), 3), msgs)
-    assert [s.value for s in got.symbols] == [1]
+    assert got == (1,)
 
 
 @pytest.mark.parametrize(
     "n_servers,n_messages,modulus",
-    [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 3, 2)],
+    [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 2, 2), (2, 3, 2), (3, 3, 2)],
 )
 def test_retrieve_every_realization(n_servers, n_messages, modulus):
     code = make_nary(n_servers, n_messages, modulus)
@@ -164,7 +164,7 @@ def test_retrieve_every_realization(n_servers, n_messages, modulus):
 def test_retrieve_random_instances(data):
     N = data.draw(st.integers(min_value=2, max_value=4), label="servers")
     K = data.draw(st.integers(min_value=1, max_value=3), label="messages")
-    m = data.draw(st.sampled_from([2, 3, 7]), label="modulus")
+    m = data.draw(st.integers(min_value=2, max_value=64), label="modulus")
     code = make_nary(N, K, m)
     rows = tuple(
         tuple(data.draw(st.integers(0, m - 1)) for _ in range(N - 1))
@@ -195,7 +195,7 @@ def test_reconstruct_validates_answer_count_and_lengths():
 @pytest.mark.parametrize("n_messages", [1, 2, 3, 4])
 def test_reconstruct_demands_the_query_answer_lengths(n_servers, n_messages):
     code = make_nary(n_servers, n_messages)
-    one, empty = AnswerVector.from_values((0,), 2), AnswerVector(())
+    one, empty = (0,), ()
     for key in key_space(code):
         for k in range(n_messages):
             lengths = [
@@ -213,7 +213,7 @@ def test_reconstruct_demands_the_query_answer_lengths(n_servers, n_messages):
 
 def test_reconstruct_validates_request_and_key_shape():
     code = make_nary(3, 3)
-    answers = (AnswerVector.from_values((0,), 2),) * 3
+    answers = ((0,),) * 3
     with pytest.raises(ValueError, match="message index"):
         reconstruct(code, answers, 3, RandomKey((0, 1), 3))
     with pytest.raises(ValueError, match="key shape"):
@@ -296,4 +296,4 @@ def test_export_reconstruct_round_trip():
                 exported.eval_answer(n, exported.query_map[(k, f)][n], msgs)
                 for n in range(3)
             )
-            assert exported.reconstruct(k, f, answers).values == msgs.values[k]
+            assert exported.reconstruct(k, f, answers) == msgs.values[k]

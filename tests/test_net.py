@@ -39,7 +39,6 @@ from pirlab.net import (
     client_retrieve,
     decode_answer_payload,
     decode_error_payload,
-    decode_frame,
     decode_setup_payload,
     encode_answer_payload,
     encode_frame,
@@ -61,7 +60,7 @@ frames = st.builds(
 
 @given(frames)
 def test_frame_round_trip(frame):
-    assert decode_frame(encode_frame(frame)) == frame
+    assert read_frame(io.BytesIO(encode_frame(frame))) == frame
 
 
 @given(frames)
@@ -78,18 +77,6 @@ def test_stream_round_trip(frame):
 def test_frame_rejects_unknown_kind():
     with pytest.raises(FrameError):
         Frame(0x09, b"")
-
-
-def test_decode_frame_rejects_garbage():
-    with pytest.raises(FrameError, match="truncated"):
-        decode_frame(b"\x00\x00")
-    with pytest.raises(FrameError, match="kind"):
-        decode_frame(b"\x00\x00\x00\x00\x77")
-    good = encode_frame(Frame(KIND_QUERY, b"\x01\x02"))
-    with pytest.raises(FrameError, match="mismatch"):
-        decode_frame(good + b"x")
-    with pytest.raises(FrameError, match="mismatch"):
-        decode_frame(good[:-1])
 
 
 def test_read_frame_rejects_partial_streams():
@@ -165,11 +152,9 @@ def test_answer_payload_round_trip():
 
 
 def test_answer_payload_empty():
-    from pirlab.groups import EMPTY_ANSWER
-
-    data = encode_answer_payload(EMPTY_ANSWER)
+    data = encode_answer_payload(())
     assert data == b"\x00"
-    assert decode_answer_payload(data, 2).symbols == ()
+    assert decode_answer_payload(data, 2) == ()
 
 
 def test_answer_payload_errors():

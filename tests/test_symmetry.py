@@ -68,7 +68,7 @@ def test_server_permute_reconstruction_survives():
                     rolled.eval_answer(n, rolled.query_map[(k, f)][n], msgs)
                     for n in range(3)
                 )
-                assert rolled.reconstruct(k, f, answers).values == msgs[k].values
+                assert rolled.reconstruct(k, f, answers) == msgs.values[k]
 
 
 def test_server_permute_rejects_non_permutation():
@@ -126,7 +126,7 @@ def test_message_permute_requests_follow_the_relabeling():
                 moved.eval_answer(n, moved.query_map[(k, f)][n], msgs)
                 for n in range(2)
             )
-            assert moved.reconstruct(k, f, answers).values == msgs[k].values
+            assert moved.reconstruct(k, f, answers) == msgs.values[k]
 
 
 # ---------------------------------------------------------------- space sharing
@@ -154,7 +154,7 @@ def test_space_share_reconstruction_splits_answers():
                     shared.eval_answer(n, shared.query_map[(k, f)][n], msgs)
                     for n in range(2)
                 )
-                assert shared.reconstruct(k, f, answers).values == msgs[k].values
+                assert shared.reconstruct(k, f, answers) == msgs.values[k]
 
 
 def test_space_share_validates_blocks():
@@ -237,7 +237,7 @@ def test_variety_symmetrize_reconstruction():
                     sym.eval_answer(n, sym.query_map[(k, f)][n], msgs)
                     for n in range(2)
                 )
-                assert sym.reconstruct(k, f, answers).values == msgs[k].values
+                assert sym.reconstruct(k, f, answers) == msgs.values[k]
 
 
 def test_variety_symmetrize_nary_message_growth():
