@@ -26,7 +26,7 @@ from .analysis import (
     verify_correctness,
     verify_privacy,
 )
-from .groups import CodeParams, Message, MessageSet, QueryVector, RandomKey
+from .groups import CodeParams, Message, MessageSet, RandomKey
 from .model import (
     ComponentTable,
     DecomposableCode,
@@ -57,7 +57,6 @@ __all__ = [
     "Message",
     "MessageSet",
     "NaryCode",
-    "QueryVector",
     "RandomKey",
     "SpaceShareCode",
     "VerificationReport",

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import analysis, codefile, nary, net, symmetry
 from .analysis import CheckRecord, EnumerationCapExceeded
-from .groups import MessageSet, RandomKey
+from .groups import MessageSet, RandomKey, digits_label
 from .model import (
     DecomposableCode,
     builtin_sunjafar22,
@@ -66,9 +66,12 @@ def _parse_endpoints(text: str, parser: argparse.ArgumentParser) -> list[tuple[s
         if not sep or not host:
             parser.error(f"endpoint {item!r} is not host:port")
         try:
-            out.append((host, int(port)))
+            number = int(port)
         except ValueError:
             parser.error(f"endpoint {item!r} has a non-numeric port")
+        if not 0 <= number <= 65535:
+            parser.error(f"endpoint {item!r} has a port outside 0..65535")
+        out.append((host, number))
     if not out:
         parser.error("need at least one endpoint")
     return out
@@ -160,7 +163,7 @@ def cmd_demo(args, parser) -> int:
         print(f"  {nary.message_letter(j)} = {''.join(map(str, msgs[j].values))}")
     print(
         "  queries:  "
-        + "  ".join(q.label() for q in queries)
+        + "  ".join(digits_label(q) for q in queries)
         + "   (reduced: "
         + ", ".join(nary.symbolic_answer(code, q, include_dummies=False) for q in queries)
         + ")"
@@ -338,15 +341,22 @@ def cmd_serve(args, parser) -> int:
     return 0
 
 
-def cmd_setup(args, parser) -> int:
+def _wire_code(args, parser) -> tuple[list[tuple[str, int]], nary.NaryCode]:
+    """Endpoints and code of `setup` and `retrieve`, checked before any connection."""
     endpoints = _parse_endpoints(args.endpoints, parser)
     n = args.servers if args.servers else len(endpoints)
     if n != len(endpoints):
         parser.error(f"--servers {n} disagrees with {len(endpoints)} endpoints")
     try:
         code = nary.make_nary(n, args.messages, args.modulus)
+        net.check_wire_limits(code)
     except ValueError as exc:
         parser.error(str(exc))
+    return endpoints, code
+
+
+def cmd_setup(args, parser) -> int:
+    endpoints, code = _wire_code(args, parser)
     p = code.params
     if args.data:
         values = _parse_digits(args.data, parser)
@@ -379,20 +389,13 @@ def cmd_setup(args, parser) -> int:
 
 
 def cmd_retrieve(args, parser) -> int:
-    endpoints = _parse_endpoints(args.endpoints, parser)
-    n = args.servers if args.servers else len(endpoints)
-    if n != len(endpoints):
-        parser.error(f"--servers {n} disagrees with {len(endpoints)} endpoints")
-    try:
-        code = nary.make_nary(n, args.messages, args.modulus)
-    except ValueError as exc:
-        parser.error(str(exc))
+    endpoints, code = _wire_code(args, parser)
     if not 0 <= args.target < args.messages:
         parser.error(f"--target must lie in 0..{args.messages - 1}")
     if args.key is not None:
         digits = _parse_digits(args.key, parser)
         try:
-            key = RandomKey(digits, n)
+            key = RandomKey(digits, code.n_servers)
         except ValueError as exc:
             parser.error(str(exc))
         if len(digits) != args.messages - 1:

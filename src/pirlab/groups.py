@@ -105,33 +105,6 @@ class MessageSet:
 
 
 @dataclass(frozen=True)
-class QueryVector:
-    """A query: one base-N digit per message.
-
-    The digit sum mod N names the server the query may be sent to; that
-    attachment is checked wherever a query meets a concrete server.
-    """
-
-    digits: tuple[int, ...]
-    base: int
-
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError("digit base must be >= 2")
-        if not self.digits:
-            raise ValueError("a query carries at least one digit")
-        if min(self.digits) < 0 or max(self.digits) >= self.base:
-            raise ValueError(f"query digits must lie in 0..{self.base - 1}")
-
-    @property
-    def server(self) -> int:
-        return sum(self.digits) % self.base
-
-    def label(self) -> str:
-        return digits_label(self.digits)
-
-
-@dataclass(frozen=True)
 class RandomKey:
     """The user's private randomness: K-1 base-N digits (empty when K = 1)."""
 

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from string import ascii_lowercase
 
-from .groups import CodeParams, Message, MessageSet, QueryVector, RandomKey
+from .groups import CodeParams, Message, MessageSet, RandomKey, digits_label
 from .model import AnswerFunction, ComponentTable, DecomposableCode
 
 
@@ -78,8 +78,8 @@ def key_offset(key: RandomKey) -> int:
     return sum(key.digits) % key.base
 
 
-def query_vector(code: NaryCode, n: int, k: int, key: RandomKey) -> QueryVector:
-    """The query sent to server n when requesting message k under `key`."""
+def query_vector(code: NaryCode, n: int, k: int, key: RandomKey) -> tuple[int, ...]:
+    """The query digits sent to server n when requesting message k under `key`."""
     N = code.n_servers
     if not 0 <= n < N:
         raise ValueError(f"server index {n} out of range")
@@ -87,7 +87,7 @@ def query_vector(code: NaryCode, n: int, k: int, key: RandomKey) -> QueryVector:
         raise ValueError(f"message index {k} out of range")
     if key.base != N or len(key.digits) != code.n_messages - 1:
         raise ValueError("key shape disagrees with code params")
-    return QueryVector(_query_digits(key.digits, key_offset(key), n, k, N), N)
+    return _query_digits(key.digits, key_offset(key), n, k, N)
 
 
 def _query_digits(
@@ -98,33 +98,34 @@ def _query_digits(
     return key_digits[:k] + ((n - offset) % N,) + key_digits[k:]
 
 
-def query_set(code: NaryCode, n: int) -> tuple[QueryVector, ...]:
+def query_set(code: NaryCode, n: int) -> tuple[tuple[int, ...], ...]:
     """Server n's queries: digit vectors summing to n, ordered by their first
     K-1 digits (the last digit is determined)."""
     N = code.n_servers
     if not 0 <= n < N:
         raise ValueError(f"server index {n} out of range")
-    out = []
-    for head in itertools.product(range(N), repeat=code.n_messages - 1):
-        last = (n - sum(head)) % N
-        out.append(QueryVector(head + (last,), N))
-    return tuple(out)
+    return tuple(
+        head + ((n - sum(head)) % N,)
+        for head in itertools.product(range(N), repeat=code.n_messages - 1)
+    )
 
 
-def answer_length(code: NaryCode, n: int, q: QueryVector) -> int:
-    """0 for the all-zero query at server 0, else 1."""
-    if q.base != code.n_servers or len(q.digits) != code.n_messages:
+def answer_length(code: NaryCode, n: int, q: tuple[int, ...]) -> int:
+    """0 for the all-zero query, which only server 0 accepts, else 1; rejects a
+    query of the wrong length, a digit outside 0..N-1, or another server's query."""
+    N = code.n_servers
+    if len(q) != code.n_messages:
         raise ValueError("query shape disagrees with code params")
-    if q.server != n:
+    if min(q) < 0 or max(q) >= N:
+        raise ValueError(f"query digits must lie in 0..{N - 1}")
+    if sum(q) % N != n:
         raise ValueError(
-            f"query {q.label()} belongs to server {q.server}, not {n}"
+            f"query {digits_label(q)} belongs to server {sum(q) % N}, not {n}"
         )
-    if n == 0 and all(d == 0 for d in q.digits):
-        return 0
-    return 1
+    return 1 if any(q) else 0
 
 
-def answer(code: NaryCode, n: int, q: QueryVector, msgs: MessageSet) -> tuple[int, ...]:
+def answer(code: NaryCode, n: int, q: tuple[int, ...], msgs: MessageSet) -> tuple[int, ...]:
     """Group sum of the padded-message symbols the query digits select.
 
     Digit 0 selects the zero dummy, so only non-zero digits add a symbol.
@@ -138,7 +139,7 @@ def answer(code: NaryCode, n: int, q: QueryVector, msgs: MessageSet) -> tuple[in
     ):
         raise ValueError("message set shape disagrees with code params")
     rows = msgs.values
-    return (sum(rows[k][d - 1] for k, d in enumerate(q.digits) if d) % code.modulus,)
+    return (sum(rows[k][d - 1] for k, d in enumerate(q) if d) % code.modulus,)
 
 
 def reconstruct(
@@ -189,17 +190,17 @@ def message_letter(k: int) -> str:
     return f"w{k}"
 
 
-def symbolic_answer(code: NaryCode, q: QueryVector, include_dummies: bool = True) -> str:
+def symbolic_answer(code: NaryCode, q: tuple[int, ...], include_dummies: bool = True) -> str:
     """Render a query's answer as a formal sum like ``a0+b1+c2``.
 
     Index 0 names the dummy symbol; with ``include_dummies=False`` those
     terms are dropped, leaving only the symbols that affect the value.
     """
-    if q.server == 0 and all(d == 0 for d in q.digits):
+    if not any(q):
         return "0"
     terms = [
         f"{message_letter(k)}{digit}"
-        for k, digit in enumerate(q.digits)
+        for k, digit in enumerate(q)
         if include_dummies or digit != 0
     ]
     return "+".join(terms) if terms else "0"
@@ -208,7 +209,7 @@ def symbolic_answer(code: NaryCode, q: QueryVector, include_dummies: bool = True
 def answer_table(code: NaryCode) -> tuple[tuple[tuple[str, str], ...], ...]:
     """Per server: the ordered (query label, symbolic answer) rows."""
     return tuple(
-        tuple((q.label(), symbolic_answer(code, q)) for q in query_set(code, n))
+        tuple((digits_label(q), symbolic_answer(code, q)) for q in query_set(code, n))
         for n in range(code.n_servers)
     )
 
@@ -226,14 +227,12 @@ def export_decomposable(code: NaryCode) -> DecomposableCode:
         per_server = []
         lookup: dict[tuple[int, ...], int] = {}
         for qi, q in enumerate(query_set(code, n)):
-            lookup[q.digits] = qi
+            lookup[q] = qi
             if answer_length(code, n, q) == 0:
-                per_server.append(AnswerFunction(q.label(), ()))
+                per_server.append(AnswerFunction(digits_label(q), ()))
                 continue
-            row = tuple(
-                zero_t if digit == 0 else coord[digit - 1] for digit in q.digits
-            )
-            per_server.append(AnswerFunction(q.label(), (row,)))
+            row = tuple(zero_t if digit == 0 else coord[digit - 1] for digit in q)
+            per_server.append(AnswerFunction(digits_label(q), (row,)))
         varieties.append(tuple(per_server))
         index_of.append(lookup)
 

@@ -36,7 +36,7 @@ from typing import Optional
 
 from .groups import Message, MessageSet, RandomKey
 from .nary import answer  # noqa: F401  unused; perfbench/tracing.py patches it here
-from .nary import NaryCode, answer_length, make_nary, query_vector, random_key
+from .nary import NaryCode, make_nary, query_vector
 
 KIND_SETUP = 0x01
 KIND_QUERY = 0x02
@@ -109,7 +109,8 @@ def write_frame(wfile, frame: Frame) -> None:
     wfile.write(encode_frame(frame))
 
 
-def encode_setup_payload(code: NaryCode, msgs: MessageSet) -> bytes:
+def check_wire_limits(code: NaryCode) -> None:
+    """Raise ValueError if the code's shape does not fit the one-byte fields."""
     p = code.params
     if p.msg_modulus > WIRE_MAX_MODULUS:
         raise ValueError(f"modulus {p.msg_modulus} exceeds wire limit {WIRE_MAX_MODULUS}")
@@ -117,6 +118,11 @@ def encode_setup_payload(code: NaryCode, msgs: MessageSet) -> bytes:
         raise ValueError(f"{p.n_servers} servers exceed wire limit {WIRE_MAX_SERVERS}")
     if p.n_messages > WIRE_MAX_MESSAGES:
         raise ValueError(f"{p.n_messages} messages exceed wire limit {WIRE_MAX_MESSAGES}")
+
+
+def encode_setup_payload(code: NaryCode, msgs: MessageSet) -> bytes:
+    check_wire_limits(code)
+    p = code.params
     if len(msgs) != p.n_messages or msgs.msg_len != p.msg_len or msgs.modulus != p.msg_modulus:
         raise ValueError("message set shape disagrees with code params")
     body = bytes(v for row in msgs.values for v in row)
@@ -178,20 +184,16 @@ def decode_error_payload(payload: bytes) -> tuple[int, str]:
 # server
 
 
-AWAITING_SETUP = "awaiting-setup"
-SERVING = "serving"
-
-
 @dataclass(frozen=True)
 class ServerState:
     """Everything a server knows; `handle_frame` is pure over this.
 
-    `rows[k]` is message k padded with the zero dummy, so `rows[k][d]` is the
-    symbol digit d selects.
+    The server is set up exactly when `code` is not None.  `rows[k]` is
+    message k padded with the zero dummy, so `rows[k][d]` is the symbol
+    digit d selects.
     """
 
     server_index: int
-    phase: str = AWAITING_SETUP
     code: Optional[NaryCode] = None
     rows: tuple[bytes, ...] = ()
 
@@ -199,7 +201,7 @@ class ServerState:
 def handle_frame(state: ServerState, frame: Frame) -> tuple[ServerState, Frame]:
     """One protocol step: next state plus the reply frame."""
     if frame.kind == KIND_SETUP:
-        if state.phase == SERVING:
+        if state.code is not None:
             return state, error_frame(ERR_PROTOCOL, "already set up")
         try:
             code, rows = decode_setup_payload(frame.payload)
@@ -211,13 +213,12 @@ def handle_frame(state: ServerState, frame: Frame) -> tuple[ServerState, Frame]:
                 f"server index {state.server_index} outside 0..{code.n_servers - 1}",
             )
         padded = tuple(b"\x00" + row for row in rows)
-        new = replace(state, phase=SERVING, code=code, rows=padded)
+        new = replace(state, code=code, rows=padded)
         return new, Frame(KIND_ANSWER, b"\x00")
     if frame.kind == KIND_QUERY:
-        if state.phase != SERVING:
-            return state, error_frame(ERR_PROTOCOL, "QUERY before SETUP")
         code = state.code
-        assert code is not None
+        if code is None:
+            return state, error_frame(ERR_PROTOCOL, "QUERY before SETUP")
         digits = frame.payload
         if len(digits) != code.n_messages:
             return state, error_frame(
@@ -380,57 +381,40 @@ def setup_endpoint(
         raise RetrievalError(f"unexpected SETUP reply kind {reply.kind:#x}")
 
 
-def _check_answer(code: NaryCode, n: int, query, reply: Frame) -> tuple[int, ...]:
-    """Server n's reply to `query` as an answer of the length the query demands."""
+def _check_answer(code: NaryCode, n: int, reply: Frame) -> tuple[int, ...]:
+    """Server n's reply as a well-formed answer; `reconstruct` checks its length."""
     if reply.kind == KIND_ERROR:
         err, text = decode_error_payload(reply.payload)
         raise RetrievalError(f"server {n} replied error ({err}): {text}")
     if reply.kind != KIND_ANSWER:
         raise RetrievalError(f"server {n} sent frame kind {reply.kind:#x}")
     try:
-        ans = decode_answer_payload(reply.payload, code.modulus)
+        return decode_answer_payload(reply.payload, code.modulus)
     except ValueError as exc:
         raise RetrievalError(f"server {n} sent a malformed answer: {exc}") from exc
-    expected = answer_length(code, n, query)
-    if len(ans) != expected:
-        raise RetrievalError(
-            f"server {n} sent {len(ans)} symbols, query demands {expected}"
-        )
-    return ans
 
 
 def client_retrieve(
-    code: NaryCode,
-    endpoints,
-    k: int,
-    key: Optional[RandomKey] = None,
-    rng=None,
-    timeout: float = 5.0,
+    code: NaryCode, endpoints, k: int, key: RandomKey, timeout: float = 5.0
 ) -> Message:
-    """Query all servers and reconstruct message k.
+    """Query all servers and reconstruct message k under `key`.
 
     Every QUERY is sent before any reply is read, so the servers compute
     their answers in parallel while this thread waits.  `timeout` bounds the
-    whole retrieval.  `key` may be omitted in favor of an `rng` (a
-    `random.Random`) to sample one.  Any connection failure, timeout, ERROR
-    frame, or malformed/mis-sized answer aborts the whole retrieval; there
-    are no partial results.
+    whole retrieval.  Any connection failure, timeout, ERROR frame, or
+    malformed/mis-sized answer aborts it; there are no partial results.
     """
     endpoints = tuple(endpoints)
     if len(endpoints) != code.n_servers:
         raise ValueError(f"need {code.n_servers} endpoints, got {len(endpoints)}")
-    if key is None:
-        if rng is None:
-            raise ValueError("provide a key or an rng to sample one")
-        key = random_key(code, rng)
     queries = [query_vector(code, n, k, key) for n in range(code.n_servers)]
     deadline = time.monotonic() + timeout
     conns: list = []
     try:
         for endpoint, query in zip(endpoints, queries):
-            _send(endpoint, Frame(KIND_QUERY, bytes(query.digits)), deadline, conns)
+            _send(endpoint, Frame(KIND_QUERY, bytes(query)), deadline, conns)
         answers = tuple(
-            _check_answer(code, n, queries[n], _receive(endpoints[n], conns[n], deadline))
+            _check_answer(code, n, _receive(endpoints[n], conns[n], deadline))
             for n in range(code.n_servers)
         )
     finally:
@@ -438,4 +422,7 @@ def client_retrieve(
 
     from .nary import reconstruct
 
-    return Message(reconstruct(code, answers, k, key), code.modulus)
+    try:
+        return Message(reconstruct(code, answers, k, key), code.modulus)
+    except ValueError as exc:  # an answer of the wrong length
+        raise RetrievalError(str(exc)) from exc

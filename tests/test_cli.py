@@ -489,3 +489,37 @@ def test_retrieve_validates_key_length(capsys):
             ]
         )
     assert exc.value.code == 2
+
+
+def _no_connection(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bad input reached the network")
+
+    monkeypatch.setattr(cli.net.socket, "create_connection", refuse)
+
+
+_LIVE_COMMANDS = {
+    "setup": ["setup", "--messages", "2"],
+    "retrieve": ["retrieve", "--messages", "2", "--target", "0", "--key", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LIVE_COMMANDS))
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_endpoint_port_out_of_range_is_usage_error(command, port, monkeypatch, capsys):
+    _no_connection(monkeypatch)
+    endpoints = f"127.0.0.1:{port},127.0.0.1:9"
+    with pytest.raises(SystemExit) as exc:
+        main([*_LIVE_COMMANDS[command], "--endpoints", endpoints])
+    assert exc.value.code == 2
+    assert "outside 0..65535" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_LIVE_COMMANDS))
+def test_shape_beyond_wire_limits_is_usage_error(command, monkeypatch, capsys):
+    _no_connection(monkeypatch)
+    argv = [*_LIVE_COMMANDS[command], "--endpoints", "127.0.0.1:1,127.0.0.1:2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--modulus", "300"])
+    assert exc.value.code == 2
+    assert "modulus 300 exceeds wire limit 256" in capsys.readouterr().err

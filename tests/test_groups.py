@@ -7,7 +7,6 @@ from pirlab.groups import (
     CodeParams,
     Message,
     MessageSet,
-    QueryVector,
     RandomKey,
     digits_label,
 )
@@ -30,9 +29,9 @@ def _add(m, *xs):
     # the all-ones query of a (2, len(xs), m) code sums one symbol of each
     # message; its digit sum names the server it goes to
     code = make_nary(2, len(xs), m)
-    q = QueryVector((1,) * len(xs), 2)
+    q = (1,) * len(xs)
     msgs = MessageSet.from_values(tuple((x,) for x in xs), m)
-    (out,) = answer(code, q.server, q, msgs)
+    (out,) = answer(code, sum(q) % 2, q, msgs)
     return out
 
 
@@ -163,15 +162,6 @@ def test_message_set_shape_checks():
         MessageSet.from_values((), 2)
 
 
-def test_query_vector_server_and_label():
-    q = QueryVector((0, 1, 2), 3)
-    assert q.server == 0
-    assert q.label() == "012"
-    assert QueryVector((2, 2), 3).server == 1
-    with pytest.raises(ValueError):
-        QueryVector((0, 3), 3)
-
-
 def test_random_key_allows_empty():
     # K=1 codes carry no key digits at all
     k = RandomKey((), 2)
@@ -185,8 +175,8 @@ def test_answer_vector_empty_singleton():
     # holds a single group symbol
     code = make_nary(2, 2, 3)
     msgs = _pair_set(1, 2, 3)
-    assert answer(code, 0, QueryVector((0, 0), 2), msgs) == ()
-    assert answer(code, 1, QueryVector((1, 0), 2), msgs) == (1,)
+    assert answer(code, 0, (0, 0), msgs) == ()
+    assert answer(code, 1, (1, 0), msgs) == (1,)
 
 
 @pytest.mark.parametrize(
@@ -218,7 +208,7 @@ def test_symbols_hashable_and_frozen():
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_all_sums_stay_in_range(m):
     # server 0's query 11 in the (2, 2, m) code adds one symbol of each message
-    code, query = make_nary(2, 2, m), QueryVector((1, 1), 2)
+    code, query = make_nary(2, 2, m), (1, 1)
     for a, b in itertools.product(range(m), repeat=2):
         (out,) = answer(code, 0, query, MessageSet.from_values(((a,), (b,)), m))
         assert 0 <= out < m

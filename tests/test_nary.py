@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirlab.groups import CodeParams, MessageSet, QueryVector, RandomKey
+from pirlab.groups import CodeParams, MessageSet, RandomKey, digits_label
 from pirlab.nary import (
     NaryCode,
     answer,
@@ -72,7 +72,7 @@ def test_worked_retrieval_queries():
     # key (0,2), request k=1: one query per server, digit sums 0,1,2
     code = make_nary(3, 3)
     key = RandomKey((0, 2), 3)
-    got = [query_vector(code, n, 1, key).digits for n in range(3)]
+    got = [query_vector(code, n, 1, key) for n in range(3)]
     assert got == [(0, 1, 2), (0, 2, 2), (0, 0, 2)]
 
 
@@ -99,10 +99,10 @@ def test_query_set_shape(n_servers, n_messages):
     for n in range(n_servers):
         qs = query_set(code, n)
         assert len(qs) == n_servers ** (n_messages - 1)
-        assert len(set(q.digits for q in qs)) == len(qs)
-        assert all(q.server == n for q in qs)
+        assert len(set(qs)) == len(qs)
+        assert all(sum(q) % n_servers == n for q in qs)
         # ordering: first K-1 digits run lexicographically
-        heads = [q.digits[:-1] for q in qs]
+        heads = [q[:-1] for q in qs]
         assert heads == sorted(heads)
 
 
@@ -110,36 +110,40 @@ def test_query_sets_partition_all_digit_vectors():
     code = make_nary(3, 2)
     seen = set()
     for n in range(3):
-        seen.update(q.digits for q in query_set(code, n))
+        seen.update(query_set(code, n))
     assert seen == set(itertools.product(range(3), repeat=2))
 
 
 def test_answer_length_null_query_only():
     code = make_nary(3, 3)
-    assert answer_length(code, 0, QueryVector((0, 0, 0), 3)) == 0
-    assert answer_length(code, 0, QueryVector((1, 2, 0), 3)) == 1
-    assert answer_length(code, 2, QueryVector((0, 0, 2), 3)) == 1
+    assert answer_length(code, 0, (0, 0, 0)) == 0
+    assert answer_length(code, 0, (1, 2, 0)) == 1
+    assert answer_length(code, 2, (0, 0, 2)) == 1
 
 
 def test_answer_length_rejects_foreign_query():
     code = make_nary(3, 3)
-    with pytest.raises(ValueError):
-        answer_length(code, 1, QueryVector((0, 0, 0), 3))
-    with pytest.raises(ValueError):
-        answer_length(code, 0, QueryVector((0, 0), 3))
+    with pytest.raises(ValueError, match="belongs to server 0, not 1"):
+        answer_length(code, 1, (0, 0, 0))
+    with pytest.raises(ValueError, match="shape"):
+        answer_length(code, 0, (0, 0))
+    # digit sums 0 mod 3, so only the digit range rejects them
+    for digits in [(0, 3, 0), (1, -1, 0)]:
+        with pytest.raises(ValueError, match="digits must lie in 0..2"):
+            answer_length(code, 0, digits)
 
 
 def test_answer_null_query_is_empty():
     code = make_nary(2, 2)
     msgs = _msgs(code, lambda k, j: 1)
-    assert answer(code, 0, QueryVector((0, 0), 2), msgs) == ()
+    assert answer(code, 0, (0, 0), msgs) == ()
 
 
 def test_answer_sums_selected_symbols_mod_m():
     code = make_nary(3, 2, modulus=5)
     msgs = MessageSet.from_values(((3, 4), (2, 1)), 5)
     # digits (2,1): symbol 2 of a plus symbol 1 of b = 4 + 2 = 6 = 1 mod 5
-    got = answer(code, 0, QueryVector((2, 1), 3), msgs)
+    got = answer(code, 0, (2, 1), msgs)
     assert got == (1,)
 
 
@@ -243,9 +247,9 @@ def test_message_letter():
 
 def test_symbolic_answer():
     code = make_nary(3, 3)
-    assert symbolic_answer(code, QueryVector((0, 1, 2), 3)) == "a0+b1+c2"
-    assert symbolic_answer(code, QueryVector((0, 1, 2), 3), include_dummies=False) == "b1+c2"
-    assert symbolic_answer(code, QueryVector((0, 0, 0), 3)) == "0"
+    assert symbolic_answer(code, (0, 1, 2)) == "a0+b1+c2"
+    assert symbolic_answer(code, (0, 1, 2), include_dummies=False) == "b1+c2"
+    assert symbolic_answer(code, (0, 0, 0)) == "0"
 
 
 def test_answer_table_22():
@@ -281,9 +285,9 @@ def test_export_query_map_follows_construction():
                 for f, key in enumerate(key_space(code)):
                     for n in range(n_servers):
                         qi = exported.query_map[(k, f)][n]
-                        assert exported.query_label(n, qi) == query_vector(
-                            code, n, k, key
-                        ).label()
+                        assert exported.query_label(n, qi) == digits_label(
+                            query_vector(code, n, k, key)
+                        )
 
 
 def test_export_reconstruct_round_trip():

@@ -17,10 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from pirlab import net
 
-from pirlab.groups import MessageSet, QueryVector, RandomKey
+from pirlab.groups import MessageSet, RandomKey
 from pirlab.nary import answer, make_nary, query_vector, retrieve
 from pirlab.net import (
-    AWAITING_SETUP,
     ERR_BAD_QUERY,
     ERR_BAD_SETUP,
     ERR_PROTOCOL,
@@ -29,7 +28,6 @@ from pirlab.net import (
     KIND_QUERY,
     KIND_SETUP,
     MAX_PAYLOAD,
-    SERVING,
     Frame,
     FrameError,
     PirServer,
@@ -185,13 +183,13 @@ MSGS22 = MessageSet.from_values(((1,), (0,)), 2)
 
 def test_handle_frame_setup_then_query():
     state = ServerState(1)
-    assert state.phase == AWAITING_SETUP
+    assert state.code is None
     state, reply = handle_frame(state, _setup_frame(CODE22, MSGS22))
-    assert state.phase == SERVING
+    assert state.code == CODE22
     assert (reply.kind, reply.payload) == (KIND_ANSWER, b"\x00")
 
     q = query_vector(CODE22, 1, 0, RandomKey((0,), 2))
-    state, reply = handle_frame(state, Frame(KIND_QUERY, bytes(q.digits)))
+    state, reply = handle_frame(state, Frame(KIND_QUERY, bytes(q)))
     assert reply.kind == KIND_ANSWER
     expected = answer(CODE22, 1, q, MSGS22)
     assert decode_answer_payload(reply.payload, 2) == expected
@@ -203,15 +201,15 @@ def test_handle_frame_is_pure():
     first = handle_frame(state, frame)
     second = handle_frame(state, frame)
     assert first == second
-    assert state.phase == AWAITING_SETUP  # input state untouched
+    assert state.code is None  # input state untouched
 
 
 def test_handle_frame_replay_determinism():
     q0 = query_vector(CODE22, 0, 1, RandomKey((1,), 2))
     script = [
         _setup_frame(CODE22, MSGS22),
-        Frame(KIND_QUERY, bytes(q0.digits)),
-        Frame(KIND_QUERY, bytes(q0.digits)),
+        Frame(KIND_QUERY, bytes(q0)),
+        Frame(KIND_QUERY, bytes(q0)),
     ]
 
     def run():
@@ -280,7 +278,7 @@ def _reference_reply(code, msgs, server, digits):
             ERR_BAD_QUERY,
             f"digit sum addresses server {sum(digits) % N}, this is server {server}",
         )
-    ans = answer(code, server, QueryVector(tuple(digits), N), msgs)
+    ans = answer(code, server, tuple(digits), msgs)
     return Frame(KIND_ANSWER, encode_answer_payload(ans))
 
 
@@ -355,16 +353,6 @@ def test_live_setup_and_retrieve(trio):
             assert got == retrieve(code, msgs, k, key)
 
 
-def test_live_retrieve_with_rng(trio):
-    code, servers = trio
-    msgs = MessageSet.from_values(((1, 1), (0, 1)), 2)
-    endpoints = [s.address for s in servers]
-    for ep in endpoints:
-        setup_endpoint(ep, code, msgs)
-    got = client_retrieve(code, endpoints, 1, rng=random.Random(5))
-    assert got.values == (0, 1)
-
-
 def test_live_second_setup_is_rejected(trio):
     code, servers = trio
     msgs = MessageSet.from_values(((0, 0), (0, 0)), 2)
@@ -392,8 +380,8 @@ def test_client_retrieve_validates_inputs(trio):
     endpoints = [s.address for s in servers]
     with pytest.raises(ValueError, match="endpoints"):
         client_retrieve(code, endpoints[:2], 0, key=RandomKey((0,), 3))
-    with pytest.raises(ValueError, match="key or an rng"):
-        client_retrieve(code, endpoints, 0)
+    with pytest.raises(ValueError, match="key shape"):
+        client_retrieve(code, endpoints, 0, key=RandomKey((0, 0), 3))
 
 
 def _dead_endpoint():
@@ -432,6 +420,59 @@ def test_failed_retrieval_leaves_no_socket_open(monkeypatch):
             gc.collect()  # an unclosed socket warns when it is collected
     finally:
         listener.close()
+    assert [u.exc_value for u in unraisable] == []
+
+
+@pytest.mark.parametrize(
+    "key_digit,payloads",
+    [
+        (1, [b"\x01\x00", b"\x00"]),  # server 1 owes one symbol and sends none
+        (1, [b"\x01\x00", b"\x02\x00\x01"]),  # server 1 sends two symbols
+        (0, [b"\x01\x01", b"\x01\x00"]),  # server 0's all-zero query owes none
+    ],
+    ids=["empty", "two-symbols", "symbol-for-all-zero"],
+)
+def test_wrong_answer_length_fails_the_retrieval(key_digit, payloads, monkeypatch):
+    # each endpoint takes the QUERY and replies with a well-formed ANSWER
+    # carrying the given payload
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in payloads]
+
+    def reply(listener, payload):
+        listener.settimeout(5.0)
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(64)
+            try:
+                conn.sendall(encode_frame(Frame(KIND_ANSWER, payload)))
+                conn.recv(64)  # hold the connection until the client closes it
+            except ConnectionError:  # the client may give up before this reply
+                pass
+
+    threads = [
+        threading.Thread(target=reply, args=pair, daemon=True)
+        for pair in zip(listeners, payloads)
+    ]
+    for thread in threads:
+        thread.start()
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(RetrievalError, match="query demands"):
+                client_retrieve(
+                    make_nary(2, 2),
+                    [listener.getsockname() for listener in listeners],
+                    0,
+                    key=RandomKey((key_digit,), 2),
+                )
+            gc.collect()  # an unclosed socket warns when it is collected
+    finally:
+        for thread in threads:
+            thread.join(timeout=5.0)
+        for listener in listeners:
+            listener.close()
+    assert not any(thread.is_alive() for thread in threads)
     assert [u.exc_value for u in unraisable] == []
 
 
