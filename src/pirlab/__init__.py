@@ -28,7 +28,6 @@ from .analysis import (
 )
 from .groups import CodeParams, Message, MessageSet, RandomKey
 from .model import (
-    ComponentTable,
     DecomposableCode,
     builtin_sunjafar22,
     builtin_table1,
@@ -36,7 +35,6 @@ from .model import (
 )
 from .nary import NaryCode, export_decomposable, make_nary, retrieve
 from .symmetry import (
-    SpaceShareCode,
     message_permute,
     message_symmetrize,
     server_permute,
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CodeParams",
-    "ComponentTable",
     "DecomposableCode",
     "DEFAULT_CAP",
     "EnumerationCapExceeded",
@@ -58,7 +55,6 @@ __all__ = [
     "MessageSet",
     "NaryCode",
     "RandomKey",
-    "SpaceShareCode",
     "VerificationReport",
     "Witness",
     "builtin_sunjafar22",

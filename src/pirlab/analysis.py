@@ -172,7 +172,7 @@ def expected_answer_lengths(code: DecomposableCode, k: int = 0) -> tuple[Fractio
         pmf = code.query_pmf(n, k)
         out.append(
             sum(
-                (p * code.answer_length(n, qi) for qi, p in enumerate(pmf.probs)),
+                (p * code.answer_length(n, qi) for qi, p in enumerate(pmf)),
                 Fraction(0),
             )
         )
@@ -281,7 +281,7 @@ def _masked_answers(rows, mask: int, ranks, modulus: int) -> list[tuple[int, ...
     symbols = []
     for row in rows:
         parts = [
-            list(map(table.values.__getitem__, ranks[j]))
+            list(map(table.__getitem__, ranks[j]))
             for j, table in enumerate(row)
             if mask >> j & 1
         ]
@@ -409,7 +409,7 @@ def verify_privacy(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Verificati
         for k in range(1, p.n_messages):
             other = code.query_pmf(n, k)
             checked += 1
-            for qi, (pa, pb) in enumerate(zip(reference.probs, other.probs)):
+            for qi, (pa, pb) in enumerate(zip(reference, other)):
                 if pa != pb:
                     return VerificationReport(
                         False,

@@ -344,11 +344,8 @@ def cmd_serve(args, parser) -> int:
 def _wire_code(args, parser) -> tuple[list[tuple[str, int]], nary.NaryCode]:
     """Endpoints and code of `setup` and `retrieve`, checked before any connection."""
     endpoints = _parse_endpoints(args.endpoints, parser)
-    n = args.servers if args.servers else len(endpoints)
-    if n != len(endpoints):
-        parser.error(f"--servers {n} disagrees with {len(endpoints)} endpoints")
     try:
-        code = nary.make_nary(n, args.messages, args.modulus)
+        code = nary.make_nary(len(endpoints), args.messages, args.modulus)
         net.check_wire_limits(code)
     except ValueError as exc:
         parser.error(str(exc))
@@ -458,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("setup", help="install a replicated database on running servers")
     p.add_argument("--endpoints", required=True, help="comma-separated host:port list, server order")
-    p.add_argument("--servers", type=int, default=None, help="number of servers (default: endpoint count)")
     p.add_argument("--messages", type=int, required=True)
     p.add_argument("--modulus", type=int, default=2)
     p.add_argument("--seed", type=int, default=0, help="seed for random message symbols")
@@ -467,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="privately retrieve one message from running servers")
     p.add_argument("--endpoints", required=True, help="comma-separated host:port list, server order")
-    p.add_argument("--servers", type=int, default=None, help="number of servers (default: endpoint count)")
     p.add_argument("--messages", type=int, required=True)
     p.add_argument("--modulus", type=int, default=2)
     p.add_argument("--target", type=int, required=True, help="message index to retrieve")

@@ -26,7 +26,7 @@ line ended by ``\n``).
 
 Transformed codes repeat a few tables many times.  `emit` renders each
 table object once and `parse` reads each distinct value text once; equal
-tables of a parsed code are one shared `ComponentTable`.
+tables of a parsed code are one shared ``tuple[int, ...]`` of values.
 
 ``parse(emit(code)) == code`` holds structurally (params, varieties, keys,
 query map) for every code this package produces.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 
 from .groups import CodeParams
-from .model import AnswerFunction, ComponentTable, DecomposableCode
+from .model import AnswerFunction, DecomposableCode, _check_table
 
 MAGIC = ("pir-code", "v1")
 _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
@@ -60,7 +60,7 @@ def emit(code: DecomposableCode) -> str:
                 for k, table in enumerate(row):
                     vals = rendered.get(id(table))
                     if vals is None:
-                        vals = rendered[id(table)] = " ".join(map(str, table.values))
+                        vals = rendered[id(table)] = " ".join(map(str, table))
                     lines.append(f"table {i} {k} {vals}")
     lines.append(f"keys {len(code.keys)}")
     for f, label in enumerate(code.keys):
@@ -124,8 +124,8 @@ def parse(text: str) -> DecomposableCode:
     table_size = m**msg_len
     # transformed codes repeat a few tables many times: each distinct value
     # text is read once, and tables with equal values share one object
-    tables: dict[tuple[int, ...], ComponentTable] = {}
-    by_text: dict[str, ComponentTable] = {}
+    tables: dict[tuple[int, ...], tuple[int, ...]] = {}
+    by_text: dict[str, tuple[int, ...]] = {}
 
     varieties = []
     for n in range(n_servers):
@@ -165,10 +165,10 @@ def parse(text: str) -> DecomposableCode:
                         values = tuple(_int(t, "table value") for t in trow[3:])
                         if values not in tables:
                             try:
-                                tables[values] = ComponentTable(values, m, msg_len, y)
+                                _check_table(values, params)
                             except ValueError as exc:
                                 raise CodeFormatError(str(exc)) from None
-                        table = by_text[value_text] = tables[values]
+                        table = by_text[value_text] = tables.setdefault(values, values)
                     cols.append(table)
                 rows.append(tuple(cols))
             try:

@@ -5,12 +5,15 @@ where each symbol is the group sum over messages of a per-message table
 lookup.  Storing the per-message tables explicitly makes correctness,
 privacy, and the structural properties checked in `analysis` decidable by
 plain enumeration: there is no algebra to trust, only finite tables.
+The shape (N, K, L, m, y) is held once, in the code's `CodeParams`.
 
 Layout of one code:
 
 * per server ``n``: an ordered list of answer functions ("varieties"); the
   position of a variety in that list is its opaque query identifier,
-* per variety: its length ``l`` and an ``l x K`` grid of component tables,
+* per variety: its length ``l`` and an ``l x K`` grid of component tables;
+  a table is a plain ``tuple[int, ...]`` whose entry ``input_rank(w, m)`` is
+  the answer symbol message value ``w`` contributes,
 * an ordered key space of opaque key labels,
 * a query map ``(k, key index) -> one query index per server``,
 * optionally a reconstruction callable ``(k, key index, answers) -> values``,
@@ -42,93 +45,47 @@ def input_rank(values, modulus: int) -> int:
     return rank
 
 
-def input_unrank(rank: int, modulus: int, length: int) -> tuple[int, ...]:
-    """Inverse of `input_rank`."""
-    out = []
-    for _ in range(length):
-        rank, d = divmod(rank, modulus)
-        out.append(d)
-    return tuple(reversed(out))
+def coordinate_table(m: int, L: int, j: int) -> tuple[int, ...]:
+    """The table that projects a length-L message over Z_m onto its symbol j."""
+    # symbol j is digit j of the rank: each value runs m^(L-1-j) times in a row
+    return tuple(v for v in range(m) for _ in range(m ** (L - 1 - j))) * m**j
 
 
-@dataclass(frozen=True)
-class ComponentTable:
-    """One message's contribution to one answer symbol, as a dense table.
-
-    `values[input_rank(w, msg_modulus)]` is the symbol contributed when the
-    message realization is `w`; entries lie in Z_ans_modulus.
-    """
-
-    values: tuple[int, ...]
-    msg_modulus: int
-    msg_len: int
-    ans_modulus: int
-
-    def __post_init__(self) -> None:
-        expected = self.msg_modulus**self.msg_len
-        if len(self.values) != expected:
-            raise ValueError(
-                f"table needs {expected} entries, got {len(self.values)}"
-            )
-        if any(not 0 <= v < self.ans_modulus for v in self.values):
-            raise ValueError(f"table entries must lie in 0..{self.ans_modulus - 1}")
-
-    def classify(self) -> str:
-        """CONSTANT, BALANCED (every output hit equally often), or NEITHER."""
-        first = self.values[0]
-        if all(v == first for v in self.values):
-            return CONSTANT
-        total = len(self.values)
-        if total % self.ans_modulus:
-            return NEITHER
-        share = total // self.ans_modulus
-        counts = Counter(self.values)
-        if len(counts) == self.ans_modulus and all(
-            c == share for c in counts.values()
-        ):
-            return BALANCED
+def classify(table: tuple[int, ...], modulus: int) -> str:
+    """CONSTANT, BALANCED (every output of Z_modulus hit equally often), or NEITHER."""
+    first = table[0]
+    if all(v == first for v in table):
+        return CONSTANT
+    total = len(table)
+    if total % modulus:
         return NEITHER
+    share = total // modulus
+    counts = Counter(table)
+    if len(counts) == modulus and all(c == share for c in counts.values()):
+        return BALANCED
+    return NEITHER
 
-    @classmethod
-    def constant(
-        cls, msg_modulus: int, msg_len: int, ans_modulus: int, value: int = 0
-    ) -> "ComponentTable":
-        return cls(
-            (value,) * (msg_modulus**msg_len), msg_modulus, msg_len, ans_modulus
-        )
 
-    @classmethod
-    def from_function(
-        cls, msg_modulus: int, msg_len: int, ans_modulus: int, fn
-    ) -> "ComponentTable":
-        size = msg_modulus**msg_len
-        values = tuple(
-            fn(input_unrank(r, msg_modulus, msg_len)) for r in range(size)
-        )
-        return cls(values, msg_modulus, msg_len, ans_modulus)
-
-    @classmethod
-    def coordinate(
-        cls, msg_modulus: int, msg_len: int, ans_modulus: int, index: int
-    ) -> "ComponentTable":
-        """Projection onto one message symbol; needs the alphabets to embed."""
-        if msg_modulus > ans_modulus:
-            raise ValueError("coordinate table does not fit in the answer alphabet")
-        return cls.from_function(
-            msg_modulus, msg_len, ans_modulus, lambda w: w[index]
-        )
+def _check_table(table: tuple[int, ...], p: CodeParams) -> None:
+    expected = p.msg_modulus**p.msg_len
+    if len(table) != expected:
+        raise ValueError(f"table needs {expected} entries, got {len(table)}")
+    if min(table) < 0 or max(table) >= p.ans_modulus:
+        raise ValueError(f"table entries must lie in 0..{p.ans_modulus - 1}")
 
 
 @dataclass(frozen=True)
 class AnswerFunction:
     """One variety: the full answer a server gives for one query.
 
-    `tables[i][k]` is message k's component of answer symbol i; the answer
-    length is query-determined by construction (``len(tables)``).
+    `tables[i][k]` is message k's component table of answer symbol i: entry
+    ``input_rank(w, m)`` is what message value ``w`` adds to that symbol, in
+    0..y-1.  The answer length is query-determined by construction
+    (``len(tables)``).
     """
 
     label: str
-    tables: tuple[tuple[ComponentTable, ...], ...]
+    tables: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self) -> None:
         if not self.label or any(ch.isspace() for ch in self.label):
@@ -137,21 +94,6 @@ class AnswerFunction:
     @property
     def length(self) -> int:
         return len(self.tables)
-
-
-@dataclass(frozen=True)
-class QueryPmf:
-    """Exact distribution over one server's query identifiers."""
-
-    probs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not all(isinstance(p, Fraction) for p in self.probs):
-            raise TypeError("query probabilities must be exact rationals")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("query probabilities must be nonnegative")
-        if sum(self.probs, Fraction(0)) != 1:
-            raise ValueError("query probabilities must sum to exactly 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +112,7 @@ class DecomposableCode:
         p = self.params
         if len(self.varieties) != p.n_servers:
             raise ValueError("need one variety list per server")
+        checked: set[int] = set()
         for per_server in self.varieties:
             if not per_server:
                 raise ValueError("every server needs at least one variety")
@@ -181,12 +124,9 @@ class DecomposableCode:
                     if len(row) != p.n_messages:
                         raise ValueError("each answer row needs one table per message")
                     for table in row:
-                        if (
-                            table.msg_modulus != p.msg_modulus
-                            or table.msg_len != p.msg_len
-                            or table.ans_modulus != p.ans_modulus
-                        ):
-                            raise ValueError("component table shape disagrees with params")
+                        if id(table) not in checked:  # transforms share tables
+                            checked.add(id(table))
+                            _check_table(table, p)
         if not self.keys:
             raise ValueError("key space must be non-empty")
         if len(set(self.keys)) != len(self.keys):
@@ -242,17 +182,16 @@ class DecomposableCode:
         for row in rows:
             acc = 0
             for k in range(p.n_messages):
-                acc += row[k].values[input_rank(values[k], p.msg_modulus)]
+                acc += row[k][input_rank(values[k], p.msg_modulus)]
             out.append(acc % p.ans_modulus)
         return tuple(out)
 
-    def query_pmf(self, n: int, k: int) -> QueryPmf:
+    def query_pmf(self, n: int, k: int) -> tuple[Fraction, ...]:
         """Distribution of the query sent to server n when requesting message k."""
         counts = [0] * self.query_count(n)
         for f in range(len(self.keys)):
             counts[self.query_map[(k, f)][n]] += 1
-        total = len(self.keys)
-        return QueryPmf(tuple(Fraction(c, total) for c in counts))
+        return tuple(Fraction(c, len(self.keys)) for c in counts)
 
 
 @dataclass(frozen=True)
@@ -276,7 +215,7 @@ def is_uniformly_decomposable(code: DecomposableCode) -> DecompositionReport:
         for qi, variety in enumerate(per_server):
             for i, row in enumerate(variety.tables):
                 for k, table in enumerate(row):
-                    cls = table.classify()
+                    cls = classify(table, code.params.ans_modulus)
                     if cls == CONSTANT:
                         constant += 1
                     elif cls == BALANCED:
@@ -295,8 +234,8 @@ def builtin_table1() -> DecomposableCode:
     the same query distribution whichever message is wanted.
     """
     params = CodeParams(2, 2, 1, 2, 2)
-    ident = ComponentTable.coordinate(2, 1, 2, 0)
-    zero_t = ComponentTable.constant(2, 1, 2)
+    ident = coordinate_table(2, 1, 0)
+    zero_t = (0,) * 2
     server0 = (
         AnswerFunction("0", ()),
         AnswerFunction("a+b", ((ident, ident),)),
@@ -332,8 +271,8 @@ def builtin_sunjafar22() -> DecomposableCode:
     for a 4-bit message, so the rate is 2/3.
     """
     params = CodeParams(2, 2, 4, 2, 2)
-    zero_t = ComponentTable.constant(2, 4, 2)
-    coord = [ComponentTable.coordinate(2, 4, 2, i) for i in range(4)]
+    zero_t = (0,) * 2**4
+    coord = [coordinate_table(2, 4, i) for i in range(4)]
 
     triples = [
         (x, u, v)

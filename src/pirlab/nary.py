@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from string import ascii_lowercase
 
 from .groups import CodeParams, Message, MessageSet, RandomKey, digits_label
-from .model import AnswerFunction, ComponentTable, DecomposableCode
+from .model import AnswerFunction, DecomposableCode, coordinate_table
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,8 @@ def export_decomposable(code: NaryCode) -> DecomposableCode:
     """Re-express the construction as explicit component tables."""
     p = code.params
     m, L, K, N = p.msg_modulus, p.msg_len, p.n_messages, p.n_servers
-    zero_t = ComponentTable.constant(m, L, m)
-    coord = [ComponentTable.coordinate(m, L, m, j) for j in range(L)]
+    zero_t = (0,) * m**L
+    coord = [coordinate_table(m, L, j) for j in range(L)]
 
     varieties = []
     index_of: list[dict[tuple[int, ...], int]] = []

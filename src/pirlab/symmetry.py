@@ -13,23 +13,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analysis import DEFAULT_CAP, _require_within_cap
 from .groups import CodeParams
-from .model import AnswerFunction, ComponentTable, DecomposableCode, digits_label
-
-
-@dataclass(frozen=True, eq=False)
-class SpaceShareCode(DecomposableCode):
-    """A product code: each block handles its own slice of a longer message.
-
-    ``blocks`` records the constituent codes with a short descriptor of how
-    each was derived; equality stays structural, like the base class.
-    """
-
-    blocks: tuple[tuple[DecomposableCode, str], ...] = ()
+from .model import AnswerFunction, DecomposableCode, digits_label
 
 
 def _check_permutation(perm, size: int) -> tuple[int, ...]:
@@ -100,20 +88,14 @@ def message_permute(code: DecomposableCode, perm) -> DecomposableCode:
     return DecomposableCode(code.params, varieties, code.keys, query_map, reconstruct)
 
 
-def _lift_table(
-    table: ComponentTable, prefix_len: int, total_len: int
-) -> ComponentTable:
-    """View a block's table as a table over the combined message slice."""
-    m = table.msg_modulus
-    block_size = m**table.msg_len
-    step = m ** (total_len - prefix_len - table.msg_len)
-    values = tuple(
-        table.values[(r // step) % block_size] for r in range(m**total_len)
-    )
-    return ComponentTable(values, m, total_len, table.ans_modulus)
+def _lift_table(table, m: int, prefix_len: int, total_len: int) -> tuple[int, ...]:
+    """View a block's table over the combined slice: each entry repeats once per
+    value of the later symbols, and the whole run once per value of the earlier."""
+    rest = m ** (total_len - prefix_len) // len(table)
+    return tuple(v for v in table for _ in range(rest)) * m**prefix_len
 
 
-def _assemble(blocks, labels, keys, query_combos, cap: int) -> SpaceShareCode:
+def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
     """Run `blocks` side by side over disjoint slices of one longer message.
 
     `keys` yields one (per-block key indices, label) pair per combined key;
@@ -142,8 +124,8 @@ def _assemble(blocks, labels, keys, query_combos, cap: int) -> SpaceShareCode:
         index_of.append(lookup)
 
     @functools.cache
-    def lift(table: ComponentTable, block_index: int) -> ComponentTable:
-        return _lift_table(table, prefixes[block_index], total_len)
+    def lift(table, block_index: int) -> tuple[int, ...]:
+        return _lift_table(table, m, prefixes[block_index], total_len)
 
     varieties = []
     for n, lookup in enumerate(index_of):
@@ -184,19 +166,12 @@ def _assemble(blocks, labels, keys, query_combos, cap: int) -> SpaceShareCode:
                 values.extend(b.reconstruct(k, fc[i], block_answers))
             return tuple(values)
 
-    return SpaceShareCode(
-        CodeParams(N, K, total_len, m, y),
-        tuple(varieties),
-        key_labels,
-        query_map,
-        reconstruct,
-        tuple(zip(blocks, labels)),
+    return DecomposableCode(
+        CodeParams(N, K, total_len, m, y), tuple(varieties), key_labels, query_map, reconstruct
     )
 
 
-def space_share(
-    blocks, labels=None, cap: int = DEFAULT_CAP
-) -> SpaceShareCode:
+def space_share(blocks, cap: int = DEFAULT_CAP) -> DecomposableCode:
     """Run several codes side by side over disjoint slices of one message.
 
     All blocks must agree on servers, message count, and both alphabets.
@@ -206,11 +181,6 @@ def space_share(
     blocks = tuple(blocks)
     if not blocks:
         raise ValueError("space sharing needs at least one block")
-    if labels is None:
-        labels = tuple(f"block{i}" for i in range(len(blocks)))
-    labels = tuple(labels)
-    if len(labels) != len(blocks):
-        raise ValueError("need exactly one label per block")
     first = blocks[0].params
     for b in blocks[1:]:
         p = b.params
@@ -231,30 +201,26 @@ def space_share(
         itertools.product(*(range(b.query_count(n)) for b in blocks))
         for n in range(first.n_servers)
     )
-    return _assemble(blocks, labels, keys, query_combos, cap)
+    return _assemble(blocks, keys, query_combos, cap)
 
 
-def server_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> SpaceShareCode:
+def server_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> DecomposableCode:
     """Space-share the N cyclic server rotations of a code.
 
     Every server ends up with the same query count (the product of all the
     original counts) and the same expected answer length.
     """
     N = code.params.n_servers
-    shifts = [tuple((n + i) % N for n in range(N)) for i in range(N)]
-    blocks = [server_permute(code, shift) for shift in shifts]
-    labels = [f"shift{i}" for i in range(N)]
-    return space_share(blocks, labels, cap)
+    blocks = [server_permute(code, [(n + i) % N for n in range(N)]) for i in range(N)]
+    return space_share(blocks, cap)
 
 
-def message_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> SpaceShareCode:
+def message_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> DecomposableCode:
     """Space-share all K! message relabelings of a code."""
     K = code.params.n_messages
     _require_within_cap(math.factorial(K), cap)
-    perms = list(itertools.permutations(range(K)))
-    blocks = [message_permute(code, perm) for perm in perms]
-    labels = [f"perm{digits_label(perm)}" for perm in perms]
-    return space_share(blocks, labels, cap)
+    blocks = [message_permute(code, perm) for perm in itertools.permutations(range(K))]
+    return space_share(blocks, cap)
 
 
 def _distinct_orderings(items: tuple[int, ...]):
@@ -267,7 +233,7 @@ def _distinct_orderings(items: tuple[int, ...]):
                 yield (first,) + rest
 
 
-def variety_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> SpaceShareCode:
+def variety_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> DecomposableCode:
     """Equalize per-key answer lengths by running one block per base key.
 
     The new key orders the base keys uniformly at random (|F|! keys); block i
@@ -294,5 +260,4 @@ def variety_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> SpaceS
     _require_within_cap(math.factorial(B), cap)
     keys = ((order, digits_label(order)) for order in itertools.permutations(range(B)))
     query_combos = (_distinct_orderings(seq) for seq in base_seq)
-    labels = [f"slice{i}" for i in range(B)]
-    return _assemble((code,) * B, labels, keys, query_combos, cap)
+    return _assemble((code,) * B, keys, query_combos, cap)

@@ -33,7 +33,6 @@ from pirlab.analysis import (
 from pirlab.groups import MessageSet, RandomKey
 from pirlab.model import (
     AnswerFunction,
-    ComponentTable,
     DecomposableCode,
     builtin_sunjafar22,
     builtin_table1,
@@ -279,7 +278,7 @@ def _table_positions(code):
         for qi, variety in enumerate(per_server):
             for row_i, row in enumerate(variety.tables):
                 for k, table in enumerate(row):
-                    for idx in range(len(table.values)):
+                    for idx in range(len(table)):
                         out.append((n, qi, row_i, k, idx))
     return out
 
@@ -308,16 +307,9 @@ def _mutate_one_entry(code, rng):
                     if ki != msg_k:
                         cols.append(table)
                         continue
-                    values = list(table.values)
+                    values = list(table)
                     values[idx] = (values[idx] + delta) % m
-                    cols.append(
-                        ComponentTable(
-                            tuple(values),
-                            table.msg_modulus,
-                            table.msg_len,
-                            table.ans_modulus,
-                        )
-                    )
+                    cols.append(tuple(values))
                 rows.append(tuple(cols))
             new_server.append(AnswerFunction(variety.label, tuple(rows)))
         varieties.append(tuple(new_server))

@@ -41,10 +41,10 @@ from pirlab.codefile import emit, parse
 from pirlab.groups import CodeParams
 from pirlab.model import (
     AnswerFunction,
-    ComponentTable,
     DecomposableCode,
     builtin_sunjafar22,
     builtin_table1,
+    coordinate_table,
 )
 from pirlab.nary import export_decomposable, make_nary
 from pirlab.symmetry import message_symmetrize, server_symmetrize, variety_symmetrize
@@ -176,7 +176,7 @@ def test_rate_nary_22():
 
 
 def test_rate_rejects_alphabet_mismatch():
-    coord = ComponentTable.coordinate(2, 1, 4, 0)
+    coord = coordinate_table(2, 1, 0)
     code = DecomposableCode(
         CodeParams(2, 1, 1, 2, 4),
         ((AnswerFunction("f", ((coord, ),)),), (AnswerFunction("g", ((coord,),)),)),
@@ -233,7 +233,7 @@ def test_cap_refusal_carries_work_estimate():
 
 def _wide_code():
     """K=3 messages of L=9 bits: 2^27 databases, beyond the default cap."""
-    const = ComponentTable.constant(2, 9, 2)
+    const = (0,) * 2**9
     variety = (AnswerFunction("c", ((const, const, const),)),)
     return DecomposableCode(
         CodeParams(2, 3, 9, 2, 2),
@@ -326,11 +326,11 @@ def test_verify_privacy_table1():
 
 
 def _const(v=0):
-    return ComponentTable.constant(2, 1, 2, value=v)
+    return (v, v)
 
 
 def _coord():
-    return ComponentTable.coordinate(2, 1, 2, 0)
+    return coordinate_table(2, 1, 0)
 
 
 def _two_message_code(server0, server1, query_map):

@@ -1,5 +1,7 @@
 """CLI behaviour: deterministic reports, exit codes, live subcommands."""
 
+import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +10,7 @@ import re
 import socket
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -330,86 +333,92 @@ def _free_port() -> int:
         return s.getsockname()[1]
 
 
-def _spawn_server(index: int, *extra, env_port: str | None = None):
+@contextlib.contextmanager
+def _serving(index: int, *extra, env_port: str | None = None):
+    """Run `pirlab serve` and yield its address; on every exit path the server
+    is stopped and its output pipe closed."""
     env = dict(os.environ)
     env.pop("PIRLAB_PORT", None)
     if env_port is not None:
         env["PIRLAB_PORT"] = env_port
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "pirlab", "serve", "--server-index", str(index), *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
         env=env,
-    )
-    line = proc.stdout.readline().strip()
-    match = re.fullmatch(rf"server {index} listening on ([\d.]+):(\d+)", line)
-    assert match, f"unexpected banner: {line!r}"
-    return proc, (match.group(1), int(match.group(2)))
-
-
-def test_serve_setup_retrieve_end_to_end(capsys):
-    procs = []
-    try:
-        endpoints = []
-        for n in range(2):
-            proc, addr = _spawn_server(n)
-            procs.append(proc)
-            endpoints.append(addr)
-        ep_text = ",".join(f"{h}:{p}" for h, p in endpoints)
-
-        code, out, _ = run_cli(
-            capsys,
-            "setup",
-            "--endpoints",
-            ep_text,
-            "--messages",
-            "2",
-            "--data",
-            "1,0",
-        )
-        assert code == 0
-        assert "installed a = 1" in out
-        assert "installed b = 0" in out
-
-        code, out, _ = run_cli(
-            capsys,
-            "retrieve",
-            "--endpoints",
-            ep_text,
-            "--messages",
-            "2",
-            "--target",
-            "0",
-            "--key",
-            "1",
-        )
-        assert code == 0
-        assert "key 1" in out
-        assert "recovered message 0: 1" in out
-    finally:
-        for proc in procs:
+    ) as proc:  # leaving the block closes the pipe and reaps the process
+        try:
+            line = proc.stdout.readline().strip()
+            match = re.fullmatch(rf"server {index} listening on ([\d.]+):(\d+)", line)
+            assert match, f"unexpected banner: {line!r}"
+            yield match.group(1), int(match.group(2))
+        finally:
             proc.terminate()
             proc.wait(timeout=10)
 
 
-def test_serve_honors_port_env_and_flag_precedence():
-    env_port = _free_port()
-    proc, addr = _spawn_server(0, env_port=str(env_port))
-    try:
-        assert addr[1] == env_port
-    finally:
-        proc.terminate()
-        proc.wait(timeout=10)
+def _run_without_leaks(monkeypatch, body) -> None:
+    """Run `body`, then collect its garbage: an unclosed pipe or socket warns."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        body()
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []
 
-    flag_port = _free_port()
-    other_env = _free_port()
-    proc, addr = _spawn_server(0, "--port", str(flag_port), env_port=str(other_env))
-    try:
-        assert addr[1] == flag_port  # explicit flag beats the environment
-    finally:
-        proc.terminate()
-        proc.wait(timeout=10)
+
+def test_serve_setup_retrieve_end_to_end(capsys, monkeypatch):
+    def body():
+        with _serving(0) as first, _serving(1) as second:
+            ep_text = ",".join(f"{h}:{p}" for h, p in (first, second))
+
+            code, out, _ = run_cli(
+                capsys,
+                "setup",
+                "--endpoints",
+                ep_text,
+                "--messages",
+                "2",
+                "--data",
+                "1,0",
+            )
+            assert code == 0
+            assert "installed a = 1" in out
+            assert "installed b = 0" in out
+
+            code, out, _ = run_cli(
+                capsys,
+                "retrieve",
+                "--endpoints",
+                ep_text,
+                "--messages",
+                "2",
+                "--target",
+                "0",
+                "--key",
+                "1",
+            )
+            assert code == 0
+            assert "key 1" in out
+            assert "recovered message 0: 1" in out
+
+    _run_without_leaks(monkeypatch, body)
+
+
+def test_serve_honors_port_env_and_flag_precedence(monkeypatch):
+    def body():
+        env_port = _free_port()
+        with _serving(0, env_port=str(env_port)) as addr:
+            assert addr[1] == env_port
+
+        flag_port = _free_port()
+        other_env = _free_port()
+        with _serving(0, "--port", str(flag_port), env_port=str(other_env)) as addr:
+            assert addr[1] == flag_port  # explicit flag beats the environment
+
+    _run_without_leaks(monkeypatch, body)
 
 
 @pytest.mark.parametrize(
@@ -523,3 +532,15 @@ def test_shape_beyond_wire_limits_is_usage_error(command, monkeypatch, capsys):
         main([*argv, "--modulus", "300"])
     assert exc.value.code == 2
     assert "modulus 300 exceeds wire limit 256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_LIVE_COMMANDS))
+@pytest.mark.parametrize("servers", ["0", "2"])
+def test_servers_flag_is_gone_from_live_commands(command, servers, monkeypatch, capsys):
+    # the server count is the endpoint count; there is no flag to disagree with it
+    _no_connection(monkeypatch)
+    argv = [*_LIVE_COMMANDS[command], "--endpoints", "127.0.0.1:1,127.0.0.1:2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--servers", servers])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --servers" in capsys.readouterr().err

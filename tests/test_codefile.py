@@ -151,6 +151,15 @@ def test_parse_rejects_symbol_out_of_alphabet():
         parse(text)
 
 
+def test_parse_rejects_a_table_value_at_the_answer_modulus_where_it_reads_it():
+    lines = emit(builtin_table1()).splitlines(keepends=True)
+    at = lines.index("table 0 0 0 1\n")
+    lines[at] = "table 0 0 0 2\n"  # y = 2
+    # cut the document after that line: the value fails first, not the end
+    with pytest.raises(CodeFormatError, match=r"^table entries must lie in 0\.\.1$"):
+        parse("".join(lines[: at + 1]))
+
+
 def test_parse_rejects_dangling_query_reference():
     text = emit(builtin_table1()).replace("map 1 1 1 0", "map 1 1 9 0")
     with pytest.raises(CodeFormatError):
@@ -231,7 +240,7 @@ def test_parse_reads_a_repeated_table_text_once_and_shares_the_table():
     assert peak < 64 * 2**20
     assert parsed == code
     tables = {
-        id(table): table.values
+        id(table): table
         for per_server in parsed.varieties
         for variety in per_server
         for row in variety.tables

@@ -13,13 +13,12 @@ from pirlab.model import (
     CONSTANT,
     NEITHER,
     AnswerFunction,
-    ComponentTable,
     DecomposableCode,
-    QueryPmf,
     builtin_sunjafar22,
     builtin_table1,
+    classify,
+    coordinate_table,
     input_rank,
-    input_unrank,
     is_uniformly_decomposable,
 )
 from pirlab.nary import export_decomposable, make_nary
@@ -40,51 +39,60 @@ def test_input_rank_row_major():
     st.integers(min_value=2, max_value=5).flatmap(
         lambda m: st.tuples(
             st.just(m),
-            st.lists(st.integers(min_value=0, max_value=m - 1), min_size=1, max_size=5),
+            st.lists(st.integers(min_value=0, max_value=m - 1), min_size=1, max_size=4),
         )
     )
 )
-def test_rank_unrank_roundtrip(case):
-    m, values = case
-    values = tuple(values)
-    r = input_rank(values, m)
-    assert input_unrank(r, m, len(values)) == values
+def test_coordinate_table_projects_each_symbol(case):
+    m, w = case
+    r = input_rank(w, m)
+    for j in range(len(w)):
+        assert coordinate_table(m, len(w), j)[r] == w[j]
 
 
 # ---------------------------------------------------------------- tables
 
 
 def test_classify_constant():
-    assert ComponentTable.constant(3, 2, 3, value=1).classify() == CONSTANT
-    assert ComponentTable.constant(2, 1, 2).classify() == CONSTANT
+    assert classify((1,) * 9, 3) == CONSTANT
+    assert classify((0, 0), 2) == CONSTANT
 
 
 def test_classify_balanced():
     # a coordinate projection hits every output m^(L-1) times
-    assert ComponentTable.coordinate(2, 3, 2, 0).classify() == BALANCED
-    assert ComponentTable.coordinate(3, 3, 3, 2).classify() == BALANCED
+    assert classify(coordinate_table(2, 3, 0), 2) == BALANCED
+    assert classify(coordinate_table(3, 3, 2), 3) == BALANCED
 
 
 def test_classify_neither_uneven_counts():
-    t = ComponentTable((0, 0, 0, 1), 2, 2, 2)
-    assert t.classify() == NEITHER
+    assert classify((0, 0, 0, 1), 2) == NEITHER
 
 
 def test_classify_neither_when_alphabet_does_not_divide():
     # 2 inputs cannot cover 3 outputs evenly
-    t = ComponentTable((0, 1), 2, 1, 3)
-    assert t.classify() == NEITHER
+    assert classify((0, 1), 3) == NEITHER
 
 
-def test_table_shape_validation():
-    with pytest.raises(ValueError):
-        ComponentTable((0, 1, 0), 2, 2, 2)  # needs m^L = 4 entries
-    with pytest.raises(ValueError):
-        ComponentTable((0, 2), 2, 1, 2)  # output symbol out of range
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ((0,), "table needs 2 entries, got 1"),
+        ((0, 2), r"table entries must lie in 0\.\.1"),
+        ((-1, 0), r"table entries must lie in 0\.\.1"),
+    ],
+    ids=["too-short", "entry-at-y", "negative-entry"],
+)
+def test_code_rejects_bad_table(table, message):
+    varieties = (
+        (AnswerFunction("f", ((table,),)),),
+        (AnswerFunction("g", ((coordinate_table(2, 1, 0),),)),),
+    )
+    with pytest.raises(ValueError, match=message):
+        _tiny_code(varieties=varieties)
 
 
 def test_answer_function_label_rules():
-    t = ComponentTable.constant(2, 1, 2)
+    t = (0, 0)
     AnswerFunction("a+b", ((t, t),))
     with pytest.raises(ValueError):
         AnswerFunction("", ((t, t),))
@@ -92,22 +100,12 @@ def test_answer_function_label_rules():
         AnswerFunction("a b", ((t, t),))
 
 
-def test_query_pmf_must_sum_to_one():
-    QueryPmf((Fraction(1, 2), Fraction(1, 2)))
-    with pytest.raises(ValueError):
-        QueryPmf((Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        QueryPmf((Fraction(3, 2), Fraction(-1, 2)))
-    with pytest.raises(TypeError):
-        QueryPmf((0.5, 0.5))
-
-
 # ---------------------------------------------------------------- code validation
 
 
 def _tiny_code(**overrides):
     params = CodeParams(2, 1, 1, 2, 2)
-    coord = ComponentTable.coordinate(2, 1, 2, 0)
+    coord = coordinate_table(2, 1, 0)
     varieties = (
         (AnswerFunction("f", ((coord,),)),),
         (AnswerFunction("g", ((coord,),)),),
@@ -140,7 +138,7 @@ def test_code_rejects_out_of_range_query_index():
 
 
 def test_code_rejects_duplicate_labels():
-    coord = ComponentTable.coordinate(2, 1, 2, 0)
+    coord = coordinate_table(2, 1, 0)
     dup = (
         (AnswerFunction("f", ((coord,),)), AnswerFunction("f", ((coord,),))),
         (AnswerFunction("g", ((coord,),)),),
@@ -150,7 +148,7 @@ def test_code_rejects_duplicate_labels():
 
 
 def test_code_rejects_table_param_mismatch():
-    bad = ComponentTable.coordinate(3, 1, 3, 0)  # modulus 3 in a mod-2 code
+    bad = coordinate_table(3, 1, 0)  # modulus 3 in a mod-2 code
     varieties = (
         (AnswerFunction("f", ((bad,),)),),
         (AnswerFunction("g", ((bad,),)),),
@@ -208,7 +206,7 @@ def test_table1_query_pmf_uniform_and_request_independent():
     code = builtin_table1()
     half = (Fraction(1, 2), Fraction(1, 2))
     for n in range(2):
-        pmfs = {code.query_pmf(n, k).probs for k in range(2)}
+        pmfs = {code.query_pmf(n, k) for k in range(2)}
         assert pmfs == {half}
 
 

@@ -1,9 +1,12 @@
-"""README's library example runs as written."""
+"""README's library example runs as written, and its CLI usage matches the parser."""
 
+import argparse
 import os
 import re
 import subprocess
 import sys
+
+from pirlab import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -22,3 +25,32 @@ def test_readme_python_example_runs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _subcommand_parsers():
+    (subparsers,) = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return subparsers.choices
+
+
+def test_readme_cli_usage_matches_the_parser():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    (block,) = re.findall(r"^## Command line\n\n```\n(.*?)^```$", text, re.M | re.S)
+    documented = {}
+    for line in block.splitlines():
+        command, rest = re.fullmatch(r"pirlab (\w+)\s+(.*)", line).groups()
+        documented[command] = set(re.findall(r"--[a-z][a-z-]*", rest))
+    actual = {
+        command: {
+            flag
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for command, parser in _subcommand_parsers().items()
+    }
+    assert documented == actual

@@ -19,7 +19,6 @@ from pirlab.groups import MessageSet
 from pirlab.model import DecomposableCode, builtin_sunjafar22, builtin_table1
 from pirlab.nary import export_decomposable, make_nary
 from pirlab.symmetry import (
-    SpaceShareCode,
     message_permute,
     message_symmetrize,
     server_permute,
@@ -136,11 +135,9 @@ def test_space_share_concatenates_blocks():
     a = builtin_table1()
     b = export_decomposable(make_nary(2, 2))
     shared = space_share([a, b])
-    assert isinstance(shared, SpaceShareCode)
     assert shared.params.msg_len == 2
     assert len(shared.keys) == 4
     assert shared.keys[0] == "0|0"
-    assert [lbl for _, lbl in shared.blocks] == ["block0", "block1"]
     _assert_still_a_working_code(shared)
     assert rate(shared) == Fraction(2, 3)
 
@@ -160,8 +157,6 @@ def test_space_share_reconstruction_splits_answers():
 def test_space_share_validates_blocks():
     with pytest.raises(ValueError):
         space_share([])
-    with pytest.raises(ValueError):
-        space_share([builtin_table1()], labels=("a", "b"))
     with pytest.raises(ValueError, match="agree"):
         space_share([builtin_table1(), export_decomposable(make_nary(3, 2))])
 
@@ -180,7 +175,6 @@ def test_server_symmetrize_equalizes_query_counts_and_lengths():
     assert [sym.query_count(n) for n in range(2)] == [4, 4]
     lengths = expected_answer_lengths(sym)
     assert lengths[0] == lengths[1] == Fraction(3, 2)
-    assert [lbl for _, lbl in sym.blocks] == ["shift0", "shift1"]
     _assert_still_a_working_code(sym)
     assert rate(sym) == rate(base)
 
@@ -200,7 +194,6 @@ def test_message_symmetrize_doubles_the_message():
     sym = message_symmetrize(base)
     assert sym.params.msg_len == 2
     assert len(sym.keys) == 4  # two blocks, two base keys each
-    assert [lbl for _, lbl in sym.blocks] == ["perm01", "perm10"]
     _assert_still_a_working_code(sym)
     assert rate(sym) == rate(base)
 
