@@ -19,7 +19,6 @@ from .analysis import (
     check_P2,
     check_P3,
     entropy_bits,
-    joint_pmf,
     message_size_bits,
     rate,
     upload_cost_bits,
@@ -68,7 +67,6 @@ __all__ = [
     "entropy_bits",
     "export_decomposable",
     "is_uniformly_decomposable",
-    "joint_pmf",
     "make_nary",
     "message_permute",
     "message_size_bits",

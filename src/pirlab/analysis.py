@@ -1,20 +1,26 @@
 """Exact verification and information metrics for table-driven codes.
 
-Every verifier enumerates all databases -- no sampling, ever -- and decides
-pass/fail on integer counts over one exact total.  The checks read one
-private answer cube per code (see `_AnswerCube`), tally its integer columns
-and divide once, at the end.  A code's decoder runs once per distinct answer
-tuple of each (request, key); every database is still compared.  Floats
-appear only when entropies or mutual informations are reported in bits;
-those carry a 1e-9 tolerance.
+Every verifier covers all databases -- no sampling, ever -- and decides
+pass/fail on integer counts over one exact total.  An answer symbol is a
+group sum of per-message table lookups, and messages are uniform and
+independent.  So correctness and the properties P1-P3 work from per-message
+contributions: for one query tuple, the answers counting only some messages
+are distributed as the convolution (mod y) of those messages'
+contributions, and no database is enumerated unless a check fails and its
+witness is wanted.  A code's decoder runs once per distinct answer tuple of
+each (request, key).  The lemma identities still tally one private cube of
+full answers over every database (see `_AnswerCube`).  Floats appear only
+when entropies or mutual informations are reported in bits; those carry a
+1e-9 tolerance.
 
-Enumerations refuse to start when the required work exceeds a cap
-(default 2^24 elementary evaluations) and say how much work they wanted;
-the cube is built only after that check has passed.
+Verifiers refuse to start when the required work exceeds a cap (default
+2^24 elementary evaluations) and say how much work they wanted; nothing is
+tabulated before that check has passed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -60,18 +66,11 @@ class ExactDistribution:
 
     __slots__ = ("_counts", "_total")
 
-    def __init__(self, weights):
-        probs = {v: Fraction(p) for v, p in dict(weights).items() if p != 0}
-        if any(p < 0 for p in probs.values()):
-            raise ValueError("probabilities must be positive on the support")
-        total = math.lcm(*(p.denominator for p in probs.values()))
-        counts = {v: p.numerator * (total // p.denominator) for v, p in probs.items()}
-        dist = ExactDistribution.from_counts(counts, total)
-        self._counts, self._total = dist._counts, dist._total
-
     @classmethod
     def from_counts(cls, counts, total: int) -> "ExactDistribution":
         """The pmf value -> count / total; the counts must be positive."""
+        if min(counts.values(), default=1) <= 0:
+            raise ValueError("counts must be positive on the support")
         if sum(counts.values()) != total:
             raise ValueError("probabilities must sum to exactly 1")
         dist = cls.__new__(cls)
@@ -96,7 +95,7 @@ class ExactDistribution:
         )
 
     def __repr__(self) -> str:
-        return f"ExactDistribution({dict(self.items())!r})"
+        return f"ExactDistribution.from_counts({self._counts!r}, {self._total})"
 
     def marginal(self, positions) -> "ExactDistribution":
         """Project a joint distribution onto the given component positions."""
@@ -251,7 +250,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# enumeration helpers
+# per-message contributions
 
 
 def _enumeration_size(code: DecomposableCode) -> int:
@@ -270,76 +269,40 @@ def all_message_sets(code: DecomposableCode) -> list[tuple[tuple[int, ...], ...]
     ]
 
 
-def _masked_answers(rows, mask: int, ranks, modulus: int) -> list[tuple[int, ...]]:
-    """One answer per database, counting only the messages set in `mask`.
+def _contributions(code: DecomposableCode, queries) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """What each message adds to the answers to the query tuple `queries`.
 
-    `rows` are an answer function's table rows and `ranks[j]` lists message
-    j's input rank in each database; every answer symbol is the sum of the
-    selected messages' table entries mod `modulus` (0 when none is selected).
+    `out[j][r]` is message j's share of every server's answer when its value
+    has input rank r; the answers on a database are the sum of its messages'
+    shares mod y.
     """
-    n_databases = len(ranks[0])
-    symbols = []
-    for row in rows:
-        parts = [
-            list(map(table.__getitem__, ranks[j]))
-            for j, table in enumerate(row)
-            if mask >> j & 1
-        ]
-        symbols.append(
-            [sum(s) % modulus for s in zip(*parts)] if parts else [0] * n_databases
-        )
-    return list(zip(*symbols)) if symbols else [()] * n_databases
+    p = code.params
+    silent = [()] * p.msg_modulus**p.msg_len
+
+    def server_shares(j, rows):  # one server's answer symbols, per input rank
+        return list(zip(*(row[j] for row in rows))) or silent
+
+    tables = [code.varieties[n][qi].tables for n, qi in enumerate(queries)]
+    return [list(zip(*(server_shares(j, rows) for rows in tables))) for j in range(p.n_messages)]
 
 
-class _AnswerCube:
-    """Every database of one code, with its answers tabulated as plain ints.
-
-    `values[d]` is database d's messages, in `all_message_sets` order, and
-    `ranks[j][d]` message j's input rank there.  `column(n, qi, mask)` lists
-    server n's answer to query qi on every database, counting only the
-    messages set in `mask`; it is computed once and equal answer tuples are
-    one object.
-    """
-
-    def __init__(self, code: DecomposableCode):
-        p = code.params
-        self.values = all_message_sets(code)
-        self.ranks = [
-            [input_rank(v[j], p.msg_modulus) for v in self.values]
-            for j in range(p.n_messages)
-        ]
-        self._radix = p.msg_modulus**p.msg_len
-        self._varieties = code.varieties
-        self._modulus = p.ans_modulus
-        self._columns: dict = {}
-        self._interned: dict = {}
-
-    def column(self, n: int, query_index: int, mask: int) -> list[tuple[int, ...]]:
-        key = (n, query_index, mask)
-        col = self._columns.get(key)
-        if col is None:
-            rows = self._varieties[n][query_index].tables
-            answers = _masked_answers(rows, mask, self.ranks, self._modulus)
-            intern = self._interned.setdefault
-            col = self._columns[key] = [intern(a, a) for a in answers]
-        return col
-
-    def message_codes(self, which) -> list[int]:
-        """Per database, the messages in `which` as one int that orders like
-        their value tuples do."""
-        codes = [0] * len(self.values)
-        for j in which:
-            codes = [c * self._radix + r for c, r in zip(codes, self.ranks[j])]
-        return codes
+def _sum(shares, modulus: int) -> tuple[tuple[int, ...], ...]:
+    """The answers that are the sum of `shares`, mod `modulus`, server by server."""
+    return tuple(tuple([sum(s) % modulus for s in zip(*server)]) for server in zip(*shares))
 
 
-def _answer_cube(code: DecomposableCode) -> _AnswerCube:
-    """The code's answer cube: built on first use, then kept on the code."""
-    cube = vars(code).get("_answer_cube")
-    if cube is None:
-        cube = _AnswerCube(code)
-        object.__setattr__(code, "_answer_cube", cube)
-    return cube
+def _convolve(contributions, selected, modulus: int) -> Counter:
+    """How many value combinations of the `selected` messages give each
+    answer tuple as their sum."""
+    sums = Counter({tuple((0,) * len(a) for a in contributions[0][0]): 1})
+    for j in selected:
+        shares = Counter(contributions[j])
+        step: Counter = Counter()
+        for a, ca in sums.items():
+            for b, cb in shares.items():
+                step[_sum((a, b), modulus)] += ca * cb
+        sums = step
+    return sums
 
 
 def _query_labels(code: DecomposableCode, queries) -> tuple[str, ...]:
@@ -350,53 +313,70 @@ def _query_labels(code: DecomposableCode, queries) -> tuple[str, ...]:
 # correctness and privacy
 
 
+def _first_mismatch(cases, decode, seen: dict):
+    """(position, got, stored, ranks) of the first (stored, answers, ranks)
+    case whose answers do not give back the stored message, or None.  `seen`
+    maps answers to the first message that gave them, or to `decode`'s output."""
+    for d, (stored, answers, ranks) in enumerate(cases, 1):
+        if decode is None:
+            got = seen.setdefault(answers, stored)
+        else:
+            got = seen.get(answers)
+            if got is None:
+                got = seen[answers] = decode(answers)
+        if got != stored:
+            return d, got, stored, ranks
+    return None
+
+
 def verify_correctness(
     code: DecomposableCode, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Exhaustively confirm the requested message always comes back intact.
 
-    With a reconstruction callable, its output is compared against the stored
-    message for every (database, key, request).  The callable sees only
-    (request, key, answers), so it runs once per distinct answer tuple of each
-    (request, key) and its output is reused for the databases that repeat
-    that tuple; every database is still compared.  Codes without one (loaded
-    from files) pass iff the answer tuple plus (request, key) always pins
-    down the requested message uniquely -- i.e. some decoder exists.
+    Under request k and a key, a database whose message k is w answers
+    T(w) + s, with s the other messages' summed contribution; the pairs
+    (w, s) over the support of s cover every database.  A reconstruction
+    callable sees only (request, key, answers), so it runs once per distinct
+    answer tuple and must give w for every pair.  Codes without one (loaded
+    from files) pass iff no answer tuple arises from two values w -- i.e.
+    some decoder exists.  A failing (request, key) is replayed database by
+    database, so the witness and count name the first that fails.
     """
     p = code.params
-    _require_within_cap(_enumeration_size(code) * len(code.keys), cap)
-    cube = _answer_cube(code)
-    decode = code.reconstruct
-    detail = (
-        "answers consistent with both {} and {}"
-        if decode is None
-        else "reconstructed {}, stored {}"
-    )
-    checked = 0
+    size, n_keys, y = _enumeration_size(code), len(code.keys), p.ans_modulus
+    _require_within_cap(size * n_keys, cap)
+    values = list(itertools.product(range(p.msg_modulus), repeat=p.msg_len))
     for k in range(p.n_messages):
-        for f in range(len(code.keys)):
+        for f in range(n_keys):
             queries = code.query_map[(k, f)]
-            columns = [cube.column(n, qi, -1) for n, qi in enumerate(queries)]
-            seen: dict = {}  # answer tuple -> the message it decodes to
-            for d, answers in enumerate(zip(*columns)):
-                checked += 1
-                stored = cube.values[d][k]
-                if decode is None:
-                    got = seen.setdefault(answers, stored)
-                else:
-                    got = seen.get(answers)
-                    if got is None:
-                        got = seen[answers] = decode(k, f, answers)
-                if got != stored:
-                    witness = Witness(
-                        detail.format(got, stored),
-                        cube.values[d],
-                        code.keys[f],
-                        k,
-                        _query_labels(code, queries),
-                    )
-                    return VerificationReport(False, checked, witness)
-    return VerificationReport(True, checked)
+            parts = _contributions(code, queries)
+            rest = _convolve(parts, [j for j in range(p.n_messages) if j != k], y)
+            decode = None if code.reconstruct is None else functools.partial(code.reconstruct, k, f)
+            seen: dict = {}
+            pairs = ((values[r], _sum((t, s), y), None) for r, t in enumerate(parts[k]) for s in rest)
+            if _first_mismatch(pairs, decode, seen) is None:
+                continue
+            databases = (
+                (values[ranks[k]], _sum((parts[j][r] for j, r in enumerate(ranks)), y), ranks)
+                for ranks in itertools.product(range(len(values)), repeat=p.n_messages)
+            )
+            # decodes carry over; first owners found in pair order do not
+            d, got, stored, ranks = _first_mismatch(databases, decode, seen if decode else {})
+            detail = (
+                "answers consistent with both {} and {}"
+                if decode is None
+                else "reconstructed {}, stored {}"
+            )
+            witness = Witness(
+                detail.format(got, stored),
+                tuple(values[r] for r in ranks),
+                code.keys[f],
+                k,
+                _query_labels(code, queries),
+            )
+            return VerificationReport(False, (k * n_keys + f) * size + d, witness)
+    return VerificationReport(True, size * n_keys * p.n_messages)
 
 
 def verify_privacy(code: DecomposableCode, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -424,41 +404,7 @@ def verify_privacy(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Verificati
 
 
 # ---------------------------------------------------------------------------
-# derived variables and joint pmfs
-
-
-@dataclass(frozen=True)
-class MaskedAnswerVar:
-    """Server `server`'s answer to query `query_index`, counting only the
-    messages whose bit is set in `mask` (-1, the default: every message)."""
-
-    server: int
-    query_index: int
-    mask: int = -1
-
-    def column(self, cube: _AnswerCube) -> list[tuple[int, ...]]:
-        return cube.column(self.server, self.query_index, self.mask)
-
-
-@dataclass(frozen=True)
-class MessageVar:
-    """A stored message itself, as a random variable."""
-
-    k: int
-
-    def column(self, cube: _AnswerCube) -> list[tuple[int, ...]]:
-        return [v[self.k] for v in cube.values]
-
-
-def joint_pmf(
-    code: DecomposableCode, variables, cap: int = DEFAULT_CAP
-) -> ExactDistribution:
-    """Exact joint distribution of derived variables under uniform messages."""
-    size = _enumeration_size(code)
-    _require_within_cap(size, cap)
-    cube = _answer_cube(code)
-    columns = [var.column(cube) for var in variables]
-    return ExactDistribution.from_counts(Counter(zip(*columns)), size)
+# answer-structure properties
 
 
 def positive_query_tuples(code: DecomposableCode, k: int) -> tuple[tuple[int, ...], ...]:
@@ -466,13 +412,6 @@ def positive_query_tuples(code: DecomposableCode, k: int) -> tuple[tuple[int, ..
     return tuple(
         sorted({code.query_map[(k, f)] for f in range(len(code.keys))})
     )
-
-
-def _tuple_probability(code: DecomposableCode, k: int, queries) -> Fraction:
-    hits = sum(
-        1 for f in range(len(code.keys)) if code.query_map[(k, f)] == tuple(queries)
-    )
-    return Fraction(hits, len(code.keys))
 
 
 def _independent(joint: ExactDistribution, arity: int) -> Optional[str]:
@@ -505,14 +444,25 @@ def _mutually_determining(joint: ExactDistribution, arity: int) -> Optional[str]
     return None
 
 
-def _check_property(code, k: int, queries, cap: int, mask: int, holds) -> VerificationReport:
-    """Tally the masked answers to `queries` and test them with `holds`."""
+def _answer_joint(code: DecomposableCode, queries, selected) -> ExactDistribution:
+    """Exact joint pmf, under uniform messages, of every server's answer to
+    `queries`, counting only the `selected` messages."""
+    p = code.params
+    sums = _convolve(_contributions(code, queries), selected, p.ans_modulus)
+    # an unselected message's m^L values all leave the sum as it is
+    scale = (p.msg_modulus**p.msg_len) ** (p.n_messages - len(selected))
+    counts = {a: c * scale for a, c in sums.items()}
+    return ExactDistribution.from_counts(counts, _enumeration_size(code))
+
+
+def _check_property(code, k: int, queries, cap: int, selected, holds) -> VerificationReport:
+    """Tally the answers to `queries`, counting only the `selected` messages,
+    and test them with `holds`."""
     queries = tuple(queries)
-    if _tuple_probability(code, k, queries) == 0:
+    if queries not in {code.query_map[(k, f)] for f in range(len(code.keys))}:
         raise ValueError(f"query tuple {queries} has zero probability for k={k}")
-    joint = joint_pmf(
-        code, [MaskedAnswerVar(n, qi, mask) for n, qi in enumerate(queries)], cap
-    )
+    _require_within_cap(_enumeration_size(code), cap)
+    joint = _answer_joint(code, queries, selected)
     detail = holds(joint, len(queries))
     labels = _query_labels(code, queries)
     witness = None if detail is None else Witness(detail, k=k, queries=labels)
@@ -523,25 +473,81 @@ def check_P1(
     code: DecomposableCode, k: int, queries, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Answers across servers are mutually independent for this query tuple."""
-    return _check_property(code, k, queries, cap, -1, _independent)
+    return _check_property(code, k, queries, cap, range(code.params.n_messages), _independent)
 
 
 def check_P2(
     code: DecomposableCode, k: int, queries, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Unwanted-message contributions pairwise determine each other."""
-    return _check_property(code, k, queries, cap, ~(1 << k), _mutually_determining)
+    others = [j for j in range(code.params.n_messages) if j != k]
+    return _check_property(code, k, queries, cap, others, _mutually_determining)
 
 
 def check_P3(
     code: DecomposableCode, k: int, queries, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Requested-message contributions are mutually independent across servers."""
-    return _check_property(code, k, queries, cap, 1 << k, _independent)
+    return _check_property(code, k, queries, cap, [k], _independent)
 
 
 # ---------------------------------------------------------------------------
 # information residuals
+
+
+class _AnswerCube:
+    """Every database of one code, with its full answers tabulated as plain
+    ints for the information tally.
+
+    `ranks[j][d]` is message j's input rank in database d, in
+    `all_message_sets` order.  `column(n, qi)` lists server n's answer to
+    query qi on every database; it is computed once and equal answer tuples
+    are one object.
+    """
+
+    def __init__(self, code: DecomposableCode):
+        p = code.params
+        databases = all_message_sets(code)
+        self.ranks = [
+            [input_rank(v[j], p.msg_modulus) for v in databases]
+            for j in range(p.n_messages)
+        ]
+        self._radix = p.msg_modulus**p.msg_len
+        self._varieties = code.varieties
+        self._modulus = p.ans_modulus
+        self._columns: dict = {}
+        self._interned: dict = {}
+
+    def column(self, n: int, query_index: int) -> list[tuple[int, ...]]:
+        key = (n, query_index)
+        col = self._columns.get(key)
+        if col is None:
+            # every answer symbol is the sum of its row's table entries mod y
+            symbols = []
+            for row in self._varieties[n][query_index].tables:
+                parts = [list(map(t.__getitem__, r)) for t, r in zip(row, self.ranks)]
+                symbols.append([sum(s) % self._modulus for s in zip(*parts)])
+            answers = zip(*symbols) if symbols else [()] * len(self.ranks[0])
+            intern = self._interned.setdefault
+            col = self._columns[key] = [intern(a, a) for a in answers]
+        return col
+
+    def message_codes(self, which) -> list[int]:
+        """Per database, the messages in `which` as one int that orders like
+        their value tuples do."""
+        codes = [0] * len(self.ranks[0])
+        for j in which:
+            codes = [c * self._radix + r for c, r in zip(codes, self.ranks[j])]
+        return codes
+
+
+def _answer_cube(code: DecomposableCode) -> _AnswerCube:
+    """The code's answer cube: built on first use, then kept on the code."""
+    cube = vars(code).get("_answer_cube")
+    if cube is None:
+        cube = _AnswerCube(code)
+        object.__setattr__(code, "_answer_cube", cube)
+    return cube
 
 
 def _request_mi_bits(code: DecomposableCode, request: int, info, given, cap: int) -> float:
@@ -553,7 +559,7 @@ def _request_mi_bits(code: DecomposableCode, request: int, info, given, cap: int
     cube = _answer_cube(code)
     n_keys = len(code.keys)
     columns = [
-        [cube.column(n, qi, -1) for n, qi in enumerate(code.query_map[(request, f)])]
+        [cube.column(n, qi) for n, qi in enumerate(code.query_map[(request, f)])]
         for f in range(n_keys)
     ]
     # x, y and z as ints that order like the tuples they stand for, so the

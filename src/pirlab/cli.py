@@ -234,23 +234,14 @@ def _verify_records(code: DecomposableCode, cap: int) -> list[CheckRecord]:
     for name, check in (("P1", analysis.check_P1), ("P2", analysis.check_P2), ("P3", analysis.check_P3)):
         for k in range(p.n_messages):
             tuples = analysis.positive_query_tuples(code, k)
-            witness = None
-            ok = True
+            ok, witness = True, None
             for queries in tuples:
                 rep = check(code, k, queries, cap)
                 if not rep.passed:
-                    ok = False
-                    witness = rep.witness
+                    ok, witness = False, rep.witness
                     break
-            records.append(
-                CheckRecord(
-                    name,
-                    (("k", str(k)), ("tuples", str(len(tuples)))),
-                    ok,
-                    None,
-                    witness,
-                )
-            )
+            params = (("k", str(k)), ("tuples", str(len(tuples))))
+            records.append(CheckRecord(name, params, ok, None, witness))
 
     if p.ans_modulus != p.msg_modulus:
         return records  # information residuals are only exact for matching alphabets

@@ -211,11 +211,14 @@ def is_uniformly_decomposable(code: DecomposableCode) -> DecompositionReport:
     """A code is uniformly decomposable iff every table is CONSTANT or BALANCED."""
     constant = balanced = 0
     neither = []
+    # transforms share tables: classify each distinct table object once
+    tables = {id(t): t for per in code.varieties for v in per for row in v.tables for t in row}
+    classes = {i: classify(t, code.params.ans_modulus) for i, t in tables.items()}
     for n, per_server in enumerate(code.varieties):
         for qi, variety in enumerate(per_server):
             for i, row in enumerate(variety.tables):
                 for k, table in enumerate(row):
-                    cls = classify(table, code.params.ans_modulus)
+                    cls = classes[id(table)]
                     if cls == CONSTANT:
                         constant += 1
                     elif cls == BALANCED:

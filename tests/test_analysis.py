@@ -15,8 +15,6 @@ from pirlab.analysis import (
     CheckRecord,
     EnumerationCapExceeded,
     ExactDistribution,
-    MaskedAnswerVar,
-    MessageVar,
     Witness,
     all_message_sets,
     capacity,
@@ -28,7 +26,6 @@ from pirlab.analysis import (
     conditional_mutual_information_bits,
     entropy_bits,
     expected_answer_lengths,
-    joint_pmf,
     message_size_bits,
     mutual_information_bits,
     positive_query_tuples,
@@ -45,6 +42,7 @@ from pirlab.model import (
     builtin_sunjafar22,
     builtin_table1,
     coordinate_table,
+    input_rank,
 )
 from pirlab.nary import export_decomposable, make_nary
 from pirlab.symmetry import message_symmetrize, server_symmetrize, variety_symmetrize
@@ -56,29 +54,34 @@ F = Fraction
 # ---------------------------------------------------------------- distributions
 
 
+def _uniform(values):
+    return ExactDistribution.from_counts(dict.fromkeys(values, 1), len(values))
+
+
 def test_exact_distribution_normalizes_support():
-    d = ExactDistribution({(0,): F(1, 2), (1,): F(1, 2), (2,): F(0)})
+    d = ExactDistribution.from_counts({(1,): 3, (0,): 3}, 6)
     assert d.support() == ((0,), (1,))
     assert dict(d.items()) == {(0,): F(1, 2), (1,): F(1, 2)}
     assert len(d) == 2
+    assert d == _uniform([(0,), (1,)])
 
 
 def test_exact_distribution_rejects_bad_total():
-    with pytest.raises(ValueError):
-        ExactDistribution({(0,): F(1, 2), (1,): F(1, 3)})
-    with pytest.raises(ValueError):
-        ExactDistribution({(0,): F(3, 2), (1,): F(-1, 2)})
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        ExactDistribution.from_counts({(0,): 1, (1,): 1}, 3)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_exact_distribution_rejects_nonpositive_counts(count):
+    with pytest.raises(ValueError, match="positive"):
+        ExactDistribution.from_counts({(0,): 2, (1,): count}, 2 + count)
 
 
 def test_marginal_projection():
-    d = ExactDistribution(
-        {((0,), (0,)): F(1, 2), ((1,), (0,)): F(1, 4), ((1,), (1,)): F(1, 4)}
-    )
-    assert d.marginal((0,)) == ExactDistribution(
-        {((0,),): F(1, 2), ((1,),): F(1, 2)}
-    )
-    assert d.marginal((1, 0)) == ExactDistribution(
-        {((0,), (0,)): F(1, 2), ((0,), (1,)): F(1, 4), ((1,), (1,)): F(1, 4)}
+    d = ExactDistribution.from_counts({((0,), (0,)): 2, ((1,), (0,)): 1, ((1,), (1,)): 1}, 4)
+    assert d.marginal((0,)) == _uniform([((0,),), ((1,),)])
+    assert d.marginal((1, 0)) == ExactDistribution.from_counts(
+        {((0,), (0,)): 2, ((0,), (1,)): 1, ((1,), (1,)): 1}, 4
     )
 
 
@@ -86,30 +89,28 @@ def test_marginal_projection():
 
 
 def test_entropy_uniform_bits():
-    d = ExactDistribution({(i,): F(1, 8) for i in range(8)})
+    d = _uniform([(i,) for i in range(8)])
     assert entropy_bits(d) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_entropy_skewed():
-    d = ExactDistribution({(0,): F(3, 4), (1,): F(1, 4)})
+    d = ExactDistribution.from_counts({(0,): 3, (1,): 1}, 4)
     assert entropy_bits(d) == pytest.approx(2 - 0.75 * math.log2(3), abs=1e-12)
 
 
 def test_mutual_information_independent_pair_is_zero():
-    d = ExactDistribution({(a, b): F(1, 4) for a in (0, 1) for b in (0, 1)})
+    d = _uniform([(a, b) for a in (0, 1) for b in (0, 1)])
     assert mutual_information_bits(d) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mutual_information_identical_pair_is_entropy():
-    d = ExactDistribution({(0, 0): F(1, 2), (1, 1): F(1, 2)})
+    d = _uniform([(0, 0), (1, 1)])
     assert mutual_information_bits(d) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_mutual_information():
     # X = Y xor Z with X,Z fair coins: I(X;Y|Z) = 1, unconditionally I(X;Y) = 0
-    d = ExactDistribution(
-        {(x, x ^ z, z): F(1, 4) for x in (0, 1) for z in (0, 1)}
-    )
+    d = _uniform([(x, x ^ z, z) for x in (0, 1) for z in (0, 1)])
     assert conditional_mutual_information_bits(d) == pytest.approx(1.0, abs=1e-12)
     assert mutual_information_bits(d.marginal((0, 1))) == pytest.approx(0.0, abs=1e-12)
 
@@ -250,11 +251,10 @@ def _wide_code():
         lambda code: check_P1(code, 0, (0, 0)),
         lambda code: check_P2(code, 0, (0, 0)),
         lambda code: check_P3(code, 0, (0, 0)),
-        lambda code: joint_pmf(code, [MessageVar(0)]),
         lambda code: check_lemma1_equality(code, 0),
         lambda code: check_lemma2_equality(code, 1, (0, 1, 2)),
     ],
-    ids=["correctness", "P1", "P2", "P3", "joint_pmf", "lemma1", "lemma2"],
+    ids=["correctness", "P1", "P2", "P3", "lemma1", "lemma2"],
 )
 def test_cap_refusal_allocates_nothing(check):
     code = _wide_code()
@@ -272,36 +272,85 @@ def test_cap_refusal_allocates_nothing(check):
     assert peak < 1 << 20
 
 
-def test_joint_pmf_cap_refusal():
-    code = export_decomposable(make_nary(2, 3))
-    with pytest.raises(EnumerationCapExceeded):
-        joint_pmf(code, [MessageVar(0)], cap=7)
+def _brute_force_joint(code, queries, selected):
+    """The joint of every server's answer to `queries`, counting only the
+    `selected` messages, by evaluating every database."""
+    p = code.params
+    counts = Counter()
+    for messages in all_message_sets(code):
+        ranks = [input_rank(w, p.msg_modulus) for w in messages]
+        counts[
+            tuple(
+                tuple(
+                    sum(row[j][ranks[j]] for j in selected) % p.ans_modulus
+                    for row in code.varieties[n][qi].tables
+                )
+                for n, qi in enumerate(queries)
+            )
+        ] += 1
+    return ExactDistribution.from_counts(counts, sum(counts.values()))
 
 
-def test_joint_pmf_message_variable_uniform():
+def _same(a, b):
+    return (a._total, list(a._counts.items())) == (b._total, list(b._counts.items()))
+
+
+def test_answer_joint_follows_message():
+    # server 0 query 0 is silent; server 1 query 0 returns message 0 verbatim
     code = builtin_table1()
-    d = joint_pmf(code, [MessageVar(0)])
-    assert d == ExactDistribution({((0,),): F(1, 2), ((1,),): F(1, 2)})
-
-
-def test_joint_pmf_answer_follows_message():
-    # server 1 query 0 returns message 0 verbatim
-    code = builtin_table1()
-    d = joint_pmf(code, [MessageVar(0), MaskedAnswerVar(1, 0)])
-    assert d == ExactDistribution({((0,), (0,)): F(1, 2), ((1,), (1,)): F(1, 2)})
+    for selected, expected in (([0], {(0,): 2, (1,): 2}), ([1], {(0,): 4})):
+        d = analysis._answer_joint(code, (0, 0), selected)
+        assert dict(d.items()) == {((), a): F(c, 4) for a, c in expected.items()}
+        assert _same(d, _brute_force_joint(code, (0, 0), selected))
 
 
 def test_residual_and_requested_split_the_answer():
     code = builtin_table1()
-    # server 0 query 1 is the two-message sum a+b; split it against k=0 into
-    # the requested part (a) and the residual (b)
-    requested, residual, whole = (MaskedAnswerVar(0, 1, mask) for mask in (1, ~1, -1))
-    d = joint_pmf(code, [MessageVar(0), MessageVar(1), requested, residual, whole])
-    assert dict(d.items()) == {
-        ((a,), (b,), (a,), (b,), ((a + b) % 2,)): F(1, 4)
-        for a in (0, 1)
-        for b in (0, 1)
+    # server 0 query 1 is the two-message sum a+b and server 1 query 1 sends
+    # b; against k=0 they split into the requested part (a) and the residual (b)
+    parts = {
+        "requested": ([0], lambda a, b: ((a,), (0,))),
+        "residual": ([1], lambda a, b: ((b,), (b,))),
+        "whole": ([0, 1], lambda a, b: (((a + b) % 2,), (b,))),
     }
+    for selected, answers in parts.values():
+        d = analysis._answer_joint(code, (1, 1), selected)
+        expected = Counter(answers(a, b) for a in (0, 1) for b in (0, 1))
+        assert dict(d.items()) == {v: F(c, 4) for v, c in expected.items()}
+        assert _same(d, _brute_force_joint(code, (1, 1), selected))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["table1", "sunjafar22", "nary 3 3", "nary 2 3 m3", "flipped nary 3 3", "server-symmetrized nary 2 2"],
+)
+def test_answer_joint_matches_brute_force_enumeration(name):
+    code = {
+        "table1": builtin_table1,
+        "sunjafar22": builtin_sunjafar22,
+        "nary 3 3": lambda: export_decomposable(make_nary(3, 3)),
+        "nary 2 3 m3": lambda: export_decomposable(make_nary(2, 3, 3)),
+        "flipped nary 3 3": _nary33_with_one_flipped_entry,
+        "server-symmetrized nary 2 2": lambda: server_symmetrize(_nary22()),
+    }[name]()
+    K = code.params.n_messages
+    for k in range(K):
+        others = [j for j in range(K) if j != k]
+        for queries in positive_query_tuples(code, k):
+            for selected in (range(K), others, [k]):
+                got = analysis._answer_joint(code, queries, selected)
+                assert _same(got, _brute_force_joint(code, queries, selected))
+
+
+def test_correctness_and_properties_never_build_the_answer_cube():
+    with_decoder = export_decomposable(make_nary(3, 3))
+    for code in (with_decoder, parse(emit(with_decoder))):
+        assert verify_correctness(code).passed
+        for k in range(code.params.n_messages):
+            for queries in positive_query_tuples(code, k):
+                for check in (check_P1, check_P2, check_P3):
+                    assert check(code, k, queries).passed
+        assert "_answer_cube" not in vars(code)
 
 
 def test_positive_query_tuples_table1():
@@ -510,7 +559,7 @@ def _reference_request_mi_bits(code, request, info, given):
     tally = Counter()
     for f in range(n_keys):
         queries = code.query_map[(request, f)]
-        columns = [cube.column(n, qi, -1) for n, qi in enumerate(queries)]
+        columns = [cube.column(n, qi) for n, qi in enumerate(queries)]
         tally.update(zip(xs, zip(*columns), [z + f for z in zs]))
     rank = {y: i for i, y in enumerate(sorted({y for _, y, _ in tally}))}
     counts = {(x, rank[y], z): c for (x, y, z), c in tally.items()}

@@ -252,6 +252,19 @@ def test_verify_records_of_mutated_code_are_byte_stable(seed, tmp_path, capsys):
     assert hashlib.sha256((out + jsonl).encode()).hexdigest() == digest
 
 
+def test_verify_records_of_server_symmetrized_file_are_byte_stable(tmp_path, capsys):
+    # answers of several symbols, and no decoder: the file carries none
+    path = str(tmp_path / "sym.pir")
+    assert main(["symmetrize", "server", "nary", "3", "2", "--out", path]) == 0
+    capsys.readouterr()
+    code, out, jsonl = _verify_outputs(capsys, tmp_path, path)
+    assert code == 0
+    assert (
+        hashlib.sha256((out + jsonl).encode()).hexdigest()
+        == "6ff7904171f7bffb464482affecf333aea76a605cad6bce1f69c29120f3493d6"
+    )
+
+
 def test_verify_nary34_matches_benchmark_golden(tmp_path, capsys):
     code, out, jsonl = _verify_outputs(capsys, tmp_path, "nary", "3", "4")
     assert code == 0

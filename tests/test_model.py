@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from pirlab import model
 from pirlab.analysis import rate, verify_correctness, verify_privacy
 from pirlab.groups import CodeParams, MessageSet
 from pirlab.model import (
@@ -22,6 +23,7 @@ from pirlab.model import (
     is_uniformly_decomposable,
 )
 from pirlab.nary import export_decomposable, make_nary
+from pirlab.symmetry import server_symmetrize
 
 
 # ---------------------------------------------------------------- ranking
@@ -200,6 +202,42 @@ def test_table1_uniformly_decomposable():
     assert report.neither == ()
     assert report.constant_count == 2
     assert report.balanced_count == 4
+
+
+def _counting_classify(monkeypatch):
+    """Log every table `model.classify` is called on."""
+    calls = []
+    real = model.classify
+
+    def counted(table, modulus):
+        calls.append(table)
+        return real(table, modulus)
+
+    monkeypatch.setattr(model, "classify", counted)
+    return calls
+
+
+def test_uniform_decomposability_classifies_each_distinct_table_once(monkeypatch):
+    calls = _counting_classify(monkeypatch)
+    # 432 table references over 9 distinct table objects
+    report = is_uniformly_decomposable(server_symmetrize(export_decomposable(make_nary(3, 2))))
+    assert (report.uniform, report.constant_count, report.balanced_count) == (True, 108, 324)
+    assert report.neither == ()
+    assert len(calls) == len({id(t) for t in calls}) == 9
+
+
+def test_shared_unbalanced_table_is_reported_at_every_reference(monkeypatch):
+    calls = _counting_classify(monkeypatch)
+    skew, zero = (0, 0, 0, 1), (0,) * 4
+    variety = (AnswerFunction("s", ((skew, zero), (zero, skew))),)
+    code = DecomposableCode(
+        CodeParams(2, 2, 2, 2, 2), (variety, variety), ("0",), {(0, 0): (0, 0), (1, 0): (0, 0)}
+    )
+    report = is_uniformly_decomposable(code)
+    assert not report.uniform
+    assert (report.constant_count, report.balanced_count) == (4, 0)
+    assert report.neither == ((0, 0, 0, 0), (0, 0, 1, 1), (1, 0, 0, 0), (1, 0, 1, 1))
+    assert calls == [skew, zero]
 
 
 def test_table1_query_pmf_uniform_and_request_independent():
