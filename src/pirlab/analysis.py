@@ -8,10 +8,11 @@ contributions: for one query tuple, the answers counting only some messages
 are distributed as the convolution (mod y) of those messages'
 contributions, and no database is enumerated unless a check fails and its
 witness is wanted.  A code's decoder runs once per distinct answer tuple of
-each (request, key).  The lemma identities still tally one private cube of
-full answers over every database (see `_AnswerCube`).  Floats appear only
-when entropies or mutual informations are reported in bits; those carry a
-1e-9 tolerance.
+each (request, key).  The lemma identities tally every database, key by
+key: each answer symbol on every database is the outer sum of its row's
+per-message tables, mod y, and nothing is kept on the code between checks.
+Floats appear only when entropies or mutual informations are reported in
+bits; those carry a 1e-9 tolerance.
 
 Verifiers refuse to start when the required work exceeds a cap (default
 2^24 elementary evaluations) and say how much work they wanted; nothing is
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import DecomposableCode, input_rank
+from .model import DecomposableCode
 
 DEFAULT_CAP = 1 << 24
 FLOAT_TOL = 1e-9
@@ -323,7 +324,11 @@ def _first_mismatch(cases, decode, seen: dict):
         else:
             got = seen.get(answers)
             if got is None:
-                got = seen[answers] = decode(answers)
+                try:
+                    got = decode(answers)
+                except Exception as exc:  # rejecting answers fails like a wrong decode
+                    got = exc
+                seen[answers] = got
         if got != stored:
             return d, got, stored, ranks
     return None
@@ -338,10 +343,11 @@ def verify_correctness(
     T(w) + s, with s the other messages' summed contribution; the pairs
     (w, s) over the support of s cover every database.  A reconstruction
     callable sees only (request, key, answers), so it runs once per distinct
-    answer tuple and must give w for every pair.  Codes without one (loaded
-    from files) pass iff no answer tuple arises from two values w -- i.e.
-    some decoder exists.  A failing (request, key) is replayed database by
-    database, so the witness and count name the first that fails.
+    answer tuple and must give w for every pair; an exception it raises is
+    a failed decode.  Codes without one (loaded from files) pass iff no
+    answer tuple arises from two values w -- i.e. some decoder exists.  A
+    failing (request, key) is replayed database by database, so the witness
+    and count name the first that fails.
     """
     p = code.params
     size, n_keys, y = _enumeration_size(code), len(code.keys), p.ans_modulus
@@ -363,13 +369,14 @@ def verify_correctness(
             )
             # decodes carry over; first owners found in pair order do not
             d, got, stored, ranks = _first_mismatch(databases, decode, seen if decode else {})
-            detail = (
-                "answers consistent with both {} and {}"
-                if decode is None
-                else "reconstructed {}, stored {}"
-            )
+            if decode is None:
+                detail = f"answers consistent with both {got} and {stored}"
+            elif isinstance(got, Exception):
+                detail = f"decoder raised {type(got).__name__}: {got}"
+            else:
+                detail = f"reconstructed {got}, stored {stored}"
             witness = Witness(
-                detail.format(got, stored),
+                detail,
                 tuple(values[r] for r in ranks),
                 code.keys[f],
                 k,
@@ -495,89 +502,47 @@ def check_P3(
 # information residuals
 
 
-class _AnswerCube:
-    """Every database of one code, with its full answers tabulated as plain
-    ints for the information tally.
-
-    `ranks[j][d]` is message j's input rank in database d, in
-    `all_message_sets` order.  `column(n, qi)` lists server n's answer to
-    query qi on every database; it is computed once and equal answer tuples
-    are one object.
-    """
-
-    def __init__(self, code: DecomposableCode):
-        p = code.params
-        databases = all_message_sets(code)
-        self.ranks = [
-            [input_rank(v[j], p.msg_modulus) for v in databases]
-            for j in range(p.n_messages)
-        ]
-        self._radix = p.msg_modulus**p.msg_len
-        self._varieties = code.varieties
-        self._modulus = p.ans_modulus
-        self._columns: dict = {}
-        self._interned: dict = {}
-
-    def column(self, n: int, query_index: int) -> list[tuple[int, ...]]:
-        key = (n, query_index)
-        col = self._columns.get(key)
-        if col is None:
-            # every answer symbol is the sum of its row's table entries mod y
-            symbols = []
-            for row in self._varieties[n][query_index].tables:
-                parts = [list(map(t.__getitem__, r)) for t, r in zip(row, self.ranks)]
-                symbols.append([sum(s) % self._modulus for s in zip(*parts)])
-            answers = zip(*symbols) if symbols else [()] * len(self.ranks[0])
-            intern = self._interned.setdefault
-            col = self._columns[key] = [intern(a, a) for a in answers]
-        return col
-
-    def message_codes(self, which) -> list[int]:
-        """Per database, the messages in `which` as one int that orders like
-        their value tuples do."""
-        codes = [0] * len(self.ranks[0])
-        for j in which:
-            codes = [c * self._radix + r for c, r in zip(codes, self.ranks[j])]
-        return codes
-
-
-def _answer_cube(code: DecomposableCode) -> _AnswerCube:
-    """The code's answer cube: built on first use, then kept on the code."""
-    cube = vars(code).get("_answer_cube")
-    if cube is None:
-        cube = _AnswerCube(code)
-        object.__setattr__(code, "_answer_cube", cube)
-    return cube
+def _outer_sums(vectors) -> list[int]:
+    """Every sum of one entry from each vector, the first vector's entry
+    varying slowest; over one table per message, that is the table sum on
+    every database in `all_message_sets` order."""
+    sums = [0]
+    for vector in vectors:
+        sums = [a + b for a in sums for b in vector]
+    return sums
 
 
 def _request_mi_bits(code: DecomposableCode, request: int, info, given, cap: int) -> float:
     """I(W_info ; all answers for `request` | W_given, key), by enumeration."""
-    size = _enumeration_size(code) * len(code.keys)
+    p = code.params
+    databases, n_keys, y = _enumeration_size(code), len(code.keys), p.ans_modulus
+    size = databases * n_keys
     _require_within_cap(size, cap)
     if not info:
         return 0.0  # X is constant: every term is log2(1)
-    cube = _answer_cube(code)
-    n_keys = len(code.keys)
-    columns = [
-        [cube.column(n, qi) for n, qi in enumerate(code.query_map[(request, f)])]
-        for f in range(n_keys)
-    ]
-    # x, y and z as ints that order like the tuples they stand for, so the
-    # terms of the sum keep their order and keys hash and compare fast; y is
-    # a mixed-radix number whose digit n ranks server n's answer among that
-    # server's distinct answers (server 0's digit is the most significant)
-    digits = []
-    place = 1
-    for n in reversed(range(code.params.n_servers)):
-        distinct = sorted(set().union(*(cols[n] for cols in columns)))
-        digits.append({a: r * place for r, a in enumerate(distinct)})
-        place *= len(distinct)
-    digits.reverse()
-    xs = cube.message_codes(info)
-    zs = [g * n_keys for g in cube.message_codes(given)]
+    ranks = range(p.msg_modulus**p.msg_len)
+
+    # x, y and z are ints that order like the tuples they stand for, so the
+    # terms of the sum keep their order and keys hash and compare fast
+    def rank_codes(which):  # the messages in `which`, first most significant
+        weight = {j: len(ranks) ** e for e, j in enumerate(reversed(which))}
+        return _outer_sums([r * weight.get(j, 0) for r in ranks] for j in range(p.n_messages))
+
+    # all answers as one base-(y+1) number, server 0 first: symbol s is the
+    # digit s+1 and a missing symbol the digit 0, padding each server's
+    # answers to its longest
+    queries = [code.query_map[(request, f)] for f in range(n_keys)]
+    widths = [max(code.answer_length(n, q[n]) for q in queries) for n in range(p.n_servers)]
+    xs = rank_codes(info)
+    zs = [g * n_keys for g in rank_codes(given)]
     tally: Counter = Counter()
-    for f, cols in enumerate(columns):
-        ys = map(sum, zip(*(map(digit.__getitem__, col) for digit, col in zip(digits, cols))))
+    for f, q in enumerate(queries):
+        ys = [0] * databases
+        for n, qi in enumerate(q):
+            for i, row in enumerate(code.varieties[n][qi].tables, 1):
+                place = (y + 1) ** (sum(widths[n:]) - i)
+                digit = [(s % y + 1) * place for s in range(p.n_messages * y)]  # by table sum
+                ys = list(map(int.__add__, ys, map(digit.__getitem__, _outer_sums(row))))
         tally.update(zip(xs, ys, map(f.__add__, zs)))
     return conditional_mutual_information_bits(ExactDistribution.from_counts(tally, size))
 

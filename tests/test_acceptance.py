@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from pirlab.analysis import (
+    DEFAULT_CAP,
     capacity,
     check_P1,
     check_P2,
@@ -30,6 +31,7 @@ from pirlab.analysis import (
     verify_correctness,
     verify_privacy,
 )
+from pirlab.cli import _verify_records
 from pirlab.groups import MessageSet, RandomKey
 from pirlab.model import (
     AnswerFunction,
@@ -59,6 +61,7 @@ from pirlab.net import (
     setup_endpoint,
 )
 from pirlab.symmetry import server_symmetrize, variety_symmetrize
+from test_mutants import mutants
 
 
 GRID = [(n, k) for n in (2, 3, 4) for k in (1, 2, 3)]
@@ -373,4 +376,18 @@ def test_criterion_10_network_end_to_end(criterion):
             stream = io.BytesIO(encode_frame(frame))
             assert read_frame(stream) == frame
             assert read_frame(stream) is None  # the frame used every byte
+        assert time.perf_counter() - start < 10.0
+
+
+def test_criterion_11_extra_rows_fail_verify(criterion):
+    with criterion(11, "every extra-row mutant fails verify"):
+        start = time.perf_counter()
+        only_lemma1 = []
+        for i, mutant in enumerate(mutants(export_decomposable(make_nary(3, 2)), "extra-row")):
+            failed = {r.name for r in _verify_records(mutant, DEFAULT_CAP) if not r.passed}
+            assert failed, f"extra-row mutant {i} passed verify"
+            if failed == {"lemma1"}:
+                only_lemma1.append(i)
+        # these stay decodable and lose only rate, which lemma1 alone sees
+        assert only_lemma1 == [2, 5, 6, 10, 14, 15, 19, 23]
         assert time.perf_counter() - start < 10.0

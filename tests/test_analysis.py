@@ -46,6 +46,7 @@ from pirlab.model import (
 )
 from pirlab.nary import export_decomposable, make_nary
 from pirlab.symmetry import message_symmetrize, server_symmetrize, variety_symmetrize
+from test_mutants import mutants
 
 
 F = Fraction
@@ -272,22 +273,27 @@ def test_cap_refusal_allocates_nothing(check):
     assert peak < 1 << 20
 
 
+def _brute_force_answers(code, queries, messages, selected):
+    """Every server's answer to `queries` on the database `messages`,
+    counting only the `selected` messages, read from the tables."""
+    p = code.params
+    ranks = [input_rank(w, p.msg_modulus) for w in messages]
+    return tuple(
+        tuple(
+            sum(row[j][ranks[j]] for j in selected) % p.ans_modulus
+            for row in code.varieties[n][qi].tables
+        )
+        for n, qi in enumerate(queries)
+    )
+
+
 def _brute_force_joint(code, queries, selected):
     """The joint of every server's answer to `queries`, counting only the
     `selected` messages, by evaluating every database."""
-    p = code.params
-    counts = Counter()
-    for messages in all_message_sets(code):
-        ranks = [input_rank(w, p.msg_modulus) for w in messages]
-        counts[
-            tuple(
-                tuple(
-                    sum(row[j][ranks[j]] for j in selected) % p.ans_modulus
-                    for row in code.varieties[n][qi].tables
-                )
-                for n, qi in enumerate(queries)
-            )
-        ] += 1
+    counts = Counter(
+        _brute_force_answers(code, queries, messages, selected)
+        for messages in all_message_sets(code)
+    )
     return ExactDistribution.from_counts(counts, sum(counts.values()))
 
 
@@ -342,15 +348,20 @@ def test_answer_joint_matches_brute_force_enumeration(name):
                 assert _same(got, _brute_force_joint(code, queries, selected))
 
 
-def test_correctness_and_properties_never_build_the_answer_cube():
+def test_verifiers_leave_the_code_as_they_found_it():
     with_decoder = export_decomposable(make_nary(3, 3))
     for code in (with_decoder, parse(emit(with_decoder))):
-        assert verify_correctness(code).passed
-        for k in range(code.params.n_messages):
+        before = dict(vars(code))
+        K = code.params.n_messages
+        assert verify_correctness(code).passed and verify_privacy(code).passed
+        for k in range(K):
             for queries in positive_query_tuples(code, k):
                 for check in (check_P1, check_P2, check_P3):
                     assert check(code, k, queries).passed
-        assert "_answer_cube" not in vars(code)
+            assert abs(check_lemma1_equality(code, k)) <= analysis.FLOAT_TOL
+        for k in range(1, K):
+            assert abs(check_lemma2_equality(code, k, range(K))) <= analysis.FLOAT_TOL
+        assert vars(code) == before
 
 
 def test_positive_query_tuples_table1():
@@ -415,6 +426,25 @@ def test_verify_correctness_reports_witness():
     assert w.k == 0
     assert w.messages is not None and w.queries is not None
     assert "consistent with both" in w.detail
+
+
+def test_verify_correctness_reports_a_decoder_that_raises():
+    # server 1's query 10 sends its symbol twice, which nary's decoder rejects
+    base = export_decomposable(make_nary(2, 2))
+    server1 = list(base.varieties[1])
+    server1[1] = AnswerFunction(server1[1].label, server1[1].tables * 2)
+    code = DecomposableCode(
+        base.params, (base.varieties[0], tuple(server1)), base.keys, base.query_map, base.reconstruct
+    )
+    report = verify_correctness(code)
+    assert not report.passed and report.checked == 1
+    assert report.witness == Witness(
+        "decoder raised ValueError: answer 1 has 2 symbols, query demands 1",
+        ((0,), (0,)),
+        "0",
+        0,
+        ("00", "10"),
+    )
 
 
 def test_check_P1_detects_duplicated_answers():
@@ -550,20 +580,18 @@ def test_check_record_json_round_trip():
 
 
 def _reference_request_mi_bits(code, request, info, given):
-    """The tuple-keyed tally that ranks whole answer tuples, as a reference."""
-    size = analysis._enumeration_size(code) * len(code.keys)
-    cube = analysis._answer_cube(code)
-    n_keys = len(code.keys)
-    xs = cube.message_codes(info)
-    zs = [g * n_keys for g in cube.message_codes(given)]
-    tally = Counter()
-    for f in range(n_keys):
-        queries = code.query_map[(request, f)]
-        columns = [cube.column(n, qi) for n, qi in enumerate(queries)]
-        tally.update(zip(xs, zip(*columns), [z + f for z in zs]))
-    rank = {y: i for i, y in enumerate(sorted({y for _, y, _ in tally}))}
-    counts = {(x, rank[y], z): c for (x, y, z), c in tally.items()}
-    return _reference_cmi(ExactDistribution.from_counts(counts, size))
+    """I(W_info ; answers | W_given, key) from a tally keyed by the message
+    values and answer tuples themselves, every database read from the
+    tables."""
+    everything = range(code.params.n_messages)
+    counts = Counter()
+    for messages in all_message_sets(code):
+        x = tuple(messages[j] for j in info)
+        g = tuple(messages[j] for j in given)
+        for f in range(len(code.keys)):
+            queries = code.query_map[(request, f)]
+            counts[x, _brute_force_answers(code, queries, messages, everything), (g, f)] += 1
+    return _reference_cmi(ExactDistribution.from_counts(counts, sum(counts.values())))
 
 
 def _nary22():
@@ -619,10 +647,27 @@ def _nary33_with_one_flipped_entry():
 
 @pytest.mark.parametrize(
     "name",
-    ["sunjafar22", "server-symmetrized nary 2 2", "nary 3 3", "nary 2 3 m3", "flipped nary 3 3"],
+    [
+        "table1",
+        "sunjafar22",
+        "server-symmetrized nary 2 2",
+        "message-symmetrized nary 2 2",
+        "nary 3 3",
+        "nary 2 3 m3",
+        "flipped nary 3 3",
+        "extra-row mutant 18 of nary 3 2",
+    ],
 )
 def test_request_mi_bits_matches_the_tuple_keyed_tally(name):
+    # table1, message-symmetrized nary 2 2 and mutant 18 answer with
+    # different lengths at one server; unless a missing symbol orders before
+    # the symbol 0, mutant 18's terms add up in another order and round
+    # differently
     codes = {
+        "table1": builtin_table1,
+        "extra-row mutant 18 of nary 3 2": lambda: list(
+            mutants(export_decomposable(make_nary(3, 2)), "extra-row")
+        )[18],
         "nary 3 3": lambda: export_decomposable(make_nary(3, 3)),
         "nary 2 3 m3": lambda: export_decomposable(make_nary(2, 3, 3)),
         "flipped nary 3 3": _nary33_with_one_flipped_entry,

@@ -106,9 +106,17 @@ MUTANT_DIGESTS = {
         12,
         "5a5000f35632bc2fe823df7810fb518660f0ee43d706b97f012e9a0537125713",
     ),
+    ("table1", "extra-row", "decoder"): (
+        6,
+        "7b4c83cd3d2ba8fb3c37a5d9b444a0ba9e4046d4624a6bd6810343792457f977",
+    ),
     ("table1", "extra-row", "no-decoder"): (
         6,
         "7b4c83cd3d2ba8fb3c37a5d9b444a0ba9e4046d4624a6bd6810343792457f977",
+    ),
+    ("table1", "query-swap", "decoder"): (
+        8,
+        "2afe0b266af4d8015de8325414bff0dd3836c8d0f3684825fc4c3cd0f2d4f804",
     ),
     ("table1", "query-swap", "no-decoder"): (
         8,
@@ -122,9 +130,17 @@ MUTANT_DIGESTS = {
         12,
         "cfd45a1c80b44a54731238e6581e3e4f0573dad050b36856ee814d125c2ae93f",
     ),
+    ("nary 2 2", "extra-row", "decoder"): (
+        6,
+        "0565b1a41eaa52464e4fda1e672ac6b8a8d33c866b9d8e872c078bcfd19ebe20",
+    ),
     ("nary 2 2", "extra-row", "no-decoder"): (
         6,
         "21c408d94587075ce8eeaa33ee90f9c162e608f5e64475fda6733b3090824781",
+    ),
+    ("nary 2 2", "query-swap", "decoder"): (
+        8,
+        "60bbeb85c53b22c32886eb3b1cbde917f199f28db447d6011ea7b25e9594a49b",
     ),
     ("nary 2 2", "query-swap", "no-decoder"): (
         8,
@@ -138,9 +154,17 @@ MUTANT_DIGESTS = {
         64,
         "690a253a09ac5270782372fa45a9a895fd77e4cf591cf5cd487a6b28365b2087",
     ),
+    ("nary 3 2", "extra-row", "decoder"): (
+        24,
+        "b4ef538f8bab594358fcc451e9d57b1941e382cb863e6d619ab47df98222650a",
+    ),
     ("nary 3 2", "extra-row", "no-decoder"): (
         24,
         "1f71ed24cf7bcd16d132c961e0cac62844f00d58241ac792ffc5b1fbb8046f33",
+    ),
+    ("nary 3 2", "query-swap", "decoder"): (
+        36,
+        "73c665c7f695789d12ffaa52b2cc0cd57b283d3306eec954cf424e165f52cd66",
     ),
     ("nary 3 2", "query-swap", "no-decoder"): (
         36,
@@ -154,9 +178,17 @@ MUTANT_DIGESTS = {
         42,
         "aa10408c172e09a2bf0c57924f73252788281a09da625b9b5b505b360f1e4a2e",
     ),
+    ("nary 2 3", "extra-row", "decoder"): (
+        28,
+        "18c0f62066a5075af2d7579da76a5b15e08f4ebad3c020db854c613ad8c8c714",
+    ),
     ("nary 2 3", "extra-row", "no-decoder"): (
         28,
         "5ea8bbfca62f5948ae6514045c1e4a08be026e54edabfcc824f44549dd4196d4",
+    ),
+    ("nary 2 3", "query-swap", "decoder"): (
+        108,
+        "b6553bbf9fda182edf703db94bb649e4d31c7107145415e42f49f063f6a96cd5",
     ),
     ("nary 2 3", "query-swap", "no-decoder"): (
         108,
