@@ -167,15 +167,12 @@ def capacity(n_servers: int, n_messages: int) -> Fraction:
 
 def expected_answer_lengths(code: DecomposableCode, k: int = 0) -> tuple[Fraction, ...]:
     """Per-server expected answer symbols under the key distribution."""
+    n_keys = len(code.keys)
+    queries = [code.query_map[(k, f)] for f in range(n_keys)]
     out = []
-    for n in range(code.params.n_servers):
-        pmf = code.query_pmf(n, k)
-        out.append(
-            sum(
-                (p * code.answer_length(n, qi) for qi, p in enumerate(pmf)),
-                Fraction(0),
-            )
-        )
+    for n, per_server in enumerate(code.varieties):
+        lengths = [v.length for v in per_server]
+        out.append(Fraction(sum(lengths[q[n]] for q in queries), n_keys))
     return tuple(out)
 
 

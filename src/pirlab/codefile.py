@@ -24,9 +24,9 @@ optional ``-`` and a nonzero digit followed by digits; ``+1``, ``01``,
 for every accepted text laid out as `emit` lays it out (single spaces, each
 line ended by ``\n``).
 
-Transformed codes repeat a few tables many times.  `emit` renders each
-table object once and `parse` reads each distinct value text once; equal
-tables of a parsed code are one shared ``tuple[int, ...]`` of values.
+Transformed codes repeat a few rows and tables many times: `emit` renders
+each table once and each row once per row index, and `parse` reads a row's
+lines once per row index and each value text once, sharing equal objects.
 
 ``parse(emit(code)) == code`` holds structurally (params, varieties, keys,
 query map) for every code this package produces.
@@ -51,17 +51,21 @@ def emit(code: DecomposableCode) -> str:
     """Serialize a code; deterministic, byte-stable output."""
     p = code.params
     rendered: dict[int, str] = {}  # id(table) -> its value text
+    chunks: dict[tuple[int, int], str] = {}  # (row index, id(row)) -> the row's lines
     lines = [f"pir-code v1 {p.n_servers} {p.n_messages} {p.msg_len} {p.msg_modulus} {p.ans_modulus}"]
     for n, per_server in enumerate(code.varieties):
         lines.append(f"server {n} {len(per_server)}")
         for qi, variety in enumerate(per_server):
             lines.append(f"query {qi} {variety.label} {variety.length}")
             for i, row in enumerate(variety.tables):
-                for k, table in enumerate(row):
-                    vals = rendered.get(id(table))
-                    if vals is None:
-                        vals = rendered[id(table)] = " ".join(map(str, table))
-                    lines.append(f"table {i} {k} {vals}")
+                if (i, id(row)) not in chunks:
+                    for table in row:
+                        if id(table) not in rendered:
+                            rendered[id(table)] = " ".join(map(str, table))
+                    chunks[(i, id(row))] = "\n".join(
+                        f"table {i} {k} {rendered[id(table)]}" for k, table in enumerate(row)
+                    )
+                lines.append(chunks[(i, id(row))])
     lines.append(f"keys {len(code.keys)}")
     for f, label in enumerate(code.keys):
         lines.append(f"key {f} {label}")
@@ -77,7 +81,7 @@ class _Reader:
     """The non-blank lines of a document, each split only when it is read."""
 
     def __init__(self, text: str):
-        self.lines = [line for line in text.splitlines() if line.strip()]
+        self.lines = tuple(line for line in text.splitlines() if line and not line.isspace())
         self.pos = 0  # also the number of the line read last
 
     def next(self, directive: str, count: int | None = None, maxsplit: int = -1) -> list[str]:
@@ -122,10 +126,14 @@ def parse(text: str) -> DecomposableCode:
     except ValueError as exc:
         raise CodeFormatError(str(exc)) from None
     table_size = m**msg_len
-    # transformed codes repeat a few tables many times: each distinct value
-    # text is read once, and tables with equal values share one object
+    # transformed codes repeat a few rows and tables many times: equal tables
+    # and equal rows are one object each, each distinct value text is read
+    # once, and a row's K lines, once validated at a row index, are taken
+    # whole at that index; anywhere else they are read token by token
     tables: dict[tuple[int, ...], tuple[int, ...]] = {}
     by_text: dict[str, tuple[int, ...]] = {}
+    rows_seen: dict[tuple, tuple] = {}
+    by_lines: dict[tuple[str, ...], tuple[int, tuple]] = {}  # -> (row index, row)
 
     varieties = []
     for n in range(n_servers):
@@ -146,6 +154,12 @@ def parse(text: str) -> DecomposableCode:
                 raise CodeFormatError("answer length must be >= 0")
             rows = []
             for i in range(length):
+                lines = r.lines[r.pos : r.pos + n_messages]
+                seen = by_lines.get(lines)
+                if seen is not None and seen[0] == i:
+                    r.pos += n_messages
+                    rows.append(seen[1])
+                    continue
                 cols = []
                 for k in range(n_messages):
                     trow = r.next("table", maxsplit=3)
@@ -170,7 +184,9 @@ def parse(text: str) -> DecomposableCode:
                                 raise CodeFormatError(str(exc)) from None
                         table = by_text[value_text] = tables.setdefault(values, values)
                     cols.append(table)
-                rows.append(tuple(cols))
+                row = rows_seen.setdefault(tuple(cols), tuple(cols))
+                by_lines[lines] = (i, row)
+                rows.append(row)
             try:
                 per_server.append(AnswerFunction(label, tuple(rows)))
             except ValueError as exc:

@@ -66,6 +66,11 @@ def classify(table: tuple[int, ...], modulus: int) -> str:
     return NEITHER
 
 
+def _check_label(label: str, what: str) -> None:
+    if label.split() != [label]:  # one C-level pass: empty or whitespace both fail
+        raise ValueError(f"{what} labels must be non-empty and whitespace-free")
+
+
 def _check_table(table: tuple[int, ...], p: CodeParams) -> None:
     expected = p.msg_modulus**p.msg_len
     if len(table) != expected:
@@ -88,8 +93,7 @@ class AnswerFunction:
     tables: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.label or any(ch.isspace() for ch in self.label):
-            raise ValueError("variety labels must be non-empty and whitespace-free")
+        _check_label(self.label, "variety")
 
     @property
     def length(self) -> int:
@@ -121,19 +125,20 @@ class DecomposableCode:
                 raise ValueError("variety labels must be unique per server")
             for variety in per_server:
                 for row in variety.tables:
-                    if len(row) != p.n_messages:
-                        raise ValueError("each answer row needs one table per message")
-                    for table in row:
-                        if id(table) not in checked:  # transforms share tables
-                            checked.add(id(table))
-                            _check_table(table, p)
+                    if id(row) not in checked:  # transforms share rows and tables
+                        checked.add(id(row))
+                        if len(row) != p.n_messages:
+                            raise ValueError("each answer row needs one table per message")
+                        for table in row:
+                            if id(table) not in checked:
+                                checked.add(id(table))
+                                _check_table(table, p)
         if not self.keys:
             raise ValueError("key space must be non-empty")
         if len(set(self.keys)) != len(self.keys):
             raise ValueError("key labels must be unique")
         for key in self.keys:
-            if any(ch.isspace() for ch in key):
-                raise ValueError("key labels must be whitespace-free")
+            _check_label(key, "key")
         expected_entries = {
             (k, f) for k in range(p.n_messages) for f in range(len(self.keys))
         }

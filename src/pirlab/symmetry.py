@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Callable, Optional
 
 from .analysis import DEFAULT_CAP, _require_within_cap
@@ -115,11 +116,11 @@ def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
     entries = 0
     index_of: list[dict[tuple[int, ...], int]] = []
     for n, combos in enumerate(query_combos):
+        lengths = [[v.length for v in b.varieties[n]] for b in blocks]
         lookup: dict[tuple[int, ...], int] = {}
         for combo in combos:
             lookup[combo] = len(lookup)
-            length = sum(b.answer_length(n, qi) for b, qi in zip(blocks, combo))
-            entries += K * table_size * length
+            entries += K * table_size * sum(map(operator.getitem, lengths, combo))
             _require_within_cap(entries, cap)
         index_of.append(lookup)
 
@@ -129,41 +130,42 @@ def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
 
     varieties = []
     for n, lookup in enumerate(index_of):
+        # each block's rows per query, lifted once and shared by every combo
+        lifted = [
+            [tuple(tuple(lift(t, i) for t in row) for row in v.tables) for v in b.varieties[n]]
+            for i, b in enumerate(blocks)
+        ]
+        labels = [[v.label for v in b.varieties[n]] for b in blocks]
         per_server = []
         for combo in lookup:
-            rows = []
-            for i, b in enumerate(blocks):
-                for row in b.varieties[n][combo[i]].tables:
-                    rows.append(tuple(lift(row[k], i) for k in range(K)))
-            label = "|".join(b.query_label(n, combo[i]) for i, b in enumerate(blocks))
-            per_server.append(AnswerFunction(label, tuple(rows)))
+            rows = tuple(itertools.chain.from_iterable(map(operator.getitem, lifted, combo)))
+            label = "|".join(map(operator.getitem, labels, combo))
+            per_server.append(AnswerFunction(label, rows))
         varieties.append(tuple(per_server))
 
     key_combos, key_labels = zip(*keys)
-
-    def block_queries(k: int, fc: tuple[int, ...], n: int) -> tuple[int, ...]:
-        return tuple(b.query_map[(k, fc[i])][n] for i, b in enumerate(blocks))
-
-    query_map = {
-        (k, fi): tuple(index_of[n][block_queries(k, fc, n)] for n in range(N))
-        for k in range(K)
-        for fi, fc in enumerate(key_combos)
-    }
+    query_map = {}
+    for k in range(K):
+        block_maps = [[b.query_map[(k, f)] for f in range(len(b.keys))] for b in blocks]
+        for fi, fc in enumerate(key_combos):
+            # zip the blocks' query tuples into each server's combo
+            combos = zip(*map(operator.getitem, block_maps, fc))
+            query_map[(k, fi)] = tuple(map(operator.getitem, index_of, combos))
 
     reconstruct: Optional[Callable] = None
     if all(b.reconstruct is not None for b in blocks):
+        combo_at = [list(lookup) for lookup in index_of]  # query index -> combo
 
         def reconstruct(k: int, fi: int, answers) -> tuple[int, ...]:
-            fc = key_combos[fi]
             values: list[int] = []
             # per-server split points follow the block order of the combo
-            combos = [block_queries(k, fc, n) for n in range(N)]
+            combos = [combo_at[n][q] for n, q in enumerate(query_map[(k, fi)])]
             offsets = [0] * N
             for i, b in enumerate(blocks):
                 ends = [offsets[n] + b.answer_length(n, combos[n][i]) for n in range(N)]
                 block_answers = tuple(answers[n][offsets[n] : ends[n]] for n in range(N))
                 offsets = ends
-                values.extend(b.reconstruct(k, fc[i], block_answers))
+                values.extend(b.reconstruct(k, key_combos[fi][i], block_answers))
             return tuple(values)
 
     return DecomposableCode(

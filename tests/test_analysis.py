@@ -173,6 +173,41 @@ def test_expected_answer_lengths_nary33():
     assert expected_answer_lengths(code) == (F(8, 9), F(1), F(1))
 
 
+def _expected_answer_lengths_by_pmf(code, k):
+    """The definition: Σ over queries of P(query) · answer length, per server."""
+    return tuple(
+        sum((p * code.answer_length(n, qi) for qi, p in enumerate(code.query_pmf(n, k))), F(0))
+        for n in range(code.params.n_servers)
+    )
+
+
+_LENGTH_CODES = {
+    "table1": builtin_table1,
+    "table2": builtin_sunjafar22,
+    **{
+        f"nary {n} {k}": (lambda n=n, k=k: export_decomposable(make_nary(n, k)))
+        for n in (2, 3, 4)
+        for k in (1, 2, 3)
+    },
+    **{
+        f"{transform.__name__} nary {n} 2": (
+            lambda transform=transform, n=n: transform(export_decomposable(make_nary(n, 2)))
+        )
+        for transform in (server_symmetrize, message_symmetrize, variety_symmetrize)
+        for n in (2, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_LENGTH_CODES))
+def test_expected_answer_lengths_equal_the_pmf_weighted_sum(name):
+    code = _LENGTH_CODES[name]()
+    for k in range(code.params.n_messages):
+        lengths = expected_answer_lengths(code, k)
+        assert lengths == _expected_answer_lengths_by_pmf(code, k)
+        assert all(type(e) is F for e in lengths)
+
+
 def test_rate_nary_22():
     assert rate(export_decomposable(make_nary(2, 2))) == F(2, 3)
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from pirlab import codefile
 from pirlab.analysis import rate, verify_correctness, verify_privacy
 from pirlab.codefile import CodeFormatError, emit, load, parse, save
 from pirlab.model import DecomposableCode, builtin_sunjafar22, builtin_table1
@@ -247,3 +248,87 @@ def test_parse_reads_a_repeated_table_text_once_and_shares_the_table():
         for table in row
     }
     assert len(tables) == len(set(tables.values())) == 7
+
+
+@pytest.fixture(scope="module")
+def nary23_lines() -> tuple[str, ...]:
+    """The emitted message-symmetrized `nary 2 3`: 129,024 table lines, 7 value texts."""
+    return tuple(emit(message_symmetrize(export_decomposable(make_nary(2, 3)))).splitlines())
+
+
+def _repeated_line_mutations(lines: list[str]) -> dict[str, list[str]]:
+    """Mutations built from `table` lines that repeat earlier lines.
+
+    Query 7 of server 0 sits at lines 33-39 (counted from 0): its row 0
+    repeats the lines of queries 5 and 6, and its last line repeats the last
+    line of query 6.
+    """
+    assert lines[33].startswith("query 7 ") and lines[40].startswith("query 8 ")
+    assert lines[34] in lines[:34] and lines[39] in lines[:39]
+    cached = lines[34]
+    tokens = cached.split()
+    one = tokens.index("1", 3)
+    return {
+        "wrong row": lines[:37] + [cached] + lines[38:],
+        "wrong col": lines[:35] + [cached] + lines[36:],
+        "whole row at the wrong row": lines[:37] + lines[34:37] + lines[40:],
+        "moved into the next query block": lines[:39] + [lines[40], lines[39]] + lines[41:],
+        "value dropped": lines[:34] + [" ".join(tokens[:-1])] + lines[35:],
+        "non-canonical 01": lines[:34]
+        + [" ".join(tokens[:one] + ["01"] + tokens[one + 1 :])]
+        + lines[35:],
+        "trailing space": lines[:34] + [cached + " "] + lines[35:],
+    }
+
+
+@pytest.mark.parametrize(
+    "mutation,outcome",
+    [
+        ("wrong row", "CodeFormatError: table blocks must appear row-major, got (0,0)"),
+        ("wrong col", "CodeFormatError: table blocks must appear row-major, got (0,0)"),
+        ("whole row at the wrong row", "CodeFormatError: table blocks must appear row-major, got (0,0)"),
+        ("moved into the next query block", "CodeFormatError: expected 'table' at line 40, got 'query'"),
+        ("value dropped", "CodeFormatError: 'table' at line 35 needs 67 tokens, got 66"),
+        ("non-canonical 01", "CodeFormatError: bad integer for table value: '01'"),
+        ("trailing space", "ok"),
+    ],
+)
+def test_repeated_table_lines_fail_as_every_other_line(nary23_lines, mutation, outcome):
+    # recorded before `parse` learned to take a repeated row from a cache
+    text = "\n".join(_repeated_line_mutations(list(nary23_lines))[mutation]) + "\n"
+    assert _outcome(text) == outcome
+
+
+def test_emit_and_parse_work_per_distinct_table_not_per_line(nary23_lines, monkeypatch):
+    # the 129,024 table lines hold 12 table objects and 7 value texts; each
+    # value is rendered and converted per distinct table, never per line
+    code = message_symmetrize(export_decomposable(make_nary(2, 3)))
+    objects = {id(t) for per in code.varieties for v in per for row in v.tables for t in row}
+    table_lines = [line for line in nary23_lines if line.startswith("table ")]
+    table_size = code.params.msg_modulus**code.params.msg_len
+    assert (len(table_lines), len(objects), table_size) == (129_024, 12, 64)
+
+    renders = []
+
+    def counting_map(fn, *iterables):
+        if fn is str:
+            renders.append(fn)
+        return map(fn, *iterables)
+
+    monkeypatch.setattr(codefile, "map", counting_map, raising=False)
+    text = emit(code)
+    monkeypatch.delattr(codefile, "map")
+    assert tuple(text.splitlines()) == nary23_lines
+    assert 0 < len(renders) <= len(objects)
+
+    conversions = []
+    real_int = codefile._int
+
+    def counting_int(token, what):
+        if what == "table value":
+            conversions.append(token)
+        return real_int(token, what)
+
+    monkeypatch.setattr(codefile, "_int", counting_int)
+    assert parse(text) == code
+    assert 0 < len(conversions) <= len(set(table_lines)) * table_size < len(table_lines)

@@ -149,6 +149,25 @@ def test_code_rejects_duplicate_labels():
         _tiny_code(varieties=dup, query_map={(0, 0): (0, 0)})
 
 
+@pytest.mark.parametrize("label", ["", "a b", "a\tb", " a", "a\n", "a\xa0b"])
+def test_code_rejects_key_labels_that_a_code_file_cannot_hold(label):
+    # `emit` would write `key 0 ` for an empty label, and `parse` refuses that line
+    code = builtin_table1()
+    with pytest.raises(ValueError, match="^key labels must be non-empty and whitespace-free$"):
+        DecomposableCode(code.params, code.varieties, (label, "1"), code.query_map)
+
+
+def test_label_rule_matches_the_per_character_whitespace_rule():
+    # every whitespace code point lies below U+3001
+    for label in (f"a{c}b" for c in map(chr, range(0x3001))):
+        try:
+            AnswerFunction(label, ())
+            refused = False
+        except ValueError:
+            refused = True
+        assert refused == any(ch.isspace() for ch in label)
+
+
 def test_code_rejects_table_param_mismatch():
     bad = coordinate_table(3, 1, 0)  # modulus 3 in a mod-2 code
     varieties = (
