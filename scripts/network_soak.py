@@ -4,7 +4,8 @@
 Starts one TCP server per database fragment, installs a random database,
 then hammers the cluster with seeded retrievals — every recovered message
 is checked against the locally stored one, and the observed mean download
-is compared with the exact expectation.  Exits nonzero on any mismatch.
+is compared with the exact expectation.  A retrieval that fails counts as a
+failed round and the soak goes on.  Exits nonzero on any failed round.
 """
 
 import argparse
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from pirlab.groups import MessageSet
 from pirlab.nary import answer_length, make_nary, query_vector, random_key
-from pirlab.net import PirServer, client_retrieve, setup_endpoint
+from pirlab.net import PirServer, RetrievalError, client_retrieve, setup_endpoint
 
 
 def expected_download(code) -> Fraction:
@@ -58,11 +59,16 @@ def main() -> int:
         for i in range(args.rounds):
             k = rng.randrange(args.messages)
             key = random_key(code, rng)
-            got = client_retrieve(code, endpoints, k, key=key)
             downloaded += sum(
                 answer_length(code, n, query_vector(code, n, k, key))
                 for n in range(args.servers)
             )
+            try:
+                got = client_retrieve(code, endpoints, k, key=key)
+            except RetrievalError as exc:
+                failures += 1
+                print(f"round {i}: retrieval of message {k} failed: {exc}")
+                continue
             if got != msgs[k]:
                 failures += 1
                 print(f"round {i}: MISMATCH for message {k}: {got.values}")

@@ -9,7 +9,6 @@ small TCP wire protocol for running the code against live servers.
 from .analysis import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
-    ExactDistribution,
     VerificationReport,
     Witness,
     capacity,
@@ -49,7 +48,6 @@ __all__ = [
     "DecomposableCode",
     "DEFAULT_CAP",
     "EnumerationCapExceeded",
-    "ExactDistribution",
     "Message",
     "MessageSet",
     "NaryCode",

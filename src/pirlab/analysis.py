@@ -1,13 +1,15 @@
 """Exact verification and information metrics for table-driven codes.
 
 Every verifier covers all databases -- no sampling, ever -- and decides
-pass/fail on integer counts over one exact total.  An answer symbol is a
-group sum of per-message table lookups, and messages are uniform and
-independent.  So correctness and the properties P1-P3 work from per-message
-contributions: for one query tuple, the answers counting only some messages
-are distributed as the convolution (mod y) of those messages'
-contributions, and no database is enumerated unless a check fails and its
-witness is wanted.  A code's decoder runs once per distinct answer tuple of
+pass/fail on integer counts.  A distribution is a plain count table: a dict
+from value tuples to positive int counts, each over the table's total.  No
+table is rescaled to the database count, since every test and printed
+fraction is scale-free.  An answer symbol is a group sum of per-message
+table lookups, and messages are uniform and independent.  So correctness
+and the properties P1-P3 work from per-message contributions: for one query
+tuple, the answers counting only some messages are distributed as the
+convolution (mod y) of those messages' contributions, and no database is
+enumerated unless a check fails and its witness is wanted.  A code's decoder runs once per distinct answer tuple of
 each (request, key).  The lemma identities tally every database, key by
 key: each answer symbol on every database is the outer sum of its row's
 per-message tables, mod y, and nothing is kept on the code between checks.
@@ -40,9 +42,11 @@ class EnumerationCapExceeded(Exception):
     """The requested exact enumeration is larger than the configured cap."""
 
     def __init__(self, required: int, cap: int):
-        super().__init__(
-            f"refusing exact enumeration: needs {required} evaluations, cap is {cap}"
-        )
+        try:
+            shown = str(required)
+        except ValueError:  # more digits than int-to-str conversion allows
+            shown = f"at least 2^{required.bit_length() - 1}"
+        super().__init__(f"refusing exact enumeration: needs {shown} evaluations, cap is {cap}")
         self.required = required
         self.cap = cap
 
@@ -52,59 +56,23 @@ def _require_within_cap(required: int, cap: int) -> None:
         raise EnumerationCapExceeded(required, cap)
 
 
+def _check_permutation(perm, size: int) -> tuple[int, ...]:
+    perm = tuple(perm)
+    if sorted(perm) != list(range(size)):
+        raise ValueError(f"{perm} is not a permutation of 0..{size - 1}")
+    return perm
+
+
 # ---------------------------------------------------------------------------
-# exact distributions
+# information measures over count tables
 
 
-class ExactDistribution:
-    """An exact rational pmf over tuples of values, held as integer counts.
-
-    Every probability is a count over one total shared by the whole support.
-    The support holds only strictly positive counts and they sum to the
-    total; both are enforced.  Values must be mutually comparable -- in this
-    package they are always (nested) tuples of ints.
-    """
-
-    __slots__ = ("_counts", "_total")
-
-    @classmethod
-    def from_counts(cls, counts, total: int) -> "ExactDistribution":
-        """The pmf value -> count / total; the counts must be positive."""
-        if min(counts.values(), default=1) <= 0:
-            raise ValueError("counts must be positive on the support")
-        if sum(counts.values()) != total:
-            raise ValueError("probabilities must sum to exactly 1")
-        dist = cls.__new__(cls)
-        dist._counts, dist._total = dict(sorted(counts.items())), total
-        return dist
-
-    def items(self):
-        return ((v, Fraction(c, self._total)) for v, c in self._counts.items())
-
-    def support(self):
-        return tuple(self._counts)
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactDistribution):
-            return NotImplemented
-        return self._counts.keys() == other._counts.keys() and all(
-            c * other._total == other._counts[v] * self._total
-            for v, c in self._counts.items()
-        )
-
-    def __repr__(self) -> str:
-        return f"ExactDistribution.from_counts({self._counts!r}, {self._total})"
-
-    def marginal(self, positions) -> "ExactDistribution":
-        """Project a joint distribution onto the given component positions."""
-        pos = tuple(positions)
-        out: Counter = Counter()
-        for value, c in self._counts.items():
-            out[tuple(value[i] for i in pos)] += c
-        return ExactDistribution.from_counts(out, self._total)
+def _marginal(counts, positions) -> Counter:
+    """Project a count table onto the given component positions."""
+    out: Counter = Counter()
+    for value, c in counts.items():
+        out[tuple(value[i] for i in positions)] += c
+    return out
 
 
 def _log2_ratio(num: int, den: int) -> float:
@@ -117,37 +85,35 @@ def _log2_ratio(num: int, den: int) -> float:
     return math.log2(num // g) - math.log2(den // g)
 
 
-def entropy_bits(dist: ExactDistribution) -> float:
-    """Shannon entropy in bits; exact counts, float only at the log step."""
-    total = dist._total
-    return -sum((c / total) * _log2_ratio(c, total) for c in dist._counts.values())
+def entropy_bits(counts, total: int) -> float:
+    """Shannon entropy in bits, as H(X) = I(X;X)."""
+    return mutual_information_bits({(v, v): c for v, c in counts.items()}, total)
 
 
-def mutual_information_bits(joint: ExactDistribution) -> float:
-    """I between the two components of a joint distribution over pairs."""
-    t = joint._total
-    p_a = joint.marginal((0,))._counts
-    p_b = joint.marginal((1,))._counts
-    total = 0.0
-    for (a, b), c in joint._counts.items():
-        total += (c / t) * _log2_ratio(c * t, p_a[a,] * p_b[b,])
-    return total
+def mutual_information_bits(counts, total: int) -> float:
+    """I between the two components of a count table over pairs, as I(A;B|constant)."""
+    triples = {(a, b, ()): c for (a, b), c in counts.items()}
+    return conditional_mutual_information_bits(triples, total)
 
 
-def conditional_mutual_information_bits(joint: ExactDistribution) -> float:
-    """I(X;Y|Z) for a joint distribution over (x, y, z) triples."""
-    t = joint._total
+def conditional_mutual_information_bits(counts, total: int) -> float:
+    """I(X;Y|Z) for a count table over (x, y, z) triples."""
+    if min(counts.values(), default=1) <= 0:
+        raise ValueError("counts must be positive on the support")
+    if sum(counts.values()) != total:
+        raise ValueError("probabilities must sum to exactly 1")
     p_z, p_xz, p_yz = defaultdict(int), defaultdict(int), defaultdict(int)
-    for (x, y, z), c in joint._counts.items():
+    for (x, y, z), c in counts.items():
         p_z[z] += c
         p_xz[x, z] += c
         p_yz[y, z] += c
-    # terms are added in support order (not by sum(), whose rounding varies
-    # by Python version)
-    total = 0.0
-    for (x, y, z), c in joint._counts.items():
-        total += (c / t) * _log2_ratio(c * p_z[z], p_xz[x, z] * p_yz[y, z])
-    return total
+    # terms are added in sorted support order (not by sum(), whose rounding
+    # varies by Python version)
+    out = 0.0
+    for x, y, z in sorted(counts):
+        c = counts[x, y, z]
+        out += (c / total) * _log2_ratio(c * p_z[z], p_xz[x, z] * p_yz[y, z])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +217,14 @@ class VerificationReport:
 # per-message contributions
 
 
-def _enumeration_size(code: DecomposableCode) -> int:
-    p = code.params
-    return p.msg_modulus ** (p.n_messages * p.msg_len)
+def _enumeration_size(code) -> int:
+    return code.params.msg_modulus ** (code.params.n_messages * code.params.msg_len)
+
+
+def _require_correctness_within_cap(code, n_keys: int, cap: int) -> None:
+    """Refuse checking databases x keys beyond `cap`.  Only `code.params` is
+    read, so a nary shape is refused before it is exported."""
+    _require_within_cap(_enumeration_size(code) * n_keys, cap)
 
 
 def all_message_sets(code: DecomposableCode) -> list[tuple[tuple[int, ...], ...]]:
@@ -348,7 +319,7 @@ def verify_correctness(
     """
     p = code.params
     size, n_keys, y = _enumeration_size(code), len(code.keys), p.ans_modulus
-    _require_within_cap(size * n_keys, cap)
+    _require_correctness_within_cap(code, n_keys, cap)
     values = list(itertools.product(range(p.msg_modulus), repeat=p.msg_len))
     for k in range(p.n_messages):
         for f in range(n_keys):
@@ -372,13 +343,8 @@ def verify_correctness(
                 detail = f"decoder raised {type(got).__name__}: {got}"
             else:
                 detail = f"reconstructed {got}, stored {stored}"
-            witness = Witness(
-                detail,
-                tuple(values[r] for r in ranks),
-                code.keys[f],
-                k,
-                _query_labels(code, queries),
-            )
+            messages = tuple(values[r] for r in ranks)
+            witness = Witness(detail, messages, code.keys[f], k, _query_labels(code, queries))
             return VerificationReport(False, (k * n_keys + f) * size + d, witness)
     return VerificationReport(True, size * n_keys * p.n_messages)
 
@@ -418,14 +384,14 @@ def positive_query_tuples(code: DecomposableCode, k: int) -> tuple[tuple[int, ..
     )
 
 
-def _independent(joint: ExactDistribution, arity: int) -> Optional[str]:
-    """None when the joint is the product of its marginals, exactly; else why not."""
-    total = joint._total
-    marginals = [joint.marginal((i,)) for i in range(arity)]
-    for combo in itertools.product(*(m.support() for m in marginals)):
+def _independent(joint, arity: int) -> Optional[str]:
+    """None when the table is the product of its marginals, exactly; else why not."""
+    total = sum(joint.values())
+    marginals = [_marginal(joint, (i,)) for i in range(arity)]
+    for combo in itertools.product(*map(sorted, marginals)):
         value = tuple(v[0] for v in combo)
-        actual = joint._counts.get(value, 0)
-        expected = math.prod(m._counts[v] for m, v in zip(marginals, combo))
+        actual = joint.get(value, 0)
+        expected = math.prod(m[v] for m, v in zip(marginals, combo))
         if actual * total ** (arity - 1) != expected:
             return (
                 f"joint probability {Fraction(actual, total)} of {value} "
@@ -434,11 +400,12 @@ def _independent(joint: ExactDistribution, arity: int) -> Optional[str]:
     return None
 
 
-def _mutually_determining(joint: ExactDistribution, arity: int) -> Optional[str]:
+def _mutually_determining(joint, arity: int) -> Optional[str]:
     """None when every variable is a function of every other on the support."""
+    support = sorted(joint)
     for i, j in itertools.permutations(range(arity), 2):
         seen: dict = {}
-        for value in joint.support():
+        for value in support:
             vi, vj = value[i], value[j]
             if seen.setdefault(vi, vj) != vj:
                 return (
@@ -448,17 +415,6 @@ def _mutually_determining(joint: ExactDistribution, arity: int) -> Optional[str]
     return None
 
 
-def _answer_joint(code: DecomposableCode, queries, selected) -> ExactDistribution:
-    """Exact joint pmf, under uniform messages, of every server's answer to
-    `queries`, counting only the `selected` messages."""
-    p = code.params
-    sums = _convolve(_contributions(code, queries), selected, p.ans_modulus)
-    # an unselected message's m^L values all leave the sum as it is
-    scale = (p.msg_modulus**p.msg_len) ** (p.n_messages - len(selected))
-    counts = {a: c * scale for a, c in sums.items()}
-    return ExactDistribution.from_counts(counts, _enumeration_size(code))
-
-
 def _check_property(code, k: int, queries, cap: int, selected, holds) -> VerificationReport:
     """Tally the answers to `queries`, counting only the `selected` messages,
     and test them with `holds`."""
@@ -466,7 +422,7 @@ def _check_property(code, k: int, queries, cap: int, selected, holds) -> Verific
     if queries not in {code.query_map[(k, f)] for f in range(len(code.keys))}:
         raise ValueError(f"query tuple {queries} has zero probability for k={k}")
     _require_within_cap(_enumeration_size(code), cap)
-    joint = _answer_joint(code, queries, selected)
+    joint = _convolve(_contributions(code, queries), selected, code.params.ans_modulus)
     detail = holds(joint, len(queries))
     labels = _query_labels(code, queries)
     witness = None if detail is None else Witness(detail, k=k, queries=labels)
@@ -541,7 +497,7 @@ def _request_mi_bits(code: DecomposableCode, request: int, info, given, cap: int
                 digit = [(s % y + 1) * place for s in range(p.n_messages * y)]  # by table sum
                 ys = list(map(int.__add__, ys, map(digit.__getitem__, _outer_sums(row))))
         tally.update(zip(xs, ys, map(f.__add__, zs)))
-    return conditional_mutual_information_bits(ExactDistribution.from_counts(tally, size))
+    return conditional_mutual_information_bits(tally, size)
 
 
 def check_lemma1_equality(
@@ -576,18 +532,12 @@ def check_lemma2_equality(
     Capacity-achieving codes sit at exactly zero for every perm and k.
     """
     p = code.params
-    perm = tuple(perm)
-    if sorted(perm) != list(range(p.n_messages)):
-        raise ValueError(f"{perm} is not a permutation of 0..{p.n_messages - 1}")
+    perm = _check_permutation(perm, p.n_messages)
     if p.n_messages < 2 or not 1 <= k <= p.n_messages - 1:
         raise ValueError("need K >= 2 and a split point k in 1..K-1")
     first = _request_mi_bits(code, perm[k - 1], perm[k:], perm[: k - 1], cap)
     second = _request_mi_bits(code, perm[k], perm[k + 1 :], perm[: k + 1], cap)
-    return (
-        p.n_servers * first
-        - second
-        - p.msg_len * math.log2(p.msg_modulus)
-    )
+    return p.n_servers * first - second - p.msg_len * math.log2(p.msg_modulus)
 
 
 # ---------------------------------------------------------------------------

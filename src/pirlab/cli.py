@@ -13,6 +13,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from . import analysis, codefile, nary, net, symmetry
 from .analysis import CheckRecord, EnumerationCapExceeded
@@ -27,8 +28,13 @@ from .model import (
 PORT_ENV = "PIRLAB_PORT"
 
 
-def _build_source(tokens: list[str], parser: argparse.ArgumentParser) -> DecomposableCode:
-    """A code source is `nary N K [m]`, `table1`, `table2`, or a file path."""
+def _build_source(
+    tokens: list[str], parser: argparse.ArgumentParser, cap: Optional[int] = None
+) -> DecomposableCode:
+    """A code source is `nary N K [m]`, `table1`, `table2`, or a file path.
+
+    With `cap`, a `nary` shape whose correctness check would refuse is
+    refused before it is exported."""
     if tokens[0] == "nary":
         if len(tokens) not in (3, 4):
             parser.error("nary source needs: nary N K [m]")
@@ -38,9 +44,12 @@ def _build_source(tokens: list[str], parser: argparse.ArgumentParser) -> Decompo
         except ValueError:
             parser.error("nary parameters must be integers")
         try:
-            return nary.export_decomposable(nary.make_nary(n, k, m))
+            shape = nary.make_nary(n, k, m)
         except ValueError as exc:
             parser.error(str(exc))
+        if cap is not None:
+            analysis._require_correctness_within_cap(shape, n ** (k - 1), cap)
+        return nary.export_decomposable(shape)
     if tokens[0] == "table1":
         return builtin_table1()
     if tokens[0] == "table2":
@@ -275,7 +284,7 @@ def _verify_records(code: DecomposableCode, cap: int) -> list[CheckRecord]:
 
 
 def cmd_verify(args, parser) -> int:
-    code = _build_source(args.source, parser)
+    code = _build_source(args.source, parser, args.cap)
     records = _verify_records(code, args.cap)
     for record in records:
         print(record.text_line())

@@ -97,6 +97,11 @@ class MessageSet:
     def msg_len(self) -> int:
         return len(self.values[0])
 
+    def check_shape(self, p: CodeParams) -> None:
+        """Refuse a database that is not p's K messages of L symbols over Z_m."""
+        if (len(self), self.msg_len, self.modulus) != (p.n_messages, p.msg_len, p.msg_modulus):
+            raise ValueError("message set shape disagrees with code params")
+
     def __getitem__(self, k: int) -> Message:
         return Message(self.values[k], self.modulus)
 

@@ -175,12 +175,7 @@ class DecomposableCode:
     def eval_answer(self, n: int, query_index: int, msgs: MessageSet) -> tuple[int, ...]:
         """Run one server's answer function on a concrete database."""
         p = self.params
-        if (
-            len(msgs) != p.n_messages
-            or msgs.msg_len != p.msg_len
-            or msgs.modulus != p.msg_modulus
-        ):
-            raise ValueError("message set shape disagrees with code params")
+        msgs.check_shape(p)
         rows = self.varieties[n][query_index].tables
         values = msgs.values
         out = []

@@ -78,15 +78,19 @@ def key_offset(key: RandomKey) -> int:
     return sum(key.digits) % key.base
 
 
+def _check_request(code: NaryCode, k: int, key: RandomKey) -> None:
+    if not 0 <= k < code.n_messages:
+        raise ValueError(f"message index {k} out of range")
+    if key.base != code.n_servers or len(key.digits) != code.n_messages - 1:
+        raise ValueError("key shape disagrees with code params")
+
+
 def query_vector(code: NaryCode, n: int, k: int, key: RandomKey) -> tuple[int, ...]:
     """The query digits sent to server n when requesting message k under `key`."""
     N = code.n_servers
     if not 0 <= n < N:
         raise ValueError(f"server index {n} out of range")
-    if not 0 <= k < code.n_messages:
-        raise ValueError(f"message index {k} out of range")
-    if key.base != N or len(key.digits) != code.n_messages - 1:
-        raise ValueError("key shape disagrees with code params")
+    _check_request(code, k, key)
     return _query_digits(key.digits, key_offset(key), n, k, N)
 
 
@@ -132,12 +136,7 @@ def answer(code: NaryCode, n: int, q: tuple[int, ...], msgs: MessageSet) -> tupl
     """
     if answer_length(code, n, q) == 0:
         return ()
-    if (
-        len(msgs) != code.n_messages
-        or msgs.msg_len != code.params.msg_len
-        or msgs.modulus != code.modulus
-    ):
-        raise ValueError("message set shape disagrees with code params")
+    msgs.check_shape(code.params)
     rows = msgs.values
     return (sum(rows[k][d - 1] for k, d in enumerate(q) if d) % code.modulus,)
 
@@ -155,10 +154,7 @@ def reconstruct(
     N = code.n_servers
     if len(answers) != N:
         raise ValueError(f"need {N} answers, got {len(answers)}")
-    if not 0 <= k < code.n_messages:
-        raise ValueError(f"message index {k} out of range")
-    if key.base != N or len(key.digits) != code.n_messages - 1:
-        raise ValueError("key shape disagrees with code params")
+    _check_request(code, k, key)
     star = key_offset(key)
     for n, ans in enumerate(answers):
         # only server 0 under the all-zero key gets the all-zero query

@@ -123,8 +123,7 @@ def check_wire_limits(code: NaryCode) -> None:
 def encode_setup_payload(code: NaryCode, msgs: MessageSet) -> bytes:
     check_wire_limits(code)
     p = code.params
-    if len(msgs) != p.n_messages or msgs.msg_len != p.msg_len or msgs.modulus != p.msg_modulus:
-        raise ValueError("message set shape disagrees with code params")
+    msgs.check_shape(p)
     body = bytes(v for row in msgs.values for v in row)
     return _SETUP_HEAD.pack(p.n_servers, p.n_messages, p.msg_len, p.msg_modulus) + body
 

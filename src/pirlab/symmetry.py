@@ -16,16 +16,9 @@ import math
 import operator
 from typing import Callable, Optional
 
-from .analysis import DEFAULT_CAP, _require_within_cap
+from .analysis import DEFAULT_CAP, _check_permutation, _require_within_cap
 from .groups import CodeParams
 from .model import AnswerFunction, DecomposableCode, digits_label
-
-
-def _check_permutation(perm, size: int) -> tuple[int, ...]:
-    perm = tuple(perm)
-    if sorted(perm) != list(range(size)):
-        raise ValueError(f"{perm} is not a permutation of 0..{size - 1}")
-    return perm
 
 
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -221,6 +214,8 @@ def message_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Decomp
     """Space-share all K! message relabelings of a code."""
     K = code.params.n_messages
     _require_within_cap(math.factorial(K), cap)
+    # space_share's key count, checked before any block is built
+    _require_within_cap(len(code.keys) ** math.factorial(K), cap)
     blocks = [message_permute(code, perm) for perm in itertools.permutations(range(K))]
     return space_share(blocks, cap)
 

@@ -1,4 +1,4 @@
-"""Exact distributions, metrics, and the exhaustive verifiers."""
+"""Count tables, information measures, metrics, and the exhaustive verifiers."""
 
 import json
 import math
@@ -14,7 +14,6 @@ from pirlab import analysis
 from pirlab.analysis import (
     CheckRecord,
     EnumerationCapExceeded,
-    ExactDistribution,
     Witness,
     all_message_sets,
     capacity,
@@ -52,38 +51,55 @@ from test_mutants import mutants
 F = Fraction
 
 
-# ---------------------------------------------------------------- distributions
+# ---------------------------------------------------------------- count tables
 
 
 def _uniform(values):
-    return ExactDistribution.from_counts(dict.fromkeys(values, 1), len(values))
+    """The count table of the uniform pmf on `values`, and its total."""
+    return dict.fromkeys(values, 1), len(values)
 
 
-def test_exact_distribution_normalizes_support():
-    d = ExactDistribution.from_counts({(1,): 3, (0,): 3}, 6)
-    assert d.support() == ((0,), (1,))
-    assert dict(d.items()) == {(0,): F(1, 2), (1,): F(1, 2)}
-    assert len(d) == 2
-    assert d == _uniform([(0,), (1,)])
+MEASURES = (
+    (entropy_bits, lambda v: (v,)),
+    (mutual_information_bits, lambda v: (v, v)),
+    (conditional_mutual_information_bits, lambda v: (v, v, v)),
+)
 
 
-def test_exact_distribution_rejects_bad_total():
-    with pytest.raises(ValueError, match="sum to exactly 1"):
-        ExactDistribution.from_counts({(0,): 1, (1,): 1}, 3)
+def test_count_tables_are_read_in_sorted_order_at_any_scale():
+    # insertion order and a common factor of the counts leave every float as it is
+    counts = {(1, 0, 1): 3, (0, 1, 1): 1, (0, 0, 0): 2, (1, 1, 0): 5}
+    rescaled = {v: 7 * c for v, c in sorted(counts.items())}
+    cmi = conditional_mutual_information_bits
+    assert cmi(counts, 11) == cmi(rescaled, 77) == _reference_cmi(rescaled, 77)
+    pairs = analysis._marginal(counts, (0, 1))
+    assert mutual_information_bits(pairs, 11) == mutual_information_bits(
+        dict(sorted(pairs.items())), 11
+    )
+    assert entropy_bits({(1,): 3, (0,): 3}, 6) == entropy_bits(*_uniform([(0,), (1,)])) == 1.0
+
+
+def test_information_measures_reject_bad_total():
+    for measure, value in MEASURES:
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            measure({value(0): 1, value(1): 1}, 3)
 
 
 @pytest.mark.parametrize("count", [0, -1])
-def test_exact_distribution_rejects_nonpositive_counts(count):
-    with pytest.raises(ValueError, match="positive"):
-        ExactDistribution.from_counts({(0,): 2, (1,): count}, 2 + count)
+def test_information_measures_reject_nonpositive_counts(count):
+    for measure, value in MEASURES:
+        with pytest.raises(ValueError, match="positive"):
+            measure({value(0): 2, value(1): count}, 2 + count)
 
 
 def test_marginal_projection():
-    d = ExactDistribution.from_counts({((0,), (0,)): 2, ((1,), (0,)): 1, ((1,), (1,)): 1}, 4)
-    assert d.marginal((0,)) == _uniform([((0,),), ((1,),)])
-    assert d.marginal((1, 0)) == ExactDistribution.from_counts(
-        {((0,), (0,)): 2, ((0,), (1,)): 1, ((1,), (1,)): 1}, 4
-    )
+    counts = {((0,), (0,)): 2, ((1,), (0,)): 1, ((1,), (1,)): 1}
+    assert analysis._marginal(counts, (0,)) == {((0,),): 2, ((1,),): 2}
+    assert analysis._marginal(counts, (1, 0)) == {
+        ((0,), (0,)): 2,
+        ((0,), (1,)): 1,
+        ((1,), (1,)): 1,
+    }
 
 
 # ---------------------------------------------------------------- information
@@ -91,32 +107,32 @@ def test_marginal_projection():
 
 def test_entropy_uniform_bits():
     d = _uniform([(i,) for i in range(8)])
-    assert entropy_bits(d) == pytest.approx(3.0, abs=1e-12)
+    assert entropy_bits(*d) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_entropy_skewed():
-    d = ExactDistribution.from_counts({(0,): 3, (1,): 1}, 4)
-    assert entropy_bits(d) == pytest.approx(2 - 0.75 * math.log2(3), abs=1e-12)
+    assert entropy_bits({(0,): 3, (1,): 1}, 4) == pytest.approx(2 - 0.75 * math.log2(3), abs=1e-12)
 
 
 def test_mutual_information_independent_pair_is_zero():
     d = _uniform([(a, b) for a in (0, 1) for b in (0, 1)])
-    assert mutual_information_bits(d) == pytest.approx(0.0, abs=1e-12)
+    assert mutual_information_bits(*d) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mutual_information_identical_pair_is_entropy():
     d = _uniform([(0, 0), (1, 1)])
-    assert mutual_information_bits(d) == pytest.approx(1.0, abs=1e-12)
+    assert mutual_information_bits(*d) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_mutual_information():
     # X = Y xor Z with X,Z fair coins: I(X;Y|Z) = 1, unconditionally I(X;Y) = 0
-    d = _uniform([(x, x ^ z, z) for x in (0, 1) for z in (0, 1)])
-    assert conditional_mutual_information_bits(d) == pytest.approx(1.0, abs=1e-12)
-    assert mutual_information_bits(d.marginal((0, 1))) == pytest.approx(0.0, abs=1e-12)
+    counts, total = _uniform([(x, x ^ z, z) for x in (0, 1) for z in (0, 1)])
+    assert conditional_mutual_information_bits(counts, total) == pytest.approx(1.0, abs=1e-12)
+    pairs = analysis._marginal(counts, (0, 1))
+    assert mutual_information_bits(pairs, total) == pytest.approx(0.0, abs=1e-12)
 
 
-def _reference_cmi(joint):
+def _reference_cmi(counts, total):
     """The term loop of the tuple-keyed implementation, kept as the reference
     for the float each measure must reproduce bit for bit."""
 
@@ -124,16 +140,16 @@ def _reference_cmi(joint):
         g = math.gcd(num, den)
         return math.log2(num // g) - math.log2(den // g)
 
-    t = joint._total
+    support = sorted(counts.items())
     p_z, p_xz, p_yz = Counter(), Counter(), Counter()
-    for (x, y, z), c in joint._counts.items():
+    for (x, y, z), c in support:
         p_z[z] += c
         p_xz[x, z] += c
         p_yz[y, z] += c
-    total = 0.0
-    for (x, y, z), c in joint._counts.items():
-        total += (c / t) * log2_ratio(c * p_z[z], p_xz[x, z] * p_yz[y, z])
-    return total
+    out = 0.0
+    for (x, y, z), c in support:
+        out += (c / total) * log2_ratio(c * p_z[z], p_xz[x, z] * p_yz[y, z])
+    return out
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,8 +162,27 @@ def _reference_cmi(joint):
     )
 )
 def test_conditional_mutual_information_is_bit_identical_to_reference(counts):
-    joint = ExactDistribution.from_counts(counts, sum(counts.values()))
-    assert conditional_mutual_information_bits(joint) == _reference_cmi(joint)
+    total = sum(counts.values())
+    assert conditional_mutual_information_bits(counts, total) == _reference_cmi(counts, total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.one_of(st.integers(1, 4), st.integers(1, 1 << 24)),
+        min_size=1,
+        max_size=16,
+    )
+)
+def test_entropy_and_mutual_information_are_the_reference_term_loop(pairs):
+    # I(A;B) = I(A;B|constant) and H(A) = I(A;A), term for term
+    total = sum(pairs.values())
+    triples = {(a, b, 0): c for (a, b), c in pairs.items()}
+    assert mutual_information_bits(pairs, total) == _reference_cmi(triples, total)
+    firsts = analysis._marginal(pairs, (0,))
+    doubled = {(a, a, 0): c for a, c in firsts.items()}
+    assert entropy_bits(firsts, total) == _reference_cmi(doubled, total)
 
 
 # ---------------------------------------------------------------- metrics
@@ -268,6 +303,14 @@ def test_cap_refusal_carries_work_estimate():
     assert "8" in str(exc.value)
 
 
+def test_cap_refusal_names_a_requirement_too_long_for_decimal():
+    exc = EnumerationCapExceeded(64**5040, 1 << 24)
+    assert exc.required == 64**5040 == 2**30240
+    assert str(exc) == (
+        "refusing exact enumeration: needs at least 2^30240 evaluations, cap is 16777216"
+    )
+
+
 def _wide_code():
     """K=3 messages of L=9 bits: 2^27 databases, beyond the default cap."""
     const = (0,) * 2**9
@@ -323,26 +366,30 @@ def _brute_force_answers(code, queries, messages, selected):
 
 
 def _brute_force_joint(code, queries, selected):
-    """The joint of every server's answer to `queries`, counting only the
-    `selected` messages, by evaluating every database."""
-    counts = Counter(
+    """The count table of every server's answer to `queries`, counting only
+    the `selected` messages, by evaluating every database."""
+    return Counter(
         _brute_force_answers(code, queries, messages, selected)
         for messages in all_message_sets(code)
     )
-    return ExactDistribution.from_counts(counts, sum(counts.values()))
 
 
-def _same(a, b):
-    return (a._total, list(a._counts.items())) == (b._total, list(b._counts.items()))
+def _convolved_joint(code, queries, selected):
+    """`_convolve`'s count table of the same answers, scaled to every
+    database: an unselected message's m^L values all leave the sum as it is."""
+    p = code.params
+    counts = analysis._convolve(analysis._contributions(code, queries), selected, p.ans_modulus)
+    scale = (p.msg_modulus**p.msg_len) ** (p.n_messages - len(selected))
+    return Counter({a: c * scale for a, c in counts.items()})
 
 
 def test_answer_joint_follows_message():
     # server 0 query 0 is silent; server 1 query 0 returns message 0 verbatim
     code = builtin_table1()
     for selected, expected in (([0], {(0,): 2, (1,): 2}), ([1], {(0,): 4})):
-        d = analysis._answer_joint(code, (0, 0), selected)
-        assert dict(d.items()) == {((), a): F(c, 4) for a, c in expected.items()}
-        assert _same(d, _brute_force_joint(code, (0, 0), selected))
+        joint = _convolved_joint(code, (0, 0), selected)
+        assert joint == {((), a): c for a, c in expected.items()}
+        assert joint == _brute_force_joint(code, (0, 0), selected)
 
 
 def test_residual_and_requested_split_the_answer():
@@ -355,10 +402,9 @@ def test_residual_and_requested_split_the_answer():
         "whole": ([0, 1], lambda a, b: (((a + b) % 2,), (b,))),
     }
     for selected, answers in parts.values():
-        d = analysis._answer_joint(code, (1, 1), selected)
-        expected = Counter(answers(a, b) for a in (0, 1) for b in (0, 1))
-        assert dict(d.items()) == {v: F(c, 4) for v, c in expected.items()}
-        assert _same(d, _brute_force_joint(code, (1, 1), selected))
+        joint = _convolved_joint(code, (1, 1), selected)
+        assert joint == Counter(answers(a, b) for a in (0, 1) for b in (0, 1))
+        assert joint == _brute_force_joint(code, (1, 1), selected)
 
 
 @pytest.mark.parametrize(
@@ -379,8 +425,8 @@ def test_answer_joint_matches_brute_force_enumeration(name):
         others = [j for j in range(K) if j != k]
         for queries in positive_query_tuples(code, k):
             for selected in (range(K), others, [k]):
-                got = analysis._answer_joint(code, queries, selected)
-                assert _same(got, _brute_force_joint(code, queries, selected))
+                got = _convolved_joint(code, queries, selected)
+                assert got == _brute_force_joint(code, queries, selected)
 
 
 def test_verifiers_leave_the_code_as_they_found_it():
@@ -626,7 +672,7 @@ def _reference_request_mi_bits(code, request, info, given):
         for f in range(len(code.keys)):
             queries = code.query_map[(request, f)]
             counts[x, _brute_force_answers(code, queries, messages, everything), (g, f)] += 1
-    return _reference_cmi(ExactDistribution.from_counts(counts, sum(counts.values())))
+    return _reference_cmi(counts, sum(counts.values()))
 
 
 def _nary22():

@@ -10,6 +10,8 @@ import re
 import socket
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -122,6 +124,34 @@ def test_verify_cap_exceeded_exit_code(capsys):
     _, err = capsys.readouterr()
     assert code == 3
     assert "refusing exact enumeration" in err
+
+
+@pytest.mark.parametrize(
+    "servers, messages, required", [("20", "2", 5497558138880), ("2", "16", 2147483648)]
+)
+def test_verify_refuses_a_nary_shape_before_exporting_it(servers, messages, required, capsys):
+    # m^(KL) databases x N^(K-1) keys, refused with correctness's own line
+    tracemalloc.start()
+    try:
+        code = main(["verify", "nary", servers, messages])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, *capsys.readouterr()) == (
+        3,
+        "",
+        f"refusing exact enumeration: needs {required} evaluations, cap is 16777216\n",
+    )
+    assert peak < 1 << 20
+
+
+def test_symmetrize_refusal_too_long_for_decimal_exits_3(capsys):
+    # 64 keys over 7! = 5040 blocks: 64^5040 has more digits than str() allows
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "symmetrize", "message", "nary", "2", "7")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "refusing exact enumeration: needs at least 2^30240 evaluations, cap is 16777216\n"
 
 
 def test_verify_rejects_bad_source(capsys):

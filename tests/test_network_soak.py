@@ -10,6 +10,7 @@ import pytest
 
 from pirlab.analysis import expected_answer_lengths
 from pirlab.nary import export_decomposable, make_nary
+from pirlab.net import RetrievalError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "scripts", "network_soak.py")
@@ -54,3 +55,25 @@ def test_network_soak_recovers_every_message(args, download):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert ", 0 failures" in proc.stdout
     assert download in proc.stdout
+
+
+def test_network_soak_counts_a_failed_retrieval_and_goes_on(monkeypatch, capsys):
+    soak = load_soak()
+    real = soak.client_retrieve
+    calls = []
+
+    def fail_the_third(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RetrievalError("server 1 closed the connection")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(soak, "client_retrieve", fail_the_third)
+    monkeypatch.setattr(sys, "argv", ["network_soak.py", "--rounds", "10"])
+    assert soak.main() == 1
+    out = capsys.readouterr().out
+    assert "failed: server 1 closed the connection" in out
+    assert out.count("round 2: retrieval of message") == 1
+    assert "10 retrievals in" in out and ", 1 failures" in out
+    assert "download/round: observed" in out
+    assert len(calls) == 10

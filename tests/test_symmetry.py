@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,20 @@ def test_message_symmetrize_doubles_the_message():
 def test_message_symmetrize_cap_refusal():
     with pytest.raises(EnumerationCapExceeded):
         message_symmetrize(export_decomposable(make_nary(2, 3)), cap=5)
+
+
+def test_message_symmetrize_refuses_before_building_any_block():
+    # 6! = 720 blocks of 32 keys each: the combined key count is refused first
+    base = export_decomposable(make_nary(2, 6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            message_symmetrize(base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.required == 32**720
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------- variety symmetrization
