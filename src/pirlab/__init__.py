@@ -21,6 +21,7 @@ from .analysis import (
     message_size_bits,
     rate,
     upload_cost_bits,
+    verify,
     verify_correctness,
     verify_privacy,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "space_share",
     "upload_cost_bits",
     "variety_symmetrize",
+    "verify",
     "verify_correctness",
     "verify_privacy",
 ]

@@ -9,12 +9,14 @@ table lookups, and messages are uniform and independent.  So correctness
 and the properties P1-P3 work from per-message contributions: for one query
 tuple, the answers counting only some messages are distributed as the
 convolution (mod y) of those messages' contributions, and no database is
-enumerated unless a check fails and its witness is wanted.  A code's decoder runs once per distinct answer tuple of
-each (request, key).  The lemma identities tally every database, key by
-key: each answer symbol on every database is the outer sum of its row's
-per-message tables, mod y, and nothing is kept on the code between checks.
-Floats appear only when entropies or mutual informations are reported in
-bits; those carry a 1e-9 tolerance.
+enumerated unless a check fails and its witness is wanted.  A code's
+decoder runs once per distinct answer tuple of each (request, key).  The
+lemma identities tally every database, key by key: each answer symbol on
+every database is the outer sum of its row's per-message tables, mod y, and
+nothing is kept on the code between checks.  Floats appear only when
+entropies or mutual informations are reported in bits; those carry a 1e-9
+tolerance.  `verify` runs every check of `pirlab verify`, in report order,
+and owns each pass rule, that tolerance included.
 
 Verifiers refuse to start when the required work exceeds a cap (default
 2^24 elementary evaluations) and say how much work they wanted; nothing is
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import DecomposableCode
+from .model import DecomposableCode, is_uniformly_decomposable
 
 DEFAULT_CAP = 1 << 24
 FLOAT_TOL = 1e-9
@@ -541,7 +543,7 @@ def check_lemma2_equality(
 
 
 # ---------------------------------------------------------------------------
-# check records (report serialization)
+# check records and the full check list
 
 
 @dataclass(frozen=True)
@@ -573,3 +575,48 @@ class CheckRecord:
             "witness": self.witness.describe() if self.witness else None,
         }
         return json.dumps(obj, sort_keys=True)
+
+
+def verify(code: DecomposableCode, cap: int = DEFAULT_CAP) -> list[CheckRecord]:
+    """Every check of `pirlab verify`, as records in report order.
+
+    A P record keeps the witness of the first query tuple that fails.  The
+    lemma records come only when answers reuse the message alphabet, and
+    pass when the residual is within `FLOAT_TOL` of zero."""
+    p = code.params
+    records = []
+    for name, check in (("correctness", verify_correctness), ("privacy", verify_privacy)):
+        rep = check(code, cap)
+        params = (("checked", str(rep.checked)),)
+        records.append(CheckRecord(name, params, rep.passed, None, rep.witness))
+
+    dec = is_uniformly_decomposable(code)
+    counts = (dec.constant_count, dec.balanced_count, len(dec.neither))
+    params = tuple(zip(("constant", "balanced", "neither"), map(str, counts)))
+    witness = None if dec.uniform else Witness(f"first offender {dec.neither[0]}")
+    records.append(CheckRecord("uniform-decomposable", params, dec.uniform, None, witness))
+
+    for name, check in (("P1", check_P1), ("P2", check_P2), ("P3", check_P3)):
+        for k in range(p.n_messages):
+            tuples = positive_query_tuples(code, k)
+            passed, witness = True, None
+            for queries in tuples:
+                rep = check(code, k, queries, cap)
+                if not rep.passed:
+                    passed, witness = False, rep.witness
+                    break
+            params = (("k", str(k)), ("tuples", str(len(tuples))))
+            records.append(CheckRecord(name, params, passed, None, witness))
+
+    if p.ans_modulus != p.msg_modulus:
+        return records  # information residuals are only exact for matching alphabets
+    order = tuple(range(p.n_messages))
+    # (name, params, residual) in report order; lemma2 has no split point when K = 1
+    residuals = [("lemma1", (("k", str(k)),), check_lemma1_equality(code, k, cap)) for k in order]
+    for perm in (order, order[::-1]):
+        for k in range(1, p.n_messages):
+            params = (("k", str(k)), ("perm", "".join(map(str, perm))))
+            residuals.append(("lemma2", params, check_lemma2_equality(code, k, perm, cap)))
+    for name, params, residual in residuals:
+        records.append(CheckRecord(name, params, abs(residual) <= FLOAT_TOL, residual))
+    return records

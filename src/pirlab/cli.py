@@ -16,14 +16,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import analysis, codefile, nary, net, symmetry
-from .analysis import CheckRecord, EnumerationCapExceeded
+from .analysis import EnumerationCapExceeded
 from .groups import MessageSet, RandomKey, digits_label
-from .model import (
-    DecomposableCode,
-    builtin_sunjafar22,
-    builtin_table1,
-    is_uniformly_decomposable,
-)
+from .model import DecomposableCode, builtin_sunjafar22, builtin_table1
+from .model import is_uniformly_decomposable  # noqa: F401  unused; perfbench/tracing.py patches it here
 
 PORT_ENV = "PIRLAB_PORT"
 
@@ -213,79 +209,9 @@ def cmd_metrics(args, parser) -> int:
     return 0
 
 
-def _verify_records(code: DecomposableCode, cap: int) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    p = code.params
-
-    rep = analysis.verify_correctness(code, cap)
-    records.append(
-        CheckRecord("correctness", (("checked", str(rep.checked)),), rep.passed, None, rep.witness)
-    )
-    rep = analysis.verify_privacy(code, cap)
-    records.append(
-        CheckRecord("privacy", (("checked", str(rep.checked)),), rep.passed, None, rep.witness)
-    )
-    dec = is_uniformly_decomposable(code)
-    records.append(
-        CheckRecord(
-            "uniform-decomposable",
-            (
-                ("constant", str(dec.constant_count)),
-                ("balanced", str(dec.balanced_count)),
-                ("neither", str(len(dec.neither))),
-            ),
-            dec.uniform,
-            None,
-            None if dec.uniform else analysis.Witness(f"first offender {dec.neither[0]}"),
-        )
-    )
-
-    for name, check in (("P1", analysis.check_P1), ("P2", analysis.check_P2), ("P3", analysis.check_P3)):
-        for k in range(p.n_messages):
-            tuples = analysis.positive_query_tuples(code, k)
-            ok, witness = True, None
-            for queries in tuples:
-                rep = check(code, k, queries, cap)
-                if not rep.passed:
-                    ok, witness = False, rep.witness
-                    break
-            params = (("k", str(k)), ("tuples", str(len(tuples))))
-            records.append(CheckRecord(name, params, ok, None, witness))
-
-    if p.ans_modulus != p.msg_modulus:
-        return records  # information residuals are only exact for matching alphabets
-    for k in range(p.n_messages):
-        residual = analysis.check_lemma1_equality(code, k, cap)
-        records.append(
-            CheckRecord(
-                "lemma1",
-                (("k", str(k)),),
-                abs(residual) <= analysis.FLOAT_TOL,
-                residual,
-            )
-        )
-    if p.n_messages >= 2:
-        perms = [tuple(range(p.n_messages))]
-        reversed_perm = tuple(reversed(range(p.n_messages)))
-        if reversed_perm not in perms:
-            perms.append(reversed_perm)
-        for perm in perms:
-            for k in range(1, p.n_messages):
-                residual = analysis.check_lemma2_equality(code, k, perm, cap)
-                records.append(
-                    CheckRecord(
-                        "lemma2",
-                        (("k", str(k)), ("perm", "".join(map(str, perm)))),
-                        abs(residual) <= analysis.FLOAT_TOL,
-                        residual,
-                    )
-                )
-    return records
-
-
 def cmd_verify(args, parser) -> int:
     code = _build_source(args.source, parser, args.cap)
-    records = _verify_records(code, args.cap)
+    records = analysis.verify(code, args.cap)
     for record in records:
         print(record.text_line())
     if args.out:

@@ -22,7 +22,7 @@ is canonical ASCII decimal, the only spelling `emit` writes: ``0``, or an
 optional ``-`` and a nonzero digit followed by digits; ``+1``, ``01``,
 ``0_2`` and non-ASCII digits are rejected, so ``emit(parse(text)) == text``
 for every accepted text laid out as `emit` lays it out (single spaces, each
-line ended by ``\n``).
+line ended by ``\n``).  Blank lines are skipped, but counted in errors.
 
 Transformed codes repeat a few rows and tables many times: `emit` renders
 each table once and each row once per row index, and `parse` reads a row's
@@ -34,13 +34,10 @@ query map) for every code this package produces.
 
 from __future__ import annotations
 
-import re
-
 from .groups import CodeParams
 from .model import AnswerFunction, DecomposableCode, _check_table
 
 MAGIC = ("pir-code", "v1")
-_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class CodeFormatError(ValueError):
@@ -81,8 +78,14 @@ class _Reader:
     """The non-blank lines of a document, each split only when it is read."""
 
     def __init__(self, text: str):
+        self.text = text
         self.lines = tuple(line for line in text.splitlines() if line and not line.isspace())
-        self.pos = 0  # also the number of the line read last
+        self.pos = 0  # also the count of non-blank lines read so far
+
+    def lineno(self) -> int:
+        """The number of the line read last, blank lines counted (errors only)."""
+        lines = enumerate(self.text.splitlines(), 1)
+        return [number for number, line in lines if line and not line.isspace()][self.pos - 1]
 
     def next(self, directive: str, count: int | None = None, maxsplit: int = -1) -> list[str]:
         if self.pos >= len(self.lines):
@@ -90,7 +93,7 @@ class _Reader:
         row = self.lines[self.pos].split(None, maxsplit)
         self.pos += 1
         if row[0] != directive:
-            raise CodeFormatError(f"expected '{directive}' at line {self.pos}, got '{row[0]}'")
+            raise CodeFormatError(f"expected '{directive}' at line {self.lineno()}, got '{row[0]}'")
         if count is not None:
             self.check_count(directive, row, count)
         return row
@@ -98,7 +101,7 @@ class _Reader:
     def check_count(self, directive: str, row: list[str], count: int) -> None:
         if len(row) != count:
             raise CodeFormatError(
-                f"'{directive}' at line {self.pos} needs {count} tokens, got {len(row)}"
+                f"'{directive}' at line {self.lineno()} needs {count} tokens, got {len(row)}"
             )
 
     def done(self) -> bool:
@@ -107,10 +110,12 @@ class _Reader:
 
 def _int(token: str, what: str) -> int:
     try:
-        if _CANONICAL_INT.fullmatch(token):
-            return int(token)  # raises past int()'s limit on digits
+        value = int(token)  # raises past int()'s limit on digits
     except ValueError:
         pass
+    else:
+        if str(value) == token:  # canonical: the spelling str() writes back
+            return value
     raise CodeFormatError(f"bad integer for {what}: {token!r}")
 
 

@@ -206,6 +206,8 @@ def server_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Decompo
     original counts) and the same expected answer length.
     """
     N = code.params.n_servers
+    # space_share's key count, checked before any block is built
+    _require_within_cap(len(code.keys) ** N, cap)
     blocks = [server_permute(code, [(n + i) % N for n in range(N)]) for i in range(N)]
     return space_share(blocks, cap)
 

@@ -28,10 +28,10 @@ from pirlab.analysis import (
     positive_query_tuples,
     rate,
     upload_cost_bits,
+    verify,
     verify_correctness,
     verify_privacy,
 )
-from pirlab.cli import _verify_records
 from pirlab.groups import MessageSet, RandomKey
 from pirlab.model import (
     AnswerFunction,
@@ -384,7 +384,7 @@ def test_criterion_11_extra_rows_fail_verify(criterion):
         start = time.perf_counter()
         only_lemma1 = []
         for i, mutant in enumerate(mutants(export_decomposable(make_nary(3, 2)), "extra-row")):
-            failed = {r.name for r in _verify_records(mutant, DEFAULT_CAP) if not r.passed}
+            failed = {r.name for r in verify(mutant, DEFAULT_CAP) if not r.passed}
             assert failed, f"extra-row mutant {i} passed verify"
             if failed == {"lemma1"}:
                 only_lemma1.append(i)

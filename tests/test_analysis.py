@@ -30,6 +30,7 @@ from pirlab.analysis import (
     positive_query_tuples,
     rate,
     upload_cost_bits,
+    verify,
     verify_correctness,
     verify_privacy,
 )
@@ -247,16 +248,21 @@ def test_rate_nary_22():
     assert rate(export_decomposable(make_nary(2, 2))) == F(2, 3)
 
 
-def test_rate_rejects_alphabet_mismatch():
+def _alphabet_mismatch_code():
+    """A one-message code whose answers (mod 4) do not reuse the message
+    alphabet (mod 2)."""
     coord = coordinate_table(2, 1, 0)
-    code = DecomposableCode(
+    return DecomposableCode(
         CodeParams(2, 1, 1, 2, 4),
         ((AnswerFunction("f", ((coord, ),)),), (AnswerFunction("g", ((coord,),)),)),
         ("0",),
         {(0, 0): (0, 0)},
     )
+
+
+def test_rate_rejects_alphabet_mismatch():
     with pytest.raises(ValueError, match="alphabet"):
-        rate(code)
+        rate(_alphabet_mismatch_code())
 
 
 def test_rate_rejects_zero_download():
@@ -653,6 +659,20 @@ def test_check_record_json_round_trip():
     assert obj["passed"] is False
     assert obj["residual"] is None
     assert "boom" in obj["witness"]
+
+
+FIRST_CHECKS = ["correctness", "privacy", "uniform-decomposable", "P1", "P2", "P3"]
+
+
+def test_verify_with_one_message_has_one_lemma1_and_no_lemma2():
+    records = verify(export_decomposable(make_nary(3, 1)))
+    assert [r.name for r in records] == FIRST_CHECKS + ["lemma1"]
+    assert records[-1].params == (("k", "0"),)
+
+
+def test_verify_leaves_out_the_lemmas_when_alphabets_differ():
+    records = verify(_alphabet_mismatch_code())
+    assert [r.name for r in records] == FIRST_CHECKS
 
 
 # ---------------------------------------------------------------- byte stability

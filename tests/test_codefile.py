@@ -111,7 +111,7 @@ def test_parse_rejects_non_integer_tokens():
         parse(text)
 
 
-@pytest.mark.parametrize("token", ["+1", "0_2", "01", "\u0661", "-0"])
+@pytest.mark.parametrize("token", ["+1", "0_2", "01", "\u0661", "-0", "00", "-01"])
 @pytest.mark.parametrize(
     "where,line,position",
     [
@@ -130,6 +130,25 @@ def test_parse_accepts_only_canonical_integers(token, where, line, position):
     with pytest.raises(CodeFormatError) as exc:
         parse("\n".join(lines) + "\n")
     assert str(exc.value) == f"bad integer for {where}: {token!r}"
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        # the third non-blank line sits on line 6 after three blank lines
+        (lambda line: "bogus", "expected 'query' at line 6, got 'bogus'"),
+        (lambda line: line + " extra", "'query' at line 6 needs 4 tokens, got 5"),
+    ],
+    ids=["directive", "token count"],
+)
+def test_parse_errors_name_the_line_counting_blank_lines(change, message):
+    lines = emit(builtin_table1()).splitlines()
+    assert lines[2].startswith("query 0 ")
+    lines[2] = change(lines[2])
+    text = "\n \n\t\n" + "\n".join(lines) + "\n"
+    with pytest.raises(CodeFormatError) as exc:
+        parse(text)
+    assert str(exc.value) == message
 
 
 def test_load_rejects_non_ascii_file(tmp_path):

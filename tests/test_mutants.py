@@ -18,8 +18,7 @@ import itertools
 
 import pytest
 
-from pirlab.analysis import DEFAULT_CAP
-from pirlab.cli import _verify_records
+from pirlab.analysis import DEFAULT_CAP, verify
 from pirlab.model import AnswerFunction, DecomposableCode, builtin_table1
 from pirlab.nary import export_decomposable, make_nary
 
@@ -82,7 +81,7 @@ def mutants(code, family, decoder=False):
 
 def verify_text(code) -> str:
     """What `pirlab verify` prints for `code`."""
-    records = _verify_records(code, DEFAULT_CAP)
+    records = verify(code, DEFAULT_CAP)
     failed = sum(not r.passed for r in records)
     lines = [r.text_line() for r in records]
     lines.append(f"RESULT {'FAIL' if failed else 'pass'} ({len(records)} checks, {failed} failed)")

@@ -9,8 +9,7 @@ import subprocess
 import sys
 
 from pirlab import cli
-from pirlab.analysis import DEFAULT_CAP, verify_correctness
-from pirlab.cli import _verify_records
+from pirlab.analysis import DEFAULT_CAP, verify, verify_correctness
 from pirlab.model import builtin_table1
 from test_mutants import BASE_CODES, FAMILIES, mutants
 
@@ -66,14 +65,14 @@ def _kill_matrix_rows():
     """README's kill matrix, recomputed: per base code and family, each
     check's `fails/only` counts over the mutants without a decoder, then how
     many correctness fails when the base code's decoder is kept."""
-    checks = list(dict.fromkeys(r.name for r in _verify_records(builtin_table1(), DEFAULT_CAP)))
+    checks = list(dict.fromkeys(r.name for r in verify(builtin_table1(), DEFAULT_CAP)))
     rows = [
         ["code", "family", "mutants", *checks, "correctness, decoder kept"],
         ["---"] * (len(checks) + 4),
     ]
     for name, family in itertools.product(BASE_CODES, FAMILIES):
         failed = [
-            {r.name for r in _verify_records(m, DEFAULT_CAP) if not r.passed}
+            {r.name for r in verify(m, DEFAULT_CAP) if not r.passed}
             for m in mutants(BASE_CODES[name](), family)
         ]
         decoded = [verify_correctness(m) for m in mutants(BASE_CODES[name](), family, decoder=True)]

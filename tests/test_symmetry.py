@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pirlab import codefile
+from pirlab import codefile, symmetry
 from pirlab.analysis import (
     EnumerationCapExceeded,
     expected_answer_lengths,
@@ -185,6 +185,17 @@ def test_server_symmetrize_preserves_rate_on_table1():
     assert rate(sym) == Fraction(2, 3)
     counts = {sym.query_count(n) for n in range(2)}
     assert counts == {4}
+
+
+def test_server_symmetrize_refuses_before_building_any_block(monkeypatch):
+    # 9 keys per rotation, 3 rotations: 9^3 = 729 combined keys
+    def no_block(*args):
+        raise AssertionError("a block was built before the refusal")
+
+    monkeypatch.setattr(symmetry, "server_permute", no_block)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        server_symmetrize(export_decomposable(make_nary(3, 3)), cap=700)
+    assert exc.value.required == 729
 
 
 # ---------------------------------------------------------------- message symmetrization
