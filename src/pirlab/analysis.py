@@ -2,21 +2,20 @@
 
 Every verifier covers all databases -- no sampling, ever -- and decides
 pass/fail on integer counts.  A distribution is a plain count table: a dict
-from value tuples to positive int counts, each over the table's total.  No
-table is rescaled to the database count, since every test and printed
-fraction is scale-free.  An answer symbol is a group sum of per-message
-table lookups, and messages are uniform and independent.  So correctness
-and the properties P1-P3 work from per-message contributions: for one query
-tuple, the answers counting only some messages are distributed as the
-convolution (mod y) of those messages' contributions, and no database is
-enumerated unless a check fails and its witness is wanted.  A code's
-decoder runs once per distinct answer tuple of each (request, key).  The
-lemma identities tally every database, key by key: each answer symbol on
-every database is the outer sum of its row's per-message tables, mod y, and
-nothing is kept on the code between checks.  Floats appear only when
-entropies or mutual informations are reported in bits; those carry a 1e-9
-tolerance.  `verify` runs every check of `pirlab verify`, in report order,
-and owns each pass rule, that tolerance included.
+from value tuples to positive int counts, each over the table's total.  An
+answer symbol is a group sum of per-message table lookups, and messages are
+uniform and independent.  So correctness and the properties P1-P3 work from
+per-message contributions: for one query tuple, the answers counting only
+some messages are distributed as the convolution (mod y) of those messages'
+contributions.  P1-P3 share one convolution per (request, query tuple), that
+of the other messages, and no database is enumerated unless a check fails
+and its witness is wanted.  A code's decoder runs once per distinct answer
+tuple of each (request, key).  The lemma identities tally every database,
+key by key, from outer sums of each row's per-message tables, mod y; nothing
+is kept on the code between checks.  Floats appear only when entropies or
+mutual informations are reported in bits; those carry a 1e-9 tolerance.
+`verify` runs every check of `pirlab verify`, in report order, and owns each
+pass rule, that tolerance included.
 
 Verifiers refuse to start when the required work exceeds a cap (default
 2^24 elementary evaluations) and say how much work they wanted; nothing is
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .groups import digits_label
 from .model import DecomposableCode, is_uniformly_decomposable
 
 DEFAULT_CAP = 1 << 24
@@ -199,9 +199,7 @@ class Witness:
         if self.queries is not None:
             parts.append("queries=" + ",".join(self.queries))
         if self.messages is not None:
-            parts.append(
-                "messages=" + ";".join("".join(map(str, m)) for m in self.messages)
-            )
+            parts.append("messages=" + ";".join(map(digits_label, self.messages)))
         return " ".join(parts)
 
 
@@ -262,10 +260,10 @@ def _sum(shares, modulus: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple([sum(s) % modulus for s in zip(*server)]) for server in zip(*shares))
 
 
-def _convolve(contributions, selected, modulus: int) -> Counter:
+def _convolve(contributions, selected, modulus: int, start: Optional[Counter] = None) -> Counter:
     """How many value combinations of the `selected` messages give each
-    answer tuple as their sum."""
-    sums = Counter({tuple((0,) * len(a) for a in contributions[0][0]): 1})
+    answer tuple as their sum, added to the answers counted in `start`."""
+    sums = start or Counter({tuple((0,) * len(a) for a in contributions[0][0]): 1})
     for j in selected:
         shares = Counter(contributions[j])
         step: Counter = Counter()
@@ -417,40 +415,45 @@ def _mutually_determining(joint, arity: int) -> Optional[str]:
     return None
 
 
-def _check_property(code, k: int, queries, cap: int, selected, holds) -> VerificationReport:
-    """Tally the answers to `queries`, counting only the `selected` messages,
-    and test them with `holds`."""
+def _check_properties(code, k: int, queries, cap: int) -> tuple[VerificationReport, ...]:
+    """P1, P2 and P3 for request k and the query tuple `queries`, from one split
+    of the answers: the other messages' sum `rest` is P2's table, `rest` plus
+    message k's shares is P1's, and those shares alone are P3's."""
     queries = tuple(queries)
     if queries not in {code.query_map[(k, f)] for f in range(len(code.keys))}:
         raise ValueError(f"query tuple {queries} has zero probability for k={k}")
     _require_within_cap(_enumeration_size(code), cap)
-    joint = _convolve(_contributions(code, queries), selected, code.params.ans_modulus)
-    detail = holds(joint, len(queries))
-    labels = _query_labels(code, queries)
-    witness = None if detail is None else Witness(detail, k=k, queries=labels)
-    return VerificationReport(detail is None, len(joint), witness)
+    y = code.params.ans_modulus
+    parts = _contributions(code, queries)
+    rest = _convolve(parts, [j for j in range(code.params.n_messages) if j != k], y)
+    tables = (_convolve(parts, [k], y, rest), rest, Counter(parts[k]))
+    reports = []
+    for joint, holds in zip(tables, (_independent, _mutually_determining, _independent)):
+        detail = holds(joint, len(queries))
+        witness = None if detail is None else Witness(detail, k=k, queries=_query_labels(code, queries))
+        reports.append(VerificationReport(detail is None, len(joint), witness))
+    return tuple(reports)
 
 
 def check_P1(
     code: DecomposableCode, k: int, queries, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Answers across servers are mutually independent for this query tuple."""
-    return _check_property(code, k, queries, cap, range(code.params.n_messages), _independent)
+    return _check_properties(code, k, queries, cap)[0]
 
 
 def check_P2(
     code: DecomposableCode, k: int, queries, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Unwanted-message contributions pairwise determine each other."""
-    others = [j for j in range(code.params.n_messages) if j != k]
-    return _check_property(code, k, queries, cap, others, _mutually_determining)
+    return _check_properties(code, k, queries, cap)[1]
 
 
 def check_P3(
     code: DecomposableCode, k: int, queries, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Requested-message contributions are mutually independent across servers."""
-    return _check_property(code, k, queries, cap, [k], _independent)
+    return _check_properties(code, k, queries, cap)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -596,17 +599,16 @@ def verify(code: DecomposableCode, cap: int = DEFAULT_CAP) -> list[CheckRecord]:
     witness = None if dec.uniform else Witness(f"first offender {dec.neither[0]}")
     records.append(CheckRecord("uniform-decomposable", params, dec.uniform, None, witness))
 
-    for name, check in (("P1", check_P1), ("P2", check_P2), ("P3", check_P3)):
-        for k in range(p.n_messages):
-            tuples = positive_query_tuples(code, k)
-            passed, witness = True, None
-            for queries in tuples:
-                rep = check(code, k, queries, cap)
-                if not rep.passed:
-                    passed, witness = False, rep.witness
-                    break
-            params = (("k", str(k)), ("tuples", str(len(tuples))))
-            records.append(CheckRecord(name, params, passed, None, witness))
+    p_records: list = [[], [], []]  # the P1, P2 and P3 records, each in k order
+    for k in range(p.n_messages):
+        tuples = positive_query_tuples(code, k)
+        reports = [_check_properties(code, k, queries, cap) for queries in tuples]
+        params = (("k", str(k)), ("tuples", str(len(tuples))))
+        for i, family in enumerate(p_records):
+            failed = [rep[i] for rep in reports if not rep[i].passed]
+            witness = failed[0].witness if failed else None
+            family.append(CheckRecord(f"P{i + 1}", params, not failed, None, witness))
+    records.extend(itertools.chain.from_iterable(p_records))
 
     if p.ans_modulus != p.msg_modulus:
         return records  # information residuals are only exact for matching alphabets

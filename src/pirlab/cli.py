@@ -13,7 +13,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import analysis, codefile, nary, net, symmetry
 from .analysis import EnumerationCapExceeded
@@ -24,13 +23,29 @@ from .model import is_uniformly_decomposable  # noqa: F401  unused; perfbench/tr
 PORT_ENV = "PIRLAB_PORT"
 
 
-def _build_source(
-    tokens: list[str], parser: argparse.ArgumentParser, cap: Optional[int] = None
-) -> DecomposableCode:
-    """A code source is `nary N K [m]`, `table1`, `table2`, or a file path.
+def _nary_source(
+    parser, n: int, k: int, m: int, cap: int = analysis.DEFAULT_CAP, verifying: bool = False
+) -> tuple[nary.NaryCode, DecomposableCode]:
+    """The nary code of shape (n, k, m) and its export.  A shape is refused
+    before export when its L+1 tables of m^L entries and its K*N^K query cells,
+    counted once in the query map and once in the varieties, exceed `cap`;
+    when `verifying`, first when correctness would refuse it."""
+    try:
+        shape = nary.make_nary(n, k, m)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if verifying:
+        analysis._require_correctness_within_cap(shape, n ** (k - 1), cap)
+    L = shape.params.msg_len
+    analysis._require_within_cap((L + 1) * m**L + 2 * k * n**k, cap)
+    return shape, nary.export_decomposable(shape)
 
-    With `cap`, a `nary` shape whose correctness check would refuse is
-    refused before it is exported."""
+
+def _build_source(
+    tokens: list[str], parser: argparse.ArgumentParser, cap: int, verifying: bool = False
+) -> DecomposableCode:
+    """A code source is `nary N K [m]`, `table1`, `table2`, or a file path; a
+    `nary` shape is refused as `_nary_source` refuses it."""
     if tokens[0] == "nary":
         if len(tokens) not in (3, 4):
             parser.error("nary source needs: nary N K [m]")
@@ -39,13 +54,7 @@ def _build_source(
             m = int(tokens[3]) if len(tokens) == 4 else 2
         except ValueError:
             parser.error("nary parameters must be integers")
-        try:
-            shape = nary.make_nary(n, k, m)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if cap is not None:
-            analysis._require_correctness_within_cap(shape, n ** (k - 1), cap)
-        return nary.export_decomposable(shape)
+        return _nary_source(parser, n, k, m, cap, verifying)[1]
     if tokens[0] == "table1":
         return builtin_table1()
     if tokens[0] == "table2":
@@ -131,12 +140,8 @@ def render_table(rows_per_server) -> list[str]:
 
 
 def cmd_demo(args, parser) -> int:
-    try:
-        code = nary.make_nary(args.servers, args.messages, args.modulus)
-    except ValueError as exc:
-        parser.error(str(exc))
+    code, export = _nary_source(parser, args.servers, args.messages, args.modulus)
     p = code.params
-    export = nary.export_decomposable(code)
     print(
         f"digit-vector code: N={p.n_servers} servers, K={p.n_messages} messages, "
         f"m={p.msg_modulus}, L={p.msg_len} symbols/message"
@@ -186,11 +191,7 @@ def cmd_demo(args, parser) -> int:
 
 
 def cmd_metrics(args, parser) -> int:
-    try:
-        code = nary.make_nary(args.servers, args.messages, args.modulus)
-    except ValueError as exc:
-        parser.error(str(exc))
-    export = nary.export_decomposable(code)
+    _, export = _nary_source(parser, args.servers, args.messages, args.modulus)
     cap_value = analysis.capacity(args.servers, args.messages)
     rate_value = analysis.rate(export)
     up = analysis.upload_cost_bits(export)
@@ -210,7 +211,7 @@ def cmd_metrics(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    code = _build_source(args.source, parser, args.cap)
+    code = _build_source(args.source, parser, args.cap, verifying=True)
     records = analysis.verify(code, args.cap)
     for record in records:
         print(record.text_line())
@@ -224,7 +225,7 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_symmetrize(args, parser) -> int:
-    code = _build_source(args.source, parser)
+    code = _build_source(args.source, parser, args.cap)
     transforms = {
         "server": symmetry.server_symmetrize,
         "message": symmetry.message_symmetrize,

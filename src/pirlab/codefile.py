@@ -25,8 +25,8 @@ for every accepted text laid out as `emit` lays it out (single spaces, each
 line ended by ``\n``).  Blank lines are skipped, but counted in errors.
 
 Transformed codes repeat a few rows and tables many times: `emit` renders
-each table once and each row once per row index, and `parse` reads a row's
-lines once per row index and each value text once, sharing equal objects.
+each table once and each row once per row index, and `parse` builds one
+table per distinct value text and one row per distinct row text and index.
 
 ``parse(emit(code)) == code`` holds structurally (params, varieties, keys,
 query map) for every code this package produces.
@@ -131,13 +131,10 @@ def parse(text: str) -> DecomposableCode:
     except ValueError as exc:
         raise CodeFormatError(str(exc)) from None
     table_size = m**msg_len
-    # transformed codes repeat a few rows and tables many times: equal tables
-    # and equal rows are one object each, each distinct value text is read
-    # once, and a row's K lines, once validated at a row index, are taken
-    # whole at that index; anywhere else they are read token by token
-    tables: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # transformed codes repeat a few rows and tables many times: each distinct
+    # value text is read once, and a row's K lines, once validated at a row
+    # index, are taken whole at that index; elsewhere they are read token by token
     by_text: dict[str, tuple[int, ...]] = {}
-    rows_seen: dict[tuple, tuple] = {}
     by_lines: dict[tuple[str, ...], tuple[int, tuple]] = {}  # -> (row index, row)
 
     varieties = []
@@ -181,15 +178,14 @@ def parse(text: str) -> DecomposableCode:
                             f"table blocks must appear row-major, got ({trow[1]},{trow[2]})"
                         )
                     if table is None:
-                        values = tuple(_int(t, "table value") for t in trow[3:])
-                        if values not in tables:
-                            try:
-                                _check_table(values, params)
-                            except ValueError as exc:
-                                raise CodeFormatError(str(exc)) from None
-                        table = by_text[value_text] = tables.setdefault(values, values)
+                        table = tuple(_int(t, "table value") for t in trow[3:])
+                        try:
+                            _check_table(table, params)
+                        except ValueError as exc:
+                            raise CodeFormatError(str(exc)) from None
+                        by_text[value_text] = table
                     cols.append(table)
-                row = rows_seen.setdefault(tuple(cols), tuple(cols))
+                row = tuple(cols)
                 by_lines[lines] = (i, row)
                 rows.append(row)
             try:

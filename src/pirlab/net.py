@@ -292,6 +292,7 @@ class PirServer:
         self._tcp = _ThreadingTCPServer((host, port), _Handler)
         self._tcp.pir_server = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
+        self._serving = False  # whether a serve_forever loop was started
 
     @property
     def server_index(self) -> int:
@@ -306,14 +307,17 @@ class PirServer:
         self._thread = threading.Thread(
             target=self._tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
+        self._serving = True
         self._thread.start()
         return self
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._serving = True
         self._tcp.serve_forever(poll_interval=poll_interval)
 
     def stop(self) -> None:
-        self._tcp.shutdown()
+        if self._serving:  # shutdown() would wait forever for a loop that never ran
+            self._tcp.shutdown()
         self._tcp.server_close()
         if self._thread is not None:
             self._thread.join()

@@ -585,6 +585,21 @@ def test_zero_probability_tuple_is_rejected():
             check(code, 0, (0, 1))
 
 
+def test_verify_splits_each_request_and_query_tuple_once_per_check_family(monkeypatch):
+    # nary 3 4: 4 requests x 27 query tuples, split once by correctness and
+    # once for P1-P3 together
+    calls = []
+    contributions = analysis._contributions
+
+    def counted(code, queries):
+        calls.append(queries)
+        return contributions(code, queries)
+
+    monkeypatch.setattr(analysis, "_contributions", counted)
+    verify(export_decomposable(make_nary(3, 4)))
+    assert len(calls) == 216
+
+
 # ---------------------------------------------------------------- lemma residuals
 
 
@@ -640,6 +655,8 @@ def test_witness_describe_mentions_all_parts():
     text = w.describe()
     for chunk in ("bad", "k=1", "key=01", "queries=q1,q2", "messages=01;10"):
         assert chunk in text
+    # a symbol of 10 or more puts commas between a message's symbols
+    assert Witness("bad", messages=((1, 11), (11, 1))).describe() == "bad messages=1,11;11,1"
 
 
 def test_check_record_text_line():

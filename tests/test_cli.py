@@ -123,7 +123,8 @@ def test_verify_cap_exceeded_exit_code(capsys):
     code = main(["verify", "nary", "2", "2", "--cap", "3"])
     _, err = capsys.readouterr()
     assert code == 3
-    assert "refusing exact enumeration" in err
+    # correctness's 2^2 databases x 2 keys, named before the export's size
+    assert err == "refusing exact enumeration: needs 8 evaluations, cap is 3\n"
 
 
 @pytest.mark.parametrize(
@@ -143,6 +144,33 @@ def test_verify_refuses_a_nary_shape_before_exporting_it(servers, messages, requ
         f"refusing exact enumeration: needs {required} evaluations, cap is 16777216\n",
     )
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("demo", "--servers", "12", "--messages", "2", "--modulus", "13"),
+        ("metrics", "--servers", "12", "--messages", "2", "--modulus", "13"),
+        ("symmetrize", "server", "nary", "12", "2", "13"),
+    ],
+)
+def test_a_nary_shape_too_large_to_export_is_refused_before_export(argv, capsys):
+    # 12 tables of 13^11 entries and 2 x 2 x 12^2 query cells
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+    required = 12 * 13**11 + 2 * 2 * 12**2
+    assert (code, *capsys.readouterr()) == (
+        3,
+        "",
+        f"refusing exact enumeration: needs {required} evaluations, cap is 16777216\n",
+    )
 
 
 def test_symmetrize_refusal_too_long_for_decimal_exits_3(capsys):

@@ -531,6 +531,34 @@ def test_query_to_unconfigured_server_is_protocol_error():
         server.stop()
 
 
+def test_stop_returns_on_a_server_that_was_never_started():
+    server = PirServer(0)
+    host, port = server.address
+    # on a daemon thread, so a stop that hangs fails here instead of hanging the suite
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=1.0)
+    assert not stopper.is_alive()
+    with socket.create_server((host, port)):  # the port is free again
+        pass
+
+
+def test_stop_ends_a_blocking_serve_forever_loop():
+    server = PirServer(0)
+    serving = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    serving.start()
+    # a reply proves the loop runs
+    with pytest.raises(RetrievalError, match="QUERY before SETUP"):
+        client_retrieve(make_nary(2, 2), [server.address] * 2, 0, key=RandomKey((0,), 2))
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=1.0)
+    serving.join(timeout=1.0)
+    assert not stopper.is_alive() and not serving.is_alive()
+
+
 def test_live_oversize_header_is_refused_without_allocation(trio):
     code, servers = trio
     tracemalloc.start()
