@@ -7,10 +7,11 @@ answer symbol is a group sum of per-message table lookups, and messages are
 uniform and independent.  So correctness and the properties P1-P3 work from
 per-message contributions: for one query tuple, the answers counting only
 some messages are distributed as the convolution (mod y) of those messages'
-contributions.  P1-P3 share one convolution per (request, query tuple), that
-of the other messages, and no database is enumerated unless a check fails
-and its witness is wanted.  A code's decoder runs once per distinct answer
-tuple of each (request, key).  The lemma identities tally every database,
+contributions.  `verify` splits the answers once per (request, key), into
+message k's shares and the other messages' convolution, and correctness and
+P1-P3 read that split; no database is enumerated unless a check fails and
+its witness is wanted.  A code's decoder runs once per distinct answer tuple
+of each (request, key).  The lemma identities tally every database,
 key by key, from outer sums of each row's per-message tables, mod y; nothing
 is kept on the code between checks.  Floats appear only when entropies or
 mutual informations are reported in bits; those carry a 1e-9 tolerance.
@@ -56,6 +57,11 @@ class EnumerationCapExceeded(Exception):
 def _require_within_cap(required: int, cap: int) -> None:
     if required > cap:
         raise EnumerationCapExceeded(required, cap)
+
+
+def _check_request(code, k: int) -> None:
+    if not 0 <= k < code.params.n_messages:
+        raise ValueError(f"message index {k} out of range")
 
 
 def _check_permutation(perm, size: int) -> tuple[int, ...]:
@@ -135,6 +141,7 @@ def capacity(n_servers: int, n_messages: int) -> Fraction:
 
 def expected_answer_lengths(code: DecomposableCode, k: int = 0) -> tuple[Fraction, ...]:
     """Per-server expected answer symbols under the key distribution."""
+    _check_request(code, k)
     n_keys = len(code.keys)
     queries = [code.query_map[(k, f)] for f in range(n_keys)]
     out = []
@@ -274,6 +281,13 @@ def _convolve(contributions, selected, modulus: int, start: Optional[Counter] = 
     return sums
 
 
+def _split(code: DecomposableCode, k: int, queries):
+    """(parts, rest): every message's contributions, and all but message k's summed."""
+    parts = _contributions(code, queries)
+    others = [j for j in range(code.params.n_messages) if j != k]
+    return parts, _convolve(parts, others, code.params.ans_modulus)
+
+
 def _query_labels(code: DecomposableCode, queries) -> tuple[str, ...]:
     return tuple(code.query_label(n, qi) for n, qi in enumerate(queries))
 
@@ -302,51 +316,53 @@ def _first_mismatch(cases, decode, seen: dict):
     return None
 
 
+def _correct_under(code, k: int, f: int, parts, rest) -> Optional[VerificationReport]:
+    """None when every database gives back message k under key f; else the
+    failed report.  A database whose message k is w answers T(w) + s, with s
+    in `rest`, the other messages' summed share; the pairs (w, s) cover every
+    database.  A failing key is replayed database by database."""
+    p, y = code.params, code.params.ans_modulus
+    values = list(itertools.product(range(p.msg_modulus), repeat=p.msg_len))
+    decode = None if code.reconstruct is None else functools.partial(code.reconstruct, k, f)
+    seen: dict = {}
+    pairs = ((values[r], _sum((t, s), y), None) for r, t in enumerate(parts[k]) for s in rest)
+    if _first_mismatch(pairs, decode, seen) is None:
+        return None
+    databases = (
+        (values[ranks[k]], _sum((parts[j][r] for j, r in enumerate(ranks)), y), ranks)
+        for ranks in itertools.product(range(len(values)), repeat=p.n_messages)
+    )
+    # decodes carry over; first owners found in pair order do not
+    d, got, stored, ranks = _first_mismatch(databases, decode, seen if decode else {})
+    if decode is None:
+        detail = f"answers consistent with both {got} and {stored}"
+    elif isinstance(got, Exception):
+        detail = f"decoder raised {type(got).__name__}: {got}"
+    else:
+        detail = f"reconstructed {got}, stored {stored}"
+    messages = tuple(values[r] for r in ranks)
+    witness = Witness(detail, messages, code.keys[f], k, _query_labels(code, code.query_map[(k, f)]))
+    return VerificationReport(False, (k * len(code.keys) + f) * _enumeration_size(code) + d, witness)
+
+
 def verify_correctness(
     code: DecomposableCode, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Exhaustively confirm the requested message always comes back intact.
 
-    Under request k and a key, a database whose message k is w answers
-    T(w) + s, with s the other messages' summed contribution; the pairs
-    (w, s) over the support of s cover every database.  A reconstruction
-    callable sees only (request, key, answers), so it runs once per distinct
-    answer tuple and must give w for every pair; an exception it raises is
-    a failed decode.  Codes without one (loaded from files) pass iff no
-    answer tuple arises from two values w -- i.e. some decoder exists.  A
-    failing (request, key) is replayed database by database, so the witness
-    and count name the first that fails.
+    A reconstruction callable sees only (request, key, answers), so it runs
+    once per distinct answer tuple; an exception it raises is a failed
+    decode.  Codes without one (loaded from files) pass iff no answer tuple
+    arises from two values of the requested message -- i.e. some decoder
+    exists.  The witness and count name the first database that fails.
     """
-    p = code.params
-    size, n_keys, y = _enumeration_size(code), len(code.keys), p.ans_modulus
+    p, n_keys = code.params, len(code.keys)
     _require_correctness_within_cap(code, n_keys, cap)
-    values = list(itertools.product(range(p.msg_modulus), repeat=p.msg_len))
-    for k in range(p.n_messages):
-        for f in range(n_keys):
-            queries = code.query_map[(k, f)]
-            parts = _contributions(code, queries)
-            rest = _convolve(parts, [j for j in range(p.n_messages) if j != k], y)
-            decode = None if code.reconstruct is None else functools.partial(code.reconstruct, k, f)
-            seen: dict = {}
-            pairs = ((values[r], _sum((t, s), y), None) for r, t in enumerate(parts[k]) for s in rest)
-            if _first_mismatch(pairs, decode, seen) is None:
-                continue
-            databases = (
-                (values[ranks[k]], _sum((parts[j][r] for j, r in enumerate(ranks)), y), ranks)
-                for ranks in itertools.product(range(len(values)), repeat=p.n_messages)
-            )
-            # decodes carry over; first owners found in pair order do not
-            d, got, stored, ranks = _first_mismatch(databases, decode, seen if decode else {})
-            if decode is None:
-                detail = f"answers consistent with both {got} and {stored}"
-            elif isinstance(got, Exception):
-                detail = f"decoder raised {type(got).__name__}: {got}"
-            else:
-                detail = f"reconstructed {got}, stored {stored}"
-            messages = tuple(values[r] for r in ranks)
-            witness = Witness(detail, messages, code.keys[f], k, _query_labels(code, queries))
-            return VerificationReport(False, (k * n_keys + f) * size + d, witness)
-    return VerificationReport(True, size * n_keys * p.n_messages)
+    for k, f in itertools.product(range(p.n_messages), range(n_keys)):
+        failed = _correct_under(code, k, f, *_split(code, k, code.query_map[(k, f)]))
+        if failed is not None:
+            return failed
+    return VerificationReport(True, _enumeration_size(code) * n_keys * p.n_messages)
 
 
 def verify_privacy(code: DecomposableCode, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -379,9 +395,8 @@ def verify_privacy(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Verificati
 
 def positive_query_tuples(code: DecomposableCode, k: int) -> tuple[tuple[int, ...], ...]:
     """All query tuples that occur with positive probability for request k."""
-    return tuple(
-        sorted({code.query_map[(k, f)] for f in range(len(code.keys))})
-    )
+    _check_request(code, k)
+    return tuple(sorted({code.query_map[(k, f)] for f in range(len(code.keys))}))
 
 
 def _independent(joint, arity: int) -> Optional[str]:
@@ -415,24 +430,25 @@ def _mutually_determining(joint, arity: int) -> Optional[str]:
     return None
 
 
-def _check_properties(code, k: int, queries, cap: int) -> tuple[VerificationReport, ...]:
-    """P1, P2 and P3 for request k and the query tuple `queries`, from one split
-    of the answers: the other messages' sum `rest` is P2's table, `rest` plus
-    message k's shares is P1's, and those shares alone are P3's."""
-    queries = tuple(queries)
-    if queries not in {code.query_map[(k, f)] for f in range(len(code.keys))}:
-        raise ValueError(f"query tuple {queries} has zero probability for k={k}")
-    _require_within_cap(_enumeration_size(code), cap)
-    y = code.params.ans_modulus
-    parts = _contributions(code, queries)
-    rest = _convolve(parts, [j for j in range(code.params.n_messages) if j != k], y)
-    tables = (_convolve(parts, [k], y, rest), rest, Counter(parts[k]))
+def _properties(code, k: int, queries, parts, rest) -> tuple[VerificationReport, ...]:
+    """P1, P2 and P3 for request k and the query tuple `queries`, from its
+    split (parts, rest): `rest` is P2's table, `rest` plus message k's shares
+    is P1's, and those shares alone are P3's."""
+    tables = (_convolve(parts, [k], code.params.ans_modulus, rest), rest, Counter(parts[k]))
     reports = []
     for joint, holds in zip(tables, (_independent, _mutually_determining, _independent)):
         detail = holds(joint, len(queries))
         witness = None if detail is None else Witness(detail, k=k, queries=_query_labels(code, queries))
         reports.append(VerificationReport(detail is None, len(joint), witness))
     return tuple(reports)
+
+
+def _check_properties(code, k: int, queries, cap: int) -> tuple[VerificationReport, ...]:
+    queries = tuple(queries)
+    if queries not in positive_query_tuples(code, k):
+        raise ValueError(f"query tuple {queries} has zero probability for k={k}")
+    _require_within_cap(_enumeration_size(code), cap)
+    return _properties(code, k, queries, *_split(code, k, queries))
 
 
 def check_P1(
@@ -514,8 +530,7 @@ def check_lemma1_equality(
     L*(1/rate - 1)*log2(m); capacity-achieving codes sit at exactly zero.
     """
     p = code.params
-    if not 0 <= k < p.n_messages:
-        raise ValueError(f"message index {k} out of range")
+    _check_request(code, k)
     info = [j for j in range(p.n_messages) if j != k]
     mi = _request_mi_bits(code, k, info, [k], cap)
     r = rate(code)
@@ -583,13 +598,27 @@ class CheckRecord:
 def verify(code: DecomposableCode, cap: int = DEFAULT_CAP) -> list[CheckRecord]:
     """Every check of `pirlab verify`, as records in report order.
 
-    A P record keeps the witness of the first query tuple that fails.  The
-    lemma records come only when answers reuse the message alphabet, and
-    pass when the residual is within `FLOAT_TOL` of zero."""
-    p = code.params
+    Each (request, key)'s answers are split once, for correctness and, at the
+    first key sending a query tuple, P1-P3; a P record keeps the first failing
+    tuple's witness.  Lemma records come only when answers reuse the message
+    alphabet, and pass when the residual is within `FLOAT_TOL` of zero."""
+    p, n_keys = code.params, len(code.keys)
+    _require_correctness_within_cap(code, n_keys, cap)  # covers every P split too
+    correct = None  # the failed correctness report, once there is one
+    properties: list = [{} for _ in range(p.n_messages)]  # per k: query tuple -> P1-P3
+    for k, f in itertools.product(range(p.n_messages), range(n_keys)):
+        queries = code.query_map[(k, f)]
+        if correct is not None and queries in properties[k]:
+            continue
+        parts, rest = _split(code, k, queries)
+        if correct is None:
+            correct = _correct_under(code, k, f, parts, rest)
+        if queries not in properties[k]:
+            properties[k][queries] = _properties(code, k, queries, parts, rest)
+    if correct is None:
+        correct = VerificationReport(True, _enumeration_size(code) * n_keys * p.n_messages)
     records = []
-    for name, check in (("correctness", verify_correctness), ("privacy", verify_privacy)):
-        rep = check(code, cap)
+    for name, rep in (("correctness", correct), ("privacy", verify_privacy(code, cap))):
         params = (("checked", str(rep.checked)),)
         records.append(CheckRecord(name, params, rep.passed, None, rep.witness))
 
@@ -599,16 +628,11 @@ def verify(code: DecomposableCode, cap: int = DEFAULT_CAP) -> list[CheckRecord]:
     witness = None if dec.uniform else Witness(f"first offender {dec.neither[0]}")
     records.append(CheckRecord("uniform-decomposable", params, dec.uniform, None, witness))
 
-    p_records: list = [[], [], []]  # the P1, P2 and P3 records, each in k order
-    for k in range(p.n_messages):
-        tuples = positive_query_tuples(code, k)
-        reports = [_check_properties(code, k, queries, cap) for queries in tuples]
-        params = (("k", str(k)), ("tuples", str(len(tuples))))
-        for i, family in enumerate(p_records):
-            failed = [rep[i] for rep in reports if not rep[i].passed]
-            witness = failed[0].witness if failed else None
-            family.append(CheckRecord(f"P{i + 1}", params, not failed, None, witness))
-    records.extend(itertools.chain.from_iterable(p_records))
+    for i in range(3):  # P1, P2 and P3, each in k order
+        for k, by_tuple in enumerate(properties):
+            failed = [by_tuple[q][i].witness for q in sorted(by_tuple) if not by_tuple[q][i].passed]
+            params = (("k", str(k)), ("tuples", str(len(by_tuple))))
+            records.append(CheckRecord(f"P{i + 1}", params, not failed, None, next(iter(failed), None)))
 
     if p.ans_modulus != p.msg_modulus:
         return records  # information residuals are only exact for matching alphabets

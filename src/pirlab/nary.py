@@ -134,9 +134,9 @@ def answer(code: NaryCode, n: int, q: tuple[int, ...], msgs: MessageSet) -> tupl
 
     Digit 0 selects the zero dummy, so only non-zero digits add a symbol.
     """
+    msgs.check_shape(code.params)
     if answer_length(code, n, q) == 0:
         return ()
-    msgs.check_shape(code.params)
     rows = msgs.values
     return (sum(rows[k][d - 1] for k, d in enumerate(q) if d) % code.modulus,)
 

@@ -16,7 +16,7 @@ import math
 import operator
 from typing import Callable, Optional
 
-from .analysis import DEFAULT_CAP, _check_permutation, _require_within_cap
+from .analysis import DEFAULT_CAP, _check_permutation, _require_within_cap, verify_privacy
 from .groups import CodeParams
 from .model import AnswerFunction, DecomposableCode, digits_label
 
@@ -246,15 +246,10 @@ def variety_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Decomp
     p = code.params
     B = len(code.keys)
 
-    base_seq = []
-    for n in range(p.n_servers):
-        reference = code.query_pmf(n, 0)
-        if any(code.query_pmf(n, k) != reference for k in range(1, p.n_messages)):
-            raise ValueError(
-                f"server {n} query composition depends on the request; "
-                "variety symmetrization needs a private base code"
-            )
-        base_seq.append(tuple(sorted(code.query_map[(0, f)][n] for f in range(B))))
+    privacy = verify_privacy(code, cap)
+    if not privacy.passed:
+        raise ValueError(f"{privacy.witness.detail}; variety symmetrization needs a private base code")
+    base_seq = [tuple(sorted(code.query_map[(0, f)][n] for f in range(B))) for n in range(p.n_servers)]
 
     _require_within_cap(math.factorial(B), cap)
     keys = ((order, digits_label(order)) for order in itertools.permutations(range(B)))

@@ -585,9 +585,16 @@ def test_zero_probability_tuple_is_rejected():
             check(code, 0, (0, 1))
 
 
-def test_verify_splits_each_request_and_query_tuple_once_per_check_family(monkeypatch):
-    # nary 3 4: 4 requests x 27 query tuples, split once by correctness and
-    # once for P1-P3 together
+def test_verify_splits_each_request_and_key_once(monkeypatch):
+    # every key of a request sends its own query tuple on these codes, so a
+    # verify that split once for correctness and again for P1-P3 would make
+    # twice K x keys calls
+    codes = {
+        "nary 3 4": export_decomposable(make_nary(3, 4)),
+        "table2": builtin_sunjafar22(),
+        "server-symmetrized nary 2 2": server_symmetrize(_nary22()),
+        "variety-symmetrized nary 2 2": variety_symmetrize(_nary22()),
+    }
     calls = []
     contributions = analysis._contributions
 
@@ -596,8 +603,33 @@ def test_verify_splits_each_request_and_query_tuple_once_per_check_family(monkey
         return contributions(code, queries)
 
     monkeypatch.setattr(analysis, "_contributions", counted)
-    verify(export_decomposable(make_nary(3, 4)))
-    assert len(calls) == 216
+    made = {}
+    for name, code in codes.items():
+        K, n_keys = code.params.n_messages, len(code.keys)
+        assert sum(len(positive_query_tuples(code, k)) for k in range(K)) == K * n_keys, name
+        calls.clear()
+        verify(code)
+        made[name] = len(calls)
+        assert made[name] == K * n_keys, name
+    assert made["nary 3 4"] == 108
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda code, k: check_P1(code, k, code.query_map[(0, 0)]),
+        lambda code, k: check_P2(code, k, code.query_map[(0, 0)]),
+        lambda code, k: check_P3(code, k, code.query_map[(0, 0)]),
+        positive_query_tuples,
+        expected_answer_lengths,
+    ],
+    ids=["check_P1", "check_P2", "check_P3", "positive_query_tuples", "expected_answer_lengths"],
+)
+def test_request_index_out_of_range_is_a_value_error(entry):
+    code = _nary22()
+    for k in (2, -1):
+        with pytest.raises(ValueError, match=f"message index {k} out of range"):
+            entry(code, k)
 
 
 # ---------------------------------------------------------------- lemma residuals

@@ -18,7 +18,16 @@ import itertools
 
 import pytest
 
-from pirlab.analysis import DEFAULT_CAP, verify
+from pirlab.analysis import (
+    DEFAULT_CAP,
+    CheckRecord,
+    check_P1,
+    check_P2,
+    check_P3,
+    positive_query_tuples,
+    verify,
+    verify_correctness,
+)
 from pirlab.model import AnswerFunction, DecomposableCode, builtin_table1
 from pirlab.nary import export_decomposable, make_nary
 
@@ -203,3 +212,25 @@ def test_verify_text_of_every_mutant_is_pinned(case):
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert (len(texts), digest) == MUTANT_DIGESTS[case]
     assert all("RESULT FAIL" in text for text in texts)
+
+
+@pytest.mark.parametrize("case", sorted(MUTANT_DIGESTS), ids="-".join)
+def test_verify_agrees_with_the_one_check_entry_points(case):
+    # verify's walk against verify_correctness and the first failing
+    # check_Pi report over each request's positive query tuples
+    name, family, decoder = case
+    for code in mutants(BASE_CODES[name](), family, decoder == "decoder"):
+        records = verify(code, DEFAULT_CAP)
+        rep = verify_correctness(code, DEFAULT_CAP)
+        assert records[0] == CheckRecord(
+            "correctness", (("checked", str(rep.checked)),), rep.passed, None, rep.witness
+        )
+        expected = []
+        for i, check in enumerate((check_P1, check_P2, check_P3), 1):
+            for k in range(code.params.n_messages):
+                tuples = positive_query_tuples(code, k)
+                failed = [r for r in (check(code, k, q) for q in tuples) if not r.passed]
+                params = (("k", str(k)), ("tuples", str(len(tuples))))
+                witness = failed[0].witness if failed else None
+                expected.append(CheckRecord(f"P{i}", params, not failed, None, witness))
+        assert [r for r in records if r.name in ("P1", "P2", "P3")] == expected

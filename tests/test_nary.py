@@ -139,6 +139,12 @@ def test_answer_null_query_is_empty():
     assert answer(code, 0, (0, 0), msgs) == ()
 
 
+def test_answer_null_query_still_checks_the_database_shape():
+    code = make_nary(2, 2)
+    with pytest.raises(ValueError, match="message set shape"):
+        answer(code, 0, (0, 0), MessageSet.from_values([[1]], 2))
+
+
 def test_answer_sums_selected_symbols_mod_m():
     code = make_nary(3, 2, modulus=5)
     msgs = MessageSet.from_values(((3, 4), (2, 1)), 5)
