@@ -18,9 +18,9 @@ mutual informations are reported in bits; those carry a 1e-9 tolerance.
 `verify` runs every check of `pirlab verify`, in report order, and owns each
 pass rule, that tolerance included.
 
-Verifiers refuse to start when the required work exceeds a cap (default
-2^24 elementary evaluations) and say how much work they wanted; nothing is
-tabulated before that check has passed.
+Every check refuses to start when its work, bounded by `work` from the shape
+alone, exceeds a cap (default 2^24 elementary evaluations) and says how much
+work it wanted; nothing is tabulated before that check has passed.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ import functools
 import itertools
 import json
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .groups import digits_label
+from .groups import CodeParams, digits_label
 from .model import DecomposableCode, is_uniformly_decomposable
 
 DEFAULT_CAP = 1 << 24
@@ -54,7 +54,7 @@ class EnumerationCapExceeded(Exception):
         self.cap = cap
 
 
-def _require_within_cap(required: int, cap: int) -> None:
+def require_within_cap(required: int, cap: int) -> None:
     if required > cap:
         raise EnumerationCapExceeded(required, cap)
 
@@ -228,10 +228,37 @@ def _enumeration_size(code) -> int:
     return code.params.msg_modulus ** (code.params.n_messages * code.params.msg_len)
 
 
-def _require_correctness_within_cap(code, n_keys: int, cap: int) -> None:
-    """Refuse checking databases x keys beyond `cap`.  Only `code.params` is
-    read, so a nary shape is refused before it is exported."""
-    _require_within_cap(_enumeration_size(code) * n_keys, cap)
+Work = namedtuple("Work", "properties correctness verify")
+
+
+def work(params: CodeParams, n_keys: int, symbols: int) -> Work:
+    """Bounds on the work of P1-P3 on one query tuple, of correctness, and of
+    the costliest check of `verify`, from the shape alone: `params`, `n_keys`
+    keys and at most `symbols` answer symbols in any query tuple.
+
+    Each (request, key) adds message shares, m^L per message, one message at
+    a time to the answers so far -- at most min(m^(L*j), y^symbols) of them
+    after j messages -- in one `_sum` call per pair: K - 1 steps split off
+    message k, and correctness or P1 takes one more; `verify` takes both.
+    Correctness replays all m^(KL) databases when it fails, and a lemma term
+    tallies every database under every key."""
+    m, L, K = params.msg_modulus, params.msg_len, params.n_messages
+    answers, supports = params.ans_modulus**symbols, [1]
+    while len(supports) < K:  # min(m^(L*j), y^symbols) answers after j messages
+        supports.append(min(supports[-1] * m**L, answers))
+    split = m**L * sum(supports)
+    correctness = K * n_keys * split + m ** (K * L)
+    most = correctness + K * n_keys * m**L * supports[-1]  # verify's P1 steps
+    if params.ans_modulus == params.msg_modulus:  # verify runs the lemma terms
+        most = max(most, m ** (K * L) * n_keys)
+    return Work(split, correctness, most)
+
+
+def _work(code: DecomposableCode) -> Work:
+    """`work` on `code`: no query tuple gets more answer symbols than the
+    servers' longest answers together."""
+    symbols = sum(max(v.length for v in per_server) for per_server in code.varieties)
+    return work(code.params, len(code.keys), symbols)
 
 
 def all_message_sets(code: DecomposableCode) -> list[tuple[tuple[int, ...], ...]]:
@@ -357,7 +384,7 @@ def verify_correctness(
     exists.  The witness and count name the first database that fails.
     """
     p, n_keys = code.params, len(code.keys)
-    _require_correctness_within_cap(code, n_keys, cap)
+    require_within_cap(_work(code).correctness, cap)
     for k, f in itertools.product(range(p.n_messages), range(n_keys)):
         failed = _correct_under(code, k, f, *_split(code, k, code.query_map[(k, f)]))
         if failed is not None:
@@ -365,10 +392,9 @@ def verify_correctness(
     return VerificationReport(True, _enumeration_size(code) * n_keys * p.n_messages)
 
 
-def verify_privacy(code: DecomposableCode, cap: int = DEFAULT_CAP) -> VerificationReport:
+def verify_privacy(code: DecomposableCode) -> VerificationReport:
     """Each server's query distribution must not depend on the request."""
     p = code.params
-    _require_within_cap(len(code.keys) * p.n_messages * p.n_servers, cap)
     checked = 0
     for n in range(p.n_servers):
         reference = code.query_pmf(n, 0)
@@ -447,7 +473,7 @@ def _check_properties(code, k: int, queries, cap: int) -> tuple[VerificationRepo
     queries = tuple(queries)
     if queries not in positive_query_tuples(code, k):
         raise ValueError(f"query tuple {queries} has zero probability for k={k}")
-    _require_within_cap(_enumeration_size(code), cap)
+    require_within_cap(_work(code).properties, cap)
     return _properties(code, k, queries, *_split(code, k, queries))
 
 
@@ -491,7 +517,7 @@ def _request_mi_bits(code: DecomposableCode, request: int, info, given, cap: int
     p = code.params
     databases, n_keys, y = _enumeration_size(code), len(code.keys), p.ans_modulus
     size = databases * n_keys
-    _require_within_cap(size, cap)
+    require_within_cap(size, cap)
     if not info:
         return 0.0  # X is constant: every term is log2(1)
     ranks = range(p.msg_modulus**p.msg_len)
@@ -603,7 +629,7 @@ def verify(code: DecomposableCode, cap: int = DEFAULT_CAP) -> list[CheckRecord]:
     tuple's witness.  Lemma records come only when answers reuse the message
     alphabet, and pass when the residual is within `FLOAT_TOL` of zero."""
     p, n_keys = code.params, len(code.keys)
-    _require_correctness_within_cap(code, n_keys, cap)  # covers every P split too
+    require_within_cap(_work(code).verify, cap)  # covers every check below
     correct = None  # the failed correctness report, once there is one
     properties: list = [{} for _ in range(p.n_messages)]  # per k: query tuple -> P1-P3
     for k, f in itertools.product(range(p.n_messages), range(n_keys)):
@@ -618,7 +644,7 @@ def verify(code: DecomposableCode, cap: int = DEFAULT_CAP) -> list[CheckRecord]:
     if correct is None:
         correct = VerificationReport(True, _enumeration_size(code) * n_keys * p.n_messages)
     records = []
-    for name, rep in (("correctness", correct), ("privacy", verify_privacy(code, cap))):
+    for name, rep in (("correctness", correct), ("privacy", verify_privacy(code))):
         params = (("checked", str(rep.checked)),)
         records.append(CheckRecord(name, params, rep.passed, None, rep.witness))
 

@@ -24,25 +24,24 @@ PORT_ENV = "PIRLAB_PORT"
 
 
 def _nary_source(
-    parser, n: int, k: int, m: int, cap: int = analysis.DEFAULT_CAP, verifying: bool = False
+    parser, n: int, k: int, m: int, cap: int = analysis.DEFAULT_CAP, refuse=None
 ) -> tuple[nary.NaryCode, DecomposableCode]:
-    """The nary code of shape (n, k, m) and its export.  A shape is refused
-    before export when its L+1 tables of m^L entries and its K*N^K query cells,
-    counted once in the query map and once in the varieties, exceed `cap`;
-    when `verifying`, first when correctness would refuse it."""
+    """The nary code of shape (n, k, m) and its export.  The shape is refused
+    when its export exceeds `cap`, which also bounds N, K and m^L, and then
+    passed to `refuse(params, keys, symbols)` when given: N^(K-1) keys, and at
+    most one answer symbol per server."""
     try:
         shape = nary.make_nary(n, k, m)
     except ValueError as exc:
         parser.error(str(exc))
-    if verifying:
-        analysis._require_correctness_within_cap(shape, n ** (k - 1), cap)
-    L = shape.params.msg_len
-    analysis._require_within_cap((L + 1) * m**L + 2 * k * n**k, cap)
+    analysis.require_within_cap(nary.export_size(shape), cap)
+    if refuse is not None:
+        refuse(shape.params, n ** (k - 1), n)
     return shape, nary.export_decomposable(shape)
 
 
 def _build_source(
-    tokens: list[str], parser: argparse.ArgumentParser, cap: int, verifying: bool = False
+    tokens: list[str], parser: argparse.ArgumentParser, cap: int, refuse=None
 ) -> DecomposableCode:
     """A code source is `nary N K [m]`, `table1`, `table2`, or a file path; a
     `nary` shape is refused as `_nary_source` refuses it."""
@@ -54,7 +53,7 @@ def _build_source(
             m = int(tokens[3]) if len(tokens) == 4 else 2
         except ValueError:
             parser.error("nary parameters must be integers")
-        return _nary_source(parser, n, k, m, cap, verifying)[1]
+        return _nary_source(parser, n, k, m, cap, refuse)[1]
     if tokens[0] == "table1":
         return builtin_table1()
     if tokens[0] == "table2":
@@ -211,7 +210,10 @@ def cmd_metrics(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    code = _build_source(args.source, parser, args.cap, verifying=True)
+    def refuse(params, keys, symbols):  # verify's own charge, made before export
+        analysis.require_within_cap(analysis.work(params, keys, symbols).verify, args.cap)
+
+    code = _build_source(args.source, parser, args.cap, refuse)
     records = analysis.verify(code, args.cap)
     for record in records:
         print(record.text_line())
@@ -225,7 +227,10 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_symmetrize(args, parser) -> int:
-    code = _build_source(args.source, parser, args.cap)
+    def refuse(params, keys, symbols):  # the transform's own charge, made before export
+        symmetry.require_shape_within_cap(args.transform, params, keys, args.cap)
+
+    code = _build_source(args.source, parser, args.cap, refuse)
     transforms = {
         "server": symmetry.server_symmetrize,
         "message": symmetry.message_symmetrize,

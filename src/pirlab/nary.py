@@ -210,6 +210,13 @@ def answer_table(code: NaryCode) -> tuple[tuple[tuple[str, str], ...], ...]:
     )
 
 
+def export_size(code: NaryCode) -> int:
+    """What `export_decomposable` builds: L+1 tables of m^L entries, and K*N^K
+    query cells, counted once in the query map and once in the varieties."""
+    m, L, K, N = code.modulus, code.params.msg_len, code.n_messages, code.n_servers
+    return (L + 1) * m**L + 2 * K * N**K
+
+
 def export_decomposable(code: NaryCode) -> DecomposableCode:
     """Re-express the construction as explicit component tables."""
     p = code.params

@@ -16,7 +16,7 @@ import math
 import operator
 from typing import Callable, Optional
 
-from .analysis import DEFAULT_CAP, _check_permutation, _require_within_cap, verify_privacy
+from .analysis import DEFAULT_CAP, _check_permutation, require_within_cap, verify_privacy
 from .groups import CodeParams
 from .model import AnswerFunction, DecomposableCode, digits_label
 
@@ -96,15 +96,14 @@ def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
     `query_combos` yields, server by server, that server's per-block
     query-index tuples in output order.  Each combined query answers with its
     blocks' rows, lifted to the combined slice, and reconstruction splits the
-    answers per block.  The enumeration cap is checked while the combos are
-    indexed, before any table is lifted or any key is listed.
+    answers per block.  With the shape charged, the lifted entries are charged
+    while the combos are indexed, before any table is lifted or key listed.
     """
     first = blocks[0].params
     N, K, m, y = first.n_servers, first.n_messages, first.msg_modulus, first.ans_modulus
     # where each block's slice starts, then the combined message length
     *prefixes, total_len = itertools.accumulate((b.params.msg_len for b in blocks), initial=0)
     table_size = m**total_len
-    _require_within_cap(table_size, cap)
 
     entries = 0
     index_of: list[dict[tuple[int, ...], int]] = []
@@ -114,7 +113,7 @@ def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
         for combo in combos:
             lookup[combo] = len(lookup)
             entries += K * table_size * sum(map(operator.getitem, lengths, combo))
-            _require_within_cap(entries, cap)
+            require_within_cap(entries, cap)
         index_of.append(lookup)
 
     @functools.cache
@@ -187,16 +186,41 @@ def space_share(blocks, cap: int = DEFAULT_CAP) -> DecomposableCode:
         ):
             raise ValueError("blocks must agree on servers, messages, and alphabets")
 
-    _require_within_cap(math.prod(len(b.keys) for b in blocks), cap)
+    require_within_cap(math.prod(len(b.keys) for b in blocks), cap)
+    require_within_cap(first.msg_modulus ** sum(b.params.msg_len for b in blocks), cap)
+    return _share(blocks, cap)
+
+
+def _share(blocks, cap: int) -> DecomposableCode:
+    """`space_share` of blocks whose shape has been charged."""
     keys = (
         (fc, "|".join(b.keys[f] for b, f in zip(blocks, fc)))
         for fc in itertools.product(*(range(len(b.keys)) for b in blocks))
     )
     query_combos = (
         itertools.product(*(range(b.query_count(n)) for b in blocks))
-        for n in range(first.n_servers)
+        for n in range(blocks[0].params.n_servers)
     )
     return _assemble(blocks, keys, query_combos, cap)
+
+
+def require_shape_within_cap(
+    transform: str, params: CodeParams, n_keys: int, cap: int = DEFAULT_CAP
+) -> None:
+    """Refuse the "server", "message" or "variety" symmetrization of a code
+    of this shape with `n_keys` keys, before anything is built, by its block
+    count (which bounds the powers after it), its combined key count and the
+    m^(total L) entries of a lifted table."""
+    if transform == "server":
+        blocks = params.n_servers  # one per cyclic rotation
+    elif transform == "message":
+        blocks = math.factorial(params.n_messages)  # one per relabeling
+    else:
+        blocks = n_keys  # one per base key
+    require_within_cap(blocks, cap)
+    # one key per block, except that a variety key orders the base keys
+    require_within_cap(math.factorial(n_keys) if transform == "variety" else n_keys**blocks, cap)
+    require_within_cap(params.msg_modulus ** (params.msg_len * blocks), cap)
 
 
 def server_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> DecomposableCode:
@@ -206,20 +230,17 @@ def server_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Decompo
     original counts) and the same expected answer length.
     """
     N = code.params.n_servers
-    # space_share's key count, checked before any block is built
-    _require_within_cap(len(code.keys) ** N, cap)
+    require_shape_within_cap("server", code.params, len(code.keys), cap)
     blocks = [server_permute(code, [(n + i) % N for n in range(N)]) for i in range(N)]
-    return space_share(blocks, cap)
+    return _share(blocks, cap)
 
 
 def message_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> DecomposableCode:
     """Space-share all K! message relabelings of a code."""
     K = code.params.n_messages
-    _require_within_cap(math.factorial(K), cap)
-    # space_share's key count, checked before any block is built
-    _require_within_cap(len(code.keys) ** math.factorial(K), cap)
+    require_shape_within_cap("message", code.params, len(code.keys), cap)
     blocks = [message_permute(code, perm) for perm in itertools.permutations(range(K))]
-    return space_share(blocks, cap)
+    return _share(blocks, cap)
 
 
 def _distinct_orderings(items: tuple[int, ...]):
@@ -245,13 +266,13 @@ def variety_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Decomp
     """
     p = code.params
     B = len(code.keys)
+    require_shape_within_cap("variety", p, B, cap)
 
-    privacy = verify_privacy(code, cap)
+    privacy = verify_privacy(code)
     if not privacy.passed:
         raise ValueError(f"{privacy.witness.detail}; variety symmetrization needs a private base code")
     base_seq = [tuple(sorted(code.query_map[(0, f)][n] for f in range(B))) for n in range(p.n_servers)]
 
-    _require_within_cap(math.factorial(B), cap)
     keys = ((order, digits_label(order)) for order in itertools.permutations(range(B)))
     query_combos = (_distinct_orderings(seq) for seq in base_seq)
     return _assemble((code,) * B, keys, query_combos, cap)

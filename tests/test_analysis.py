@@ -46,7 +46,7 @@ from pirlab.model import (
 )
 from pirlab.nary import export_decomposable, make_nary
 from pirlab.symmetry import message_symmetrize, server_symmetrize, variety_symmetrize
-from test_mutants import mutants
+from test_mutants import BASE_CODES, MUTANT_DIGESTS, mutants
 
 
 F = Fraction
@@ -304,9 +304,10 @@ def test_cap_refusal_carries_work_estimate():
     code = export_decomposable(make_nary(2, 2))
     with pytest.raises(EnumerationCapExceeded) as exc:
         verify_correctness(code, cap=3)
-    assert exc.value.required == 8  # 2^(2*1) databases x 2 keys
+    # K x keys = 4 splits of m^L x (1 + 2) sums, and one replay of 2^2 databases
+    assert exc.value.required == 28
     assert exc.value.cap == 3
-    assert "8" in str(exc.value)
+    assert "28" in str(exc.value)
 
 
 def test_cap_refusal_names_a_requirement_too_long_for_decimal():
@@ -329,20 +330,37 @@ def _wide_code():
     )
 
 
+def _deep_code():
+    """K=3 messages of L=9 bits, each server answering every message's nine
+    coordinates summed: the split's supports may reach 2^18 answer tuples."""
+    rows = tuple((c, c, c) for c in (coordinate_table(2, 9, j) for j in range(9)))
+    variety = (AnswerFunction("sum", rows),)
+    return DecomposableCode(
+        CodeParams(2, 3, 9, 2, 2),
+        (variety, variety),
+        ("0",),
+        {(k, 0): (0, 0) for k in range(3)},
+    )
+
+
 @pytest.mark.parametrize(
-    "check",
+    "code, check, required",
     [
-        verify_correctness,
-        lambda code: check_P1(code, 0, (0, 0)),
-        lambda code: check_P2(code, 0, (0, 0)),
-        lambda code: check_P3(code, 0, (0, 0)),
-        lambda code: check_lemma1_equality(code, 0),
-        lambda code: check_lemma2_equality(code, 1, (0, 1, 2)),
+        # K x keys splits of m^L x (1 + 4 + 4) sums, and one replay of 2^27
+        # databases, which a failing correctness (as here) runs
+        (_wide_code, verify_correctness, 3 * 2**9 * 9 + 2**27),
+        # one split of m^L x (1 + 2^9 + 2^18) sums
+        (_deep_code, lambda code: check_P1(code, 0, (0, 0)), 2**9 * (1 + 2**9 + 2**18)),
+        (_deep_code, lambda code: check_P2(code, 0, (0, 0)), 2**9 * (1 + 2**9 + 2**18)),
+        (_deep_code, lambda code: check_P3(code, 0, (0, 0)), 2**9 * (1 + 2**9 + 2**18)),
+        # 2^27 databases x 1 key tallied
+        (_wide_code, lambda code: check_lemma1_equality(code, 0), 2**27),
+        (_wide_code, lambda code: check_lemma2_equality(code, 1, (0, 1, 2)), 2**27),
     ],
     ids=["correctness", "P1", "P2", "P3", "lemma1", "lemma2"],
 )
-def test_cap_refusal_allocates_nothing(check):
-    code = _wide_code()
+def test_cap_refusal_allocates_nothing(code, check, required):
+    code = code()
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -352,9 +370,74 @@ def test_cap_refusal_allocates_nothing(check):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert exc.value.required == 1 << 27
+    assert exc.value.required == required
     assert elapsed < 1.0
     assert peak < 1 << 20
+
+
+def test_correctness_and_properties_run_at_nary_443_under_the_default_cap():
+    # the databases x keys charge asked for 34,012,224 here
+    code = export_decomposable(make_nary(4, 4, 3))
+    assert verify_correctness(code).passed
+    for check in (check_P1, check_P2, check_P3):
+        for k in range(4):
+            assert check(code, k, positive_query_tuples(code, k)[-1]).passed
+
+
+def test_correctness_still_refuses_nary_2_16():
+    # 16 x 2^15 splits of 2 x (1 + 2 + 14 x 4) sums, and 2^16 databases
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        verify_correctness(export_decomposable(make_nary(2, 16)))
+    assert exc.value.required == 16 * 2**15 * 2 * 59 + 2**16
+
+
+def _counting_sums(monkeypatch):
+    """A list whose length counts the `_sum` calls made from now on.  The
+    lemma tallies make none, so they are stubbed out."""
+    monkeypatch.setattr(analysis, "_request_mi_bits", lambda *args: 0.0)
+    calls = []
+    add = analysis._sum
+
+    def counted(shares, modulus):
+        calls.append(None)
+        return add(shares, modulus)
+
+    monkeypatch.setattr(analysis, "_sum", counted)
+    return calls
+
+
+def _assert_sums_within_charge(code, calls):
+    """Each check's counted `_sum` calls are at most what it is charged."""
+    work = analysis._work(code)
+    del calls[:]
+    verify(code, cap=work.verify)
+    assert len(calls) <= work.verify
+    del calls[:]
+    verify_correctness(code, cap=work.correctness)
+    assert len(calls) <= work.correctness
+    for k in range(code.params.n_messages):
+        for queries in positive_query_tuples(code, k):
+            for check in (check_P1, check_P2, check_P3):
+                del calls[:]
+                check(code, k, queries, cap=work.properties)
+                assert len(calls) <= work.properties
+
+
+NARY_GRID = [(n, k, m) for n in (2, 3, 4) for k in (1, 2, 3, 4) for m in (2, 3)]
+
+
+def test_counted_sums_never_exceed_the_charge_on_the_grid(monkeypatch):
+    calls = _counting_sums(monkeypatch)
+    for shape in NARY_GRID:
+        _assert_sums_within_charge(export_decomposable(make_nary(*shape)), calls)
+
+
+@pytest.mark.parametrize("case", sorted(MUTANT_DIGESTS), ids="-".join)
+def test_counted_sums_never_exceed_the_charge_on_the_mutants(case, monkeypatch):
+    name, family, decoder = case
+    calls = _counting_sums(monkeypatch)
+    for code in mutants(BASE_CODES[name](), family, decoder == "decoder"):
+        _assert_sums_within_charge(code, calls)
 
 
 def _brute_force_answers(code, queries, messages, selected):

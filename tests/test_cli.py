@@ -16,11 +16,12 @@ import warnings
 
 import pytest
 
-from pirlab import cli
+from pirlab import analysis, cli
 from pirlab.cli import main
 from pirlab.codefile import emit, parse, save
 from pirlab.model import DecomposableCode, builtin_table1
 from pirlab.nary import export_decomposable, make_nary
+from test_analysis import NARY_GRID
 
 
 def run_cli(capsys, *argv):
@@ -123,15 +124,18 @@ def test_verify_cap_exceeded_exit_code(capsys):
     code = main(["verify", "nary", "2", "2", "--cap", "3"])
     _, err = capsys.readouterr()
     assert code == 3
-    # correctness's 2^2 databases x 2 keys, named before the export's size
-    assert err == "refusing exact enumeration: needs 8 evaluations, cap is 3\n"
+    # the export's 2 tables of 2 entries and 2 x 2 x 2^2 query cells, charged
+    # before verify's 4 splits of 2 x (1 + 2 + 2) sums and 2^2 databases
+    assert err == "refusing exact enumeration: needs 20 evaluations, cap is 3\n"
 
 
 @pytest.mark.parametrize(
-    "servers, messages, required", [("20", "2", 5497558138880), ("2", "16", 2147483648)]
+    "servers, messages, required", [("20", "2", 22265131433984), ("2", "16", 2147483648)]
 )
 def test_verify_refuses_a_nary_shape_before_exporting_it(servers, messages, required, capsys):
-    # m^(KL) databases x N^(K-1) keys, refused with correctness's own line
+    # the costliest check: at 20 2 the splits, 40 of 2^19 x (1 + 2 x 2^19)
+    # sums, and 2^38 databases; at 2 16 a lemma term, m^(KL) databases x
+    # N^(K-1) keys
     tracemalloc.start()
     try:
         code = main(["verify", "nary", servers, messages])
@@ -170,6 +174,50 @@ def test_a_nary_shape_too_large_to_export_is_refused_before_export(argv, capsys)
         3,
         "",
         f"refusing exact enumeration: needs {required} evaluations, cap is 16777216\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "transform, required",
+    [
+        ("server", 20**20),  # 20 blocks of 20 keys each
+        ("message", 2**38),  # 2 blocks, each table lifted to 2^(2 x 19) entries
+    ],
+)
+def test_a_transform_refuses_a_nary_shape_before_export(transform, required, capsys):
+    # the export of nary 20 2 fits the cap, so the transform's shape is charged
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main(["symmetrize", transform, "nary", "20", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+    assert (code, *capsys.readouterr()) == (
+        3,
+        "",
+        f"refusing exact enumeration: needs {required} evaluations, cap is 16777216\n",
+    )
+
+
+@pytest.mark.parametrize("shape", NARY_GRID)
+def test_verify_charges_a_nary_shape_as_analysis_charges_its_export(shape, monkeypatch, capsys):
+    export = export_decomposable(make_nary(*shape))
+    with pytest.raises(analysis.EnumerationCapExceeded) as exc:
+        analysis.verify(export, cap=0)
+
+    def no_export(*args):
+        raise AssertionError("exported before the charge")
+
+    # the export's own charge, made first, is lifted so that verify's shows
+    monkeypatch.setattr(cli.nary, "export_size", lambda shape: 0)
+    monkeypatch.setattr(cli.nary, "export_decomposable", no_export)
+    assert run_cli(capsys, "verify", "nary", *map(str, shape), "--cap", "0") == (
+        3,
+        "",
+        f"refusing exact enumeration: needs {exc.value.required} evaluations, cap is 0\n",
     )
 
 
