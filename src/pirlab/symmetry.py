@@ -266,11 +266,11 @@ def variety_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Decomp
     """
     p = code.params
     B = len(code.keys)
-    require_shape_within_cap("variety", p, B, cap)
 
     privacy = verify_privacy(code)
     if not privacy.passed:
         raise ValueError(f"{privacy.witness.detail}; variety symmetrization needs a private base code")
+    require_shape_within_cap("variety", p, B, cap)
     base_seq = [tuple(sorted(code.query_map[(0, f)][n] for f in range(B))) for n in range(p.n_servers)]
 
     keys = ((order, digits_label(order)) for order in itertools.permutations(range(B)))

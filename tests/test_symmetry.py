@@ -286,6 +286,17 @@ def test_variety_symmetrize_rejects_request_dependent_base():
         variety_symmetrize(leaky)
 
 
+def test_variety_symmetrize_rejects_a_leaky_base_before_charging_its_shape():
+    # 13 keys would need 13! orderings, beyond the cap, but a leaky base is
+    # an input error first, whatever its size
+    base = builtin_table1()
+    keys = tuple(str(f) for f in range(13))
+    query_map = {(k, f): (k, k) for k in range(2) for f in range(13)}
+    leaky = DecomposableCode(base.params, base.varieties, keys, query_map)
+    with pytest.raises(ValueError, match="private base"):
+        variety_symmetrize(leaky)
+
+
 def test_variety_symmetrize_cap_refusal():
     # 9 base keys would need 9! orderings
     with pytest.raises(EnumerationCapExceeded):
