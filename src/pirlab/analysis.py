@@ -11,12 +11,15 @@ contributions.  `verify` splits the answers once per (request, key), into
 message k's shares and the other messages' convolution, and correctness and
 P1-P3 read that split; no database is enumerated unless a check fails and
 its witness is wanted.  A code's decoder runs once per distinct answer tuple
-of each (request, key).  The lemma identities tally every database,
-key by key, from outer sums of each row's per-message tables, mod y; nothing
-is kept on the code between checks.  Floats appear only when entropies or
-mutual informations are reported in bits; those carry a 1e-9 tolerance.
-`verify` runs every check of `pirlab verify`, in report order, and owns each
-pass rule, that tolerance included.
+of each (request, key).  A lemma term tallies every (database, key) as one
+int that orders like its (informative values, answers, (given values, key))
+triple, the answers from outer sums of each row's per-message tables, mod y;
+beside it only the (answers, given values, key) counts are tallied, the
+other marginals following from the shape, and nothing is kept on the code
+between checks.  Floats appear only when entropies or mutual informations
+are reported in bits, all by one rule, `_information_sum`; those carry a
+1e-9 tolerance.  `verify` runs every check of `pirlab verify`, in report
+order, and owns each pass rule, that tolerance included.
 
 Every check refuses to start when its work, bounded by `work` from the shape
 alone, exceeds a cap (default 2^24 elementary evaluations) and says how much
@@ -29,6 +32,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,14 +87,21 @@ def _marginal(counts, positions) -> Counter:
     return out
 
 
-def _log2_ratio(num: int, den: int) -> float:
-    """log2(num/den) from the ratio in lowest terms.
+def _information_sum(terms, total: int) -> float:
+    """Σ c/total · log2(num/den) over (c, num, den) terms, each ratio taken
+    in lowest terms, added one by one from 0.0 in the order given (not by
+    sum(), whose rounding varies by Python version).
 
     With p taken as count / total (int true division rounds correctly, as
-    float(Fraction) does) and terms summed in support order, every measure
-    below gives one float whatever scale its counts have."""
-    g = math.gcd(num, den)
-    return math.log2(num // g) - math.log2(den // g)
+    float(Fraction) does) and terms in support order, every measure below
+    gives one float whatever scale its counts have."""
+
+    @functools.cache  # for this sum only: few distinct terms recur often
+    def term(c, num, den):
+        g = math.gcd(num, den)
+        return c / total * (math.log2(num // g) - math.log2(den // g))
+
+    return functools.reduce(operator.add, itertools.starmap(term, terms), 0.0)
 
 
 def entropy_bits(counts, total: int) -> float:
@@ -115,13 +126,8 @@ def conditional_mutual_information_bits(counts, total: int) -> float:
         p_z[z] += c
         p_xz[x, z] += c
         p_yz[y, z] += c
-    # terms are added in sorted support order (not by sum(), whose rounding
-    # varies by Python version)
-    out = 0.0
-    for x, y, z in sorted(counts):
-        c = counts[x, y, z]
-        out += (c / total) * _log2_ratio(c * p_z[z], p_xz[x, z] * p_yz[y, z])
-    return out
+    terms = ((c, c * p_z[z], p_xz[x, z] * p_yz[y, z]) for (x, y, z), c in sorted(counts.items()))
+    return _information_sum(terms, total)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +519,11 @@ def _outer_sums(vectors) -> list[int]:
 
 
 def _request_mi_bits(code: DecomposableCode, request: int, info, given, cap: int) -> float:
-    """I(W_info ; all answers for `request` | W_given, key), by enumeration."""
+    """I(W_info ; all answers for `request` | W_given, key) over every
+    (database, key).  `info` and `given` must be disjoint: then each (given
+    values, key) is seen m^(L*(K-|given|)) times and each (info values,
+    given values, key) m^(L*(K-|given|-|info|)) times, so only the answers'
+    joint count with (given values, key) is tallied."""
     p = code.params
     databases, n_keys, y = _enumeration_size(code), len(code.keys), p.ans_modulus
     size = databases * n_keys
@@ -522,29 +532,38 @@ def _request_mi_bits(code: DecomposableCode, request: int, info, given, cap: int
         return 0.0  # X is constant: every term is log2(1)
     ranks = range(p.msg_modulus**p.msg_len)
 
-    # x, y and z are ints that order like the tuples they stand for, so the
-    # terms of the sum keep their order and keys hash and compare fast
+    # x, y and z are ints that order like the tuples they stand for, and so
+    # does an observation (x*Y + y)*Z + z, every y below Y and z below Z:
+    # the terms of the sum keep their order and keys hash and compare fast
     def rank_codes(which):  # the messages in `which`, first most significant
         weight = {j: len(ranks) ** e for e, j in enumerate(reversed(which))}
         return _outer_sums([r * weight.get(j, 0) for r in ranks] for j in range(p.n_messages))
 
-    # all answers as one base-(y+1) number, server 0 first: symbol s is the
-    # digit s+1 and a missing symbol the digit 0, padding each server's
-    # answers to its longest
+    # all answers as one base-(y+1) number times Z, server 0 first: symbol s
+    # is the digit s+1 and a missing symbol the digit 0, padding each
+    # server's answers to its longest
     queries = [code.query_map[(request, f)] for f in range(n_keys)]
     widths = [max(code.answer_length(n, q[n]) for q in queries) for n in range(p.n_servers)]
-    xs = rank_codes(info)
+    z_span = n_keys * len(ranks) ** len(given)  # Z
+    yz_span = (y + 1) ** sum(widths) * z_span  # Y*Z
+    xs = [x * yz_span for x in rank_codes(info)]
     zs = [g * n_keys for g in rank_codes(given)]
-    tally: Counter = Counter()
+    tally, p_yz = Counter(), Counter()
     for f, q in enumerate(queries):
-        ys = [0] * databases
+        yzs = list(map(f.__add__, zs))
         for n, qi in enumerate(q):
             for i, row in enumerate(code.varieties[n][qi].tables, 1):
-                place = (y + 1) ** (sum(widths[n:]) - i)
+                place = (y + 1) ** (sum(widths[n:]) - i) * z_span
                 digit = [(s % y + 1) * place for s in range(p.n_messages * y)]  # by table sum
-                ys = list(map(int.__add__, ys, map(digit.__getitem__, _outer_sums(row))))
-        tally.update(zip(xs, ys, map(f.__add__, zs)))
-    return conditional_mutual_information_bits(tally, size)
+                yzs = list(map(int.__add__, yzs, map(digit.__getitem__, _outer_sums(row))))
+        p_yz.update(yzs)
+        tally.update(map(int.__add__, xs, yzs))
+    p_z = databases // len(ranks) ** len(given)
+    p_xz = p_z // len(ranks) ** len(info)
+    support = sorted(tally)
+    counts = list(map(tally.__getitem__, support))
+    dens = map(p_xz.__mul__, map(p_yz.__getitem__, map(yz_span.__rmod__, support)))
+    return _information_sum(zip(counts, map(p_z.__mul__, counts), dens), size)
 
 
 def check_lemma1_equality(

@@ -886,6 +886,7 @@ def _nary33_with_one_flipped_entry():
         "server-symmetrized nary 2 2",
         "message-symmetrized nary 2 2",
         "nary 3 3",
+        "nary 3 4",
         "nary 2 3 m3",
         "flipped nary 3 3",
         "extra-row mutant 18 of nary 3 2",
@@ -895,13 +896,17 @@ def test_request_mi_bits_matches_the_tuple_keyed_tally(name):
     # table1, message-symmetrized nary 2 2 and mutant 18 answer with
     # different lengths at one server; unless a missing symbol orders before
     # the symbol 0, mutant 18's terms add up in another order and round
-    # differently
+    # differently.  Each split is tried with the request given, as in lemma 1
+    # and lemma 2's second term, where (x, z) fixes the database and every
+    # count is 1, and free, as in lemma 2's first term, where a code that
+    # does not decode its request has counts above 1
     codes = {
         "table1": builtin_table1,
         "extra-row mutant 18 of nary 3 2": lambda: list(
             mutants(export_decomposable(make_nary(3, 2)), "extra-row")
         )[18],
         "nary 3 3": lambda: export_decomposable(make_nary(3, 3)),
+        "nary 3 4": lambda: export_decomposable(make_nary(3, 4)),
         "nary 2 3 m3": lambda: export_decomposable(make_nary(2, 3, 3)),
         "flipped nary 3 3": _nary33_with_one_flipped_entry,
         **GUARDED_CODES,
@@ -911,9 +916,10 @@ def test_request_mi_bits_matches_the_tuple_keyed_tally(name):
     for request in range(K):
         others = [j for j in range(K) if j != request]
         for split in range(len(others) + 1):
-            info, given = others[split:], others[:split] + [request]
-            got = analysis._request_mi_bits(code, request, info, given, analysis.DEFAULT_CAP)
-            assert got == _reference_request_mi_bits(code, request, info, given)
+            info = others[split:]
+            for given in (others[:split] + [request], others[:split]):
+                got = analysis._request_mi_bits(code, request, info, given, analysis.DEFAULT_CAP)
+                assert got == _reference_request_mi_bits(code, request, info, given)
 
 
 def test_request_mi_bits_without_information_is_exactly_zero():
