@@ -96,7 +96,6 @@ def _information_sum(terms, total: int) -> float:
     float(Fraction) does) and terms in support order, every measure below
     gives one float whatever scale its counts have."""
 
-    @functools.cache  # for this sum only: few distinct terms recur often
     def term(c, num, den):
         g = math.gcd(num, den)
         return c / total * (math.log2(num // g) - math.log2(den // g))
