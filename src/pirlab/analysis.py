@@ -11,15 +11,16 @@ contributions.  `verify` splits the answers once per (request, key), into
 message k's shares and the other messages' convolution, and correctness and
 P1-P3 read that split; no database is enumerated unless a check fails and
 its witness is wanted.  A code's decoder runs once per distinct answer tuple
-of each (request, key).  A lemma term tallies every (database, key) as one
-int that orders like its (informative values, answers, (given values, key))
-triple, the answers from outer sums of each row's per-message tables, mod y;
-beside it only the (answers, given values, key) counts are tallied, the
-other marginals following from the shape, and nothing is kept on the code
-between checks.  Floats appear only when entropies or mutual informations
-are reported in bits, all by one rule, `_information_sum`; those carry a
-1e-9 tolerance.  `verify` runs every check of `pirlab verify`, in report
-order, and owns each pass rule, that tolerance included.
+of each (request, key).  The lemmas build a request's answers on every
+(database, key) once, from outer sums of each row's per-message tables, mod
+y; each of its terms tallies them as ints that order like their (informative
+values, answers, (given values, key)) triples, and beside them only the
+(answers, given values, key) counts, the shape giving the other marginals.
+Floats appear only when information is reported in bits, by one term rule
+and one left-to-right sum, each distinct lemma term worked out once; those
+carry a 1e-9 tolerance.  Nothing is kept on the code between checks.
+`verify` runs every check of `pirlab verify`, in report order, and owns each
+pass rule, that tolerance included.
 
 Every check refuses to start when its work, bounded by `work` from the shape
 alone, exceeds a cap (default 2^24 elementary evaluations) and says how much
@@ -87,20 +88,18 @@ def _marginal(counts, positions) -> Counter:
     return out
 
 
-def _information_sum(terms, total: int) -> float:
-    """Σ c/total · log2(num/den) over (c, num, den) terms, each ratio taken
-    in lowest terms, added one by one from 0.0 in the order given (not by
-    sum(), whose rounding varies by Python version).
+def _information_term(total: int, c: int, num: int, den: int) -> float:
+    """c/total · log2(num/den), the ratio in lowest terms.  Int true division
+    rounds correctly, as float(Fraction) does, so with terms in support order
+    every measure below gives one float whatever scale its counts have."""
+    g = math.gcd(num, den)
+    return c / total * (math.log2(num // g) - math.log2(den // g))
 
-    With p taken as count / total (int true division rounds correctly, as
-    float(Fraction) does) and terms in support order, every measure below
-    gives one float whatever scale its counts have."""
 
-    def term(c, num, den):
-        g = math.gcd(num, den)
-        return c / total * (math.log2(num // g) - math.log2(den // g))
-
-    return functools.reduce(operator.add, itertools.starmap(term, terms), 0.0)
+def _information_sum(terms) -> float:
+    """The terms, in support order, added one by one from 0.0 (not by
+    sum(), whose rounding varies by Python version)."""
+    return functools.reduce(operator.add, terms, 0.0)
 
 
 def entropy_bits(counts, total: int) -> float:
@@ -126,7 +125,7 @@ def conditional_mutual_information_bits(counts, total: int) -> float:
         p_xz[x, z] += c
         p_yz[y, z] += c
     terms = ((c, c * p_z[z], p_xz[x, z] * p_yz[y, z]) for (x, y, z), c in sorted(counts.items()))
-    return _information_sum(terms, total)
+    return _information_sum(itertools.starmap(functools.partial(_information_term, total), terms))
 
 
 # ---------------------------------------------------------------------------
@@ -517,18 +516,35 @@ def _outer_sums(vectors) -> list[int]:
     return sums
 
 
-def _request_mi_bits(code: DecomposableCode, request: int, info, given, cap: int) -> float:
-    """I(W_info ; all answers for `request` | W_given, key) over every
-    (database, key).  `info` and `given` must be disjoint: then each (given
-    values, key) is seen m^(L*(K-|given|)) times and each (info values,
-    given values, key) m^(L*(K-|given|-|info|)) times, so only the answers'
-    joint count with (given values, key) is tallied."""
-    p = code.params
-    databases, n_keys, y = _enumeration_size(code), len(code.keys), p.ans_modulus
-    size = databases * n_keys
-    require_within_cap(size, cap)
+def _request_answers(code: DecomposableCode, request: int) -> tuple[int, list[list[int]]]:
+    """(Y, answers): per key, the answers for `request` on every database in
+    `all_message_sets` order, each one base-(y+1) number below Y, server 0
+    first: symbol s is the digit s+1, a missing symbol 0, padding each server."""
+    p, y = code.params, code.params.ans_modulus
+    queries = [code.query_map[(request, f)] for f in range(len(code.keys))]
+    widths = [max(code.answer_length(n, q[n]) for q in queries) for n in range(p.n_servers)]
+    answers = []
+    for q in queries:
+        ys = [0] * _enumeration_size(code)
+        for n, qi in enumerate(q):
+            for i, row in enumerate(code.varieties[n][qi].tables, 1):
+                place = (y + 1) ** (sum(widths[n:]) - i)
+                digit = [(s % y + 1) * place for s in range(p.n_messages * y)]  # by table sum
+                ys = list(map(operator.add, ys, map(digit.__getitem__, _outer_sums(row))))
+        answers.append(ys)
+    return (y + 1) ** sum(widths), answers
+
+
+def _request_mi_bits(code: DecomposableCode, answers, info, given) -> float:
+    """I(W_info ; all answers for a request | W_given, key) over every
+    (database, key), `answers()` giving that request's `_request_answers`.
+    `info` and `given` must be disjoint: then each (given values, key) is
+    seen m^(L*(K-|given|)) times and each (info values, given values, key)
+    m^(L*(K-|given|-|info|)) times, so only the answers' joint count with
+    (given values, key) is tallied."""
     if not info:
         return 0.0  # X is constant: every term is log2(1)
+    p, n_keys = code.params, len(code.keys)
     ranks = range(p.msg_modulus**p.msg_len)
 
     # x, y and z are ints that order like the tuples they stand for, and so
@@ -538,31 +554,50 @@ def _request_mi_bits(code: DecomposableCode, request: int, info, given, cap: int
         weight = {j: len(ranks) ** e for e, j in enumerate(reversed(which))}
         return _outer_sums([r * weight.get(j, 0) for r in ranks] for j in range(p.n_messages))
 
-    # all answers as one base-(y+1) number times Z, server 0 first: symbol s
-    # is the digit s+1 and a missing symbol the digit 0, padding each
-    # server's answers to its longest
-    queries = [code.query_map[(request, f)] for f in range(n_keys)]
-    widths = [max(code.answer_length(n, q[n]) for q in queries) for n in range(p.n_servers)]
+    y_span, ys = answers()  # Y
     z_span = n_keys * len(ranks) ** len(given)  # Z
-    yz_span = (y + 1) ** sum(widths) * z_span  # Y*Z
+    yz_span = y_span * z_span
     xs = [x * yz_span for x in rank_codes(info)]
     zs = [g * n_keys for g in rank_codes(given)]
+    add, mul, repeat = operator.add, operator.mul, itertools.repeat
     tally, p_yz = Counter(), Counter()
-    for f, q in enumerate(queries):
-        yzs = list(map(f.__add__, zs))
-        for n, qi in enumerate(q):
-            for i, row in enumerate(code.varieties[n][qi].tables, 1):
-                place = (y + 1) ** (sum(widths[n:]) - i) * z_span
-                digit = [(s % y + 1) * place for s in range(p.n_messages * y)]  # by table sum
-                yzs = list(map(int.__add__, yzs, map(digit.__getitem__, _outer_sums(row))))
+    for f, a in enumerate(ys):
+        yzs = list(map(add, map(mul, a, repeat(z_span)), map(add, zs, repeat(f))))
         p_yz.update(yzs)
-        tally.update(map(int.__add__, xs, yzs))
-    p_z = databases // len(ranks) ** len(given)
+        tally.update(map(add, xs, yzs))
+    p_z = _enumeration_size(code) // len(ranks) ** len(given)
     p_xz = p_z // len(ranks) ** len(info)
+    # (c, p_yz) fixes a term c/T*log2(c*p_z/(p_xz*p_yz)); as c <= p_xz, p_yz*(p_xz+1) + c names it
     support = sorted(tally)
-    counts = list(map(tally.__getitem__, support))
-    dens = map(p_xz.__mul__, map(p_yz.__getitem__, map(yz_span.__rmod__, support)))
-    return _information_sum(zip(counts, map(p_z.__mul__, counts), dens), size)
+    p_yzs = map(p_yz.__getitem__, map(operator.mod, support, repeat(yz_span)))
+    pairs = list(map(add, map(mul, p_yzs, repeat(p_xz + 1)), map(tally.__getitem__, support)))
+    size, distinct = _enumeration_size(code) * n_keys, map(divmod, set(pairs), repeat(p_xz + 1))
+    term = {q * (p_xz + 1) + c: _information_term(size, c, c * p_z, p_xz * q) for q, c in distinct}
+    return _information_sum(map(term.__getitem__, pairs))
+
+
+def _lemma1(code: DecomposableCode, k: int):
+    """Lemma 1 at request k: its (request, info, given) terms and its residual from their bits."""
+    p = code.params
+    bound = float(p.msg_len * (1 / rate(code) - 1)) * math.log2(p.msg_modulus)
+    return ((k, tuple(j for j in range(p.n_messages) if j != k), (k,)),), lambda mi: mi - bound
+
+
+def _lemma2(code: DecomposableCode, k: int, perm):
+    """Lemma 2 at split point k along `perm`, as `_lemma1` gives lemma 1."""
+    n, msg_bits = code.params.n_servers, code.params.msg_len * math.log2(code.params.msg_modulus)
+    terms = ((perm[k - 1], perm[k:], perm[: k - 1]), (perm[k], perm[k + 1 :], perm[: k + 1]))
+    return terms, lambda first, second: n * first - second - msg_bits
+
+
+def _lemma_residuals(code: DecomposableCode, lemmas, cap: int) -> list[float]:
+    """Each lemma's residual, one request at a time: its answers are built at most once."""
+    require_within_cap(_enumeration_size(code) * len(code.keys), cap)
+    terms, bits = [term for lemma in lemmas for term in lemma[0]], {}
+    for request in sorted({term[0] for term in terms}):
+        answers = functools.cache(functools.partial(_request_answers, code, request))
+        bits.update((t, _request_mi_bits(code, answers, *t[1:])) for t in terms if t[0] == request)
+    return [residual(*map(bits.__getitem__, terms)) for terms, residual in lemmas]
 
 
 def check_lemma1_equality(
@@ -573,13 +608,8 @@ def check_lemma1_equality(
     Returns I(unwanted messages ; answers | requested message, key) minus
     L*(1/rate - 1)*log2(m); capacity-achieving codes sit at exactly zero.
     """
-    p = code.params
     _check_request(code, k)
-    info = [j for j in range(p.n_messages) if j != k]
-    mi = _request_mi_bits(code, k, info, [k], cap)
-    r = rate(code)
-    bound = float(p.msg_len * (1 / r - 1)) * math.log2(p.msg_modulus)
-    return mi - bound
+    return _lemma_residuals(code, [_lemma1(code, k)], cap)[0]
 
 
 def check_lemma2_equality(
@@ -599,9 +629,7 @@ def check_lemma2_equality(
     perm = _check_permutation(perm, p.n_messages)
     if p.n_messages < 2 or not 1 <= k <= p.n_messages - 1:
         raise ValueError("need K >= 2 and a split point k in 1..K-1")
-    first = _request_mi_bits(code, perm[k - 1], perm[k:], perm[: k - 1], cap)
-    second = _request_mi_bits(code, perm[k], perm[k + 1 :], perm[: k + 1], cap)
-    return p.n_servers * first - second - p.msg_len * math.log2(p.msg_modulus)
+    return _lemma_residuals(code, [_lemma2(code, k, perm)], cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +673,8 @@ def verify(code: DecomposableCode, cap: int = DEFAULT_CAP) -> list[CheckRecord]:
     Each (request, key)'s answers are split once, for correctness and, at the
     first key sending a query tuple, P1-P3; a P record keeps the first failing
     tuple's witness.  Lemma records come only when answers reuse the message
-    alphabet, and pass when the residual is within `FLOAT_TOL` of zero."""
+    alphabet, each request's answers built once for all its lemma terms, and
+    pass when the residual is within `FLOAT_TOL` of zero."""
     p, n_keys = code.params, len(code.keys)
     require_within_cap(_work(code).verify, cap)  # covers every check below
     correct = None  # the failed correctness report, once there is one
@@ -681,12 +710,13 @@ def verify(code: DecomposableCode, cap: int = DEFAULT_CAP) -> list[CheckRecord]:
     if p.ans_modulus != p.msg_modulus:
         return records  # information residuals are only exact for matching alphabets
     order = tuple(range(p.n_messages))
-    # (name, params, residual) in report order; lemma2 has no split point when K = 1
-    residuals = [("lemma1", (("k", str(k)),), check_lemma1_equality(code, k, cap)) for k in order]
+    # (name, params, lemma) in report order; lemma2 has no split point when K = 1
+    lemmas = [("lemma1", (("k", str(k)),), _lemma1(code, k)) for k in order]
     for perm in (order, order[::-1]):
         for k in range(1, p.n_messages):
             params = (("k", str(k)), ("perm", "".join(map(str, perm))))
-            residuals.append(("lemma2", params, check_lemma2_equality(code, k, perm, cap)))
-    for name, params, residual in residuals:
+            lemmas.append(("lemma2", params, _lemma2(code, k, perm)))
+    residuals = _lemma_residuals(code, [lemma for *_, lemma in lemmas], cap)
+    for (name, params, _), residual in zip(lemmas, residuals):
         records.append(CheckRecord(name, params, abs(residual) <= FLOAT_TOL, residual))
     return records

@@ -1,5 +1,6 @@
 """Count tables, information measures, metrics, and the exhaustive verifiers."""
 
+import dataclasses
 import json
 import math
 import time
@@ -914,18 +915,46 @@ def test_request_mi_bits_matches_the_tuple_keyed_tally(name):
     code = codes[name]()
     K = code.params.n_messages
     for request in range(K):
+        answers = analysis._request_answers(code, request)  # shared by every split
         others = [j for j in range(K) if j != request]
         for split in range(len(others) + 1):
             info = others[split:]
             for given in (others[:split] + [request], others[:split]):
-                got = analysis._request_mi_bits(code, request, info, given, analysis.DEFAULT_CAP)
+                got = analysis._request_mi_bits(code, lambda: answers, info, given)
                 assert got == _reference_request_mi_bits(code, request, info, given)
 
 
+def _unbuilt(*args):
+    raise AssertionError("no answers may be built")
+
+
 def test_request_mi_bits_without_information_is_exactly_zero():
-    code = builtin_sunjafar22()
-    got = analysis._request_mi_bits(code, 0, [], [0, 1], analysis.DEFAULT_CAP)
+    got = analysis._request_mi_bits(builtin_sunjafar22(), _unbuilt, [], [0, 1])
     assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+def test_lemma1_refuses_differing_alphabets_before_any_tally(monkeypatch):
+    base = export_decomposable(make_nary(2, 2))
+    code = dataclasses.replace(base, params=dataclasses.replace(base.params, ans_modulus=4))
+    monkeypatch.setattr(analysis, "_request_answers", _unbuilt)
+    monkeypatch.setattr(analysis, "_request_mi_bits", _unbuilt)
+    with pytest.raises(ValueError, match="alphabet"):
+        check_lemma1_equality(code, 0)
+
+
+def test_verify_builds_each_requests_answers_once(monkeypatch):
+    # nary 3 4 has 14 lemma terms with information, over 4 requests
+    requests = []
+    build = analysis._request_answers
+
+    def counted(code, request):
+        requests.append(request)
+        return build(code, request)
+
+    monkeypatch.setattr(analysis, "_request_answers", counted)
+    records = verify(export_decomposable(make_nary(3, 4)))
+    assert requests == [0, 1, 2, 3]
+    assert all(r.passed for r in records)
 
 
 def _wrap_decoder(code, wrong=None):

@@ -20,10 +20,13 @@ import pytest
 
 from pirlab.analysis import (
     DEFAULT_CAP,
+    FLOAT_TOL,
     CheckRecord,
     check_P1,
     check_P2,
     check_P3,
+    check_lemma1_equality,
+    check_lemma2_equality,
     positive_query_tuples,
     verify,
     verify_correctness,
@@ -216,8 +219,9 @@ def test_verify_text_of_every_mutant_is_pinned(case):
 
 @pytest.mark.parametrize("case", sorted(MUTANT_DIGESTS), ids="-".join)
 def test_verify_agrees_with_the_one_check_entry_points(case):
-    # verify's walk against verify_correctness and the first failing
-    # check_Pi report over each request's positive query tuples
+    # verify's walk against verify_correctness, the first failing check_Pi
+    # report over each request's positive query tuples, and each lemma's
+    # residual from check_lemma1_equality or check_lemma2_equality
     name, family, decoder = case
     for code in mutants(BASE_CODES[name](), family, decoder == "decoder"):
         records = verify(code, DEFAULT_CAP)
@@ -234,3 +238,15 @@ def test_verify_agrees_with_the_one_check_entry_points(case):
                 witness = failed[0].witness if failed else None
                 expected.append(CheckRecord(f"P{i}", params, not failed, None, witness))
         assert [r for r in records if r.name in ("P1", "P2", "P3")] == expected
+        if code.params.ans_modulus != code.params.msg_modulus:
+            continue
+        order = tuple(range(code.params.n_messages))
+        residuals = [("lemma1", (("k", str(k)),), check_lemma1_equality(code, k)) for k in order]
+        for perm in (order, order[::-1]):
+            for k in order[1:]:
+                params = (("k", str(k)), ("perm", "".join(map(str, perm))))
+                residuals.append(("lemma2", params, check_lemma2_equality(code, k, perm)))
+        lemmas = [r for r in records if r.name.startswith("lemma")]
+        assert [(r.name, r.params, repr(r.residual), r.passed) for r in lemmas] == [
+            (lemma, params, repr(value), abs(value) <= FLOAT_TOL) for lemma, params, value in residuals
+        ]
