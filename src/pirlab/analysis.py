@@ -49,11 +49,12 @@ FLOAT_TOL = 1e-9
 class EnumerationCapExceeded(Exception):
     """The requested exact enumeration is larger than the configured cap."""
 
-    def __init__(self, required: int, cap: int):
+    def __init__(self, required: int, cap: int, at_least: bool = False):
+        bound = f"at least 2^{required.bit_length() - 1}"
         try:
-            shown = str(required)
+            shown = bound if at_least else str(required)  # `at_least`: a lower bound
         except ValueError:  # more digits than int-to-str conversion allows
-            shown = f"at least 2^{required.bit_length() - 1}"
+            shown = bound
         super().__init__(f"refusing exact enumeration: needs {shown} evaluations, cap is {cap}")
         self.required = required
         self.cap = cap

@@ -22,11 +22,16 @@ is canonical ASCII decimal, the only spelling `emit` writes: ``0``, or an
 optional ``-`` and a nonzero digit followed by digits; ``+1``, ``01``,
 ``0_2`` and non-ASCII digits are rejected, so ``emit(parse(text)) == text``
 for every accepted text laid out as `emit` lays it out (single spaces, each
-line ended by ``\n``).  Blank lines are skipped, but counted in errors.
+line ended by ``\n``).  Lines are those of `str.splitlines`, so ``\r\n``,
+``\r`` and its other breaks end a line too.  Blank lines are skipped, but
+counted in errors.
 
 Transformed codes repeat a few rows and tables many times: `emit` renders
-each table once and each row once per row index, and `parse` builds one
-table per distinct value text and one row per distinct row text and index.
+each table once and each row once per row index.  `parse` reads through a
+cursor over the text, copying out only the lines it reads: it builds one
+table per distinct value text and one row per distinct row text and index,
+and takes a row whose text it has read at that row index before as one
+slice of the text.
 
 ``parse(emit(code)) == code`` holds structurally (params, varieties, keys,
 query map) for every code this package produces.
@@ -70,28 +75,48 @@ def emit(code: DecomposableCode) -> str:
         for f in range(len(code.keys)):
             qs = " ".join(str(q) for q in code.query_map[(k, f)])
             lines.append(f"map {k} {f} {qs}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    lines.append("end\n")  # the final break inside the join: no second copy of the text
+    return "\n".join(lines)
+
+
+# the line breaks of `str.splitlines` other than "\n"
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class _Reader:
-    """The non-blank lines of a document, each split only when it is read."""
+    """A cursor over a document's text: a line is copied out, and split, only
+    when it is read.  Lines are those of `str.splitlines`; blank and
+    whitespace-only lines are skipped."""
 
     def __init__(self, text: str):
+        if any(brk in text for brk in _OTHER_BREAKS):
+            text = "\n".join(text.splitlines())  # the same lines, numbered alike
         self.text = text
-        self.lines = tuple(line for line in text.splitlines() if line and not line.isspace())
-        self.pos = 0  # also the count of non-blank lines read so far
+        self.at = 0  # where the next line starts
+        self.start = 0  # where the line read last starts
 
     def lineno(self) -> int:
         """The number of the line read last, blank lines counted (errors only)."""
-        lines = enumerate(self.text.splitlines(), 1)
-        return [number for number, line in lines if line and not line.isspace()][self.pos - 1]
+        return self.text.count("\n", 0, self.start) + 1
+
+    def _line(self) -> str | None:
+        """The next non-blank line, or None past the last one."""
+        text = self.text
+        while self.at < len(text):
+            end = text.find("\n", self.at)
+            if end < 0:
+                end = len(text)
+            line = text[self.at : end]
+            self.start, self.at = self.at, end + 1
+            if line and not line.isspace():
+                return line
+        return None
 
     def next(self, directive: str, count: int | None = None, maxsplit: int = -1) -> list[str]:
-        if self.pos >= len(self.lines):
+        line = self._line()
+        if line is None:
             raise CodeFormatError(f"unexpected end of input, wanted '{directive}'")
-        row = self.lines[self.pos].split(None, maxsplit)
-        self.pos += 1
+        row = line.split(None, maxsplit)
         if row[0] != directive:
             raise CodeFormatError(f"expected '{directive}' at line {self.lineno()}, got '{row[0]}'")
         if count is not None:
@@ -105,7 +130,7 @@ class _Reader:
             )
 
     def done(self) -> bool:
-        return self.pos >= len(self.lines)
+        return self._line() is None
 
 
 def _int(token: str, what: str) -> int:
@@ -132,10 +157,16 @@ def parse(text: str) -> DecomposableCode:
         raise CodeFormatError(str(exc)) from None
     table_size = m**msg_len
     # transformed codes repeat a few rows and tables many times: each distinct
-    # value text is read once, and a row's K lines, once validated at a row
-    # index, are taken whole at that index; elsewhere they are read token by token
+    # value text is read once, and the text of a row's K lines, once validated
+    # at a row index, is taken whole at that index; elsewhere it is read token
+    # by token.  A row is stored under exactly the text it was read from (blank
+    # lines included, ending with a line break or the document), so equal text
+    # at a line start is the same K lines.  The slice looked up is as long as
+    # the row read last at that index, which every row there matches when each
+    # value has one digit; finding K line ends per row costs about what it saves
     by_text: dict[str, tuple[int, ...]] = {}
-    by_lines: dict[tuple[str, ...], tuple[int, tuple]] = {}  # -> (row index, row)
+    by_span: dict[str, tuple[int, tuple]] = {}  # -> (row index, row)
+    widths: dict[int, int] = {}  # row index -> length of the row text read last there
 
     varieties = []
     for n in range(n_servers):
@@ -156,12 +187,13 @@ def parse(text: str) -> DecomposableCode:
                 raise CodeFormatError("answer length must be >= 0")
             rows = []
             for i in range(length):
-                lines = r.lines[r.pos : r.pos + n_messages]
-                seen = by_lines.get(lines)
+                span = r.text[r.at : r.at + widths.get(i, 0)]
+                seen = by_span.get(span)
                 if seen is not None and seen[0] == i:
-                    r.pos += n_messages
+                    r.at += len(span)
                     rows.append(seen[1])
                     continue
+                start = r.at
                 cols = []
                 for k in range(n_messages):
                     trow = r.next("table", maxsplit=3)
@@ -186,7 +218,9 @@ def parse(text: str) -> DecomposableCode:
                         by_text[value_text] = table
                     cols.append(table)
                 row = tuple(cols)
-                by_lines[lines] = (i, row)
+                span = r.text[start : r.at]
+                by_span[span] = (i, row)
+                widths[i] = len(span)
                 rows.append(row)
             try:
                 per_server.append(AnswerFunction(label, tuple(rows)))

@@ -16,7 +16,13 @@ import math
 import operator
 from typing import Callable, Optional
 
-from .analysis import DEFAULT_CAP, _check_permutation, require_within_cap, verify_privacy
+from .analysis import (
+    DEFAULT_CAP,
+    EnumerationCapExceeded,
+    _check_permutation,
+    require_within_cap,
+    verify_privacy,
+)
 from .groups import CodeParams
 from .model import AnswerFunction, DecomposableCode, digits_label
 
@@ -204,6 +210,18 @@ def _share(blocks, cap: int) -> DecomposableCode:
     return _assemble(blocks, keys, query_combos, cap)
 
 
+def _factorial_within_cap(n: int, cap: int) -> int:
+    """n!, or a refusal as soon as the running product passes the cap, "at
+    least" that product if factors remain: 524288! alone takes seconds."""
+    product = 1
+    for factor in range(2, n + 1):
+        if product > cap:
+            raise EnumerationCapExceeded(product, cap, at_least=True)
+        product *= factor
+    require_within_cap(product, cap)
+    return product
+
+
 def require_shape_within_cap(
     transform: str, params: CodeParams, n_keys: int, cap: int = DEFAULT_CAP
 ) -> None:
@@ -214,12 +232,14 @@ def require_shape_within_cap(
     if transform == "server":
         blocks = params.n_servers  # one per cyclic rotation
     elif transform == "message":
-        blocks = math.factorial(params.n_messages)  # one per relabeling
+        blocks = _factorial_within_cap(params.n_messages, cap)  # one per relabeling
     else:
         blocks = n_keys  # one per base key
     require_within_cap(blocks, cap)
-    # one key per block, except that a variety key orders the base keys
-    require_within_cap(math.factorial(n_keys) if transform == "variety" else n_keys**blocks, cap)
+    if transform == "variety":
+        _factorial_within_cap(n_keys, cap)  # a variety key orders the base keys
+    else:
+        require_within_cap(n_keys**blocks, cap)  # one key per block
     require_within_cap(params.msg_modulus ** (params.msg_len * blocks), cap)
 
 

@@ -1,6 +1,7 @@
 """pir-code v1 serialization: round trips, strictness, decodability of parsed codes."""
 
 import hashlib
+import random
 import tracemalloc
 
 import pytest
@@ -248,16 +249,96 @@ def test_error_messages_are_stable():
     assert digest == "55d99921a7011c3a973896159d96a8e0e859497164240f967c4bb4b15605efeb"
 
 
+_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_BLANKS = ("", " ", "\t", "\x1f", " \x1f\t")  # \x1f is whitespace but no line break
+
+
+def _line_break_corpus() -> list[str]:
+    """Emitted documents laid out with every `str.splitlines` break, in a fixed order.
+
+    The message-symmetrized `nary 2 2` (its 24 table lines repeat three value
+    tuples) is laid out with each break throughout, with and without a final
+    break; with each blank or whitespace-only line before each table line; and
+    then 1,500 times at random (seeded): one break or a mix of them, blank
+    lines, a missing final break, and at most one line mutated, dropped,
+    duplicated or swapped with a table line.
+    """
+    lines = emit(message_symmetrize(export_decomposable(make_nary(2, 2)))).splitlines()
+    tables = [i for i, line in enumerate(lines) if line.startswith("table ")]
+    texts = []
+    for brk in _BREAKS:
+        texts.append(brk.join(lines) + brk)
+        texts.append(brk.join(lines))
+    for i in tables:
+        for blank in _BLANKS:
+            texts.append("\n".join(lines[:i] + [blank] + lines[i:]) + "\n")
+    rng = random.Random(1808)
+    for _ in range(1500):
+        rows = list(lines)
+        change = rng.randrange(5)
+        at = rng.choice(tables) if rng.random() < 0.7 else rng.randrange(len(rows))
+        if change == 1:
+            tokens = rows[at].split()
+            j = rng.randrange(len(tokens))
+            tokens[j] = rng.choice(("x", "2", "01", "-1", str(len(tokens)), tokens[j] + "0"))
+            rows[at] = " ".join(tokens)
+        elif change == 2:
+            del rows[at]
+        elif change == 3:
+            rows.insert(at, rows[at])
+        elif change == 4:
+            other = rng.choice(tables)
+            rows[at], rows[other] = rows[other], rows[at]
+        laid = []
+        for row in rows:
+            while rng.random() < 0.08:
+                laid.append(rng.choice(_BLANKS))
+            laid.append(row)
+        # one break throughout, or a mix of the ASCII breaks, or of all of them
+        one = (rng.choice(_BREAKS + ("\n",)),)
+        pool = rng.choice((one, _BREAKS[:7] + ("\n",) * 7, _BREAKS + ("\n",) * 10))
+        text = []
+        for row in laid:
+            text.append(row)
+            text.append(rng.choice(pool))
+        if rng.random() < 0.25:
+            text.pop()  # no final break
+        texts.append("".join(text))
+    return texts
+
+
+def test_line_breaks_are_those_of_splitlines():
+    # SHA-256 of every outcome in corpus order (the emitted code when parse
+    # succeeds), recorded while `parse` still read the `str.splitlines` lines
+    def outcome(text: str) -> str:
+        try:
+            return emit(parse(text))
+        except Exception as exc:  # a crash other than CodeFormatError is pinned too
+            return f"{type(exc).__name__}: {exc}"
+
+    outcomes = [outcome(text) for text in _line_break_corpus()]
+    assert len(outcomes) == 1640
+    assert sum(o.startswith("pir-code") for o in outcomes) == 347
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "ac6b70eecb8a4db14925f134f81a6c2a3177b97cf41ba6ace915a3932018b0ee"
+
+
 def test_parse_reads_a_repeated_table_text_once_and_shares_the_table():
+    # parse copies out only the lines it reads, and emit holds its text once
     code = message_symmetrize(export_decomposable(make_nary(2, 3)))
     text = emit(code)
     tracemalloc.start()
     try:
         parsed = parse(text)
         peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]  # the parsed code
+        tracemalloc.reset_peak()
+        assert emit(code) == text
+        emit_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 12 * 2**20
+    assert emit_peak < 1.25 * len(text)
     assert parsed == code
     tables = {
         id(table): table

@@ -16,7 +16,7 @@ from pirlab.analysis import (
     verify_correctness,
     verify_privacy,
 )
-from pirlab.groups import MessageSet
+from pirlab.groups import CodeParams, MessageSet
 from pirlab.model import DecomposableCode, builtin_sunjafar22, builtin_table1
 from pirlab.nary import export_decomposable, make_nary
 from pirlab.symmetry import (
@@ -301,6 +301,26 @@ def test_variety_symmetrize_cap_refusal():
     # 9 base keys would need 9! orderings
     with pytest.raises(EnumerationCapExceeded):
         variety_symmetrize(export_decomposable(make_nary(3, 3)), cap=1000)
+
+
+def _no_factorial(n):
+    raise AssertionError(f"{n}! worked out in full")
+
+
+@pytest.mark.parametrize("transform", ["message", "variety"])
+@pytest.mark.parametrize(
+    "count,shown", [(11, "39916800"), (12, "at least 2^25"), (524_288, "at least 2^25")]
+)
+def test_a_factorial_charge_stops_at_the_cap(monkeypatch, transform, count, shown):
+    # K! message relabelings, or the B! orders of B variety keys: exact when
+    # the last factor passes the cap, else at least the first product past it
+    # (524,288! has millions of digits)
+    monkeypatch.setattr(symmetry.math, "factorial", _no_factorial)
+    n_messages, n_keys = (count, 2) if transform == "message" else (2, count)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        symmetry.require_shape_within_cap(transform, CodeParams(2, n_messages, 1, 2, 2), n_keys)
+    assert exc.value.required == 39_916_800  # 11!
+    assert str(exc.value) == f"refusing exact enumeration: needs {shown} evaluations, cap is 16777216"
 
 
 # ---------------------------------------------------------------- byte identity
