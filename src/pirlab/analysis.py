@@ -49,20 +49,23 @@ FLOAT_TOL = 1e-9
 class EnumerationCapExceeded(Exception):
     """The requested exact enumeration is larger than the configured cap."""
 
-    def __init__(self, required: int, cap: int, at_least: bool = False):
+    def __init__(
+        self, required: int, cap: int, at_least: bool = False, unit: str = "evaluations"
+    ):
         bound = f"at least 2^{required.bit_length() - 1}"
         try:
             shown = bound if at_least else str(required)  # `at_least`: a lower bound
         except ValueError:  # more digits than int-to-str conversion allows
             shown = bound
-        super().__init__(f"refusing exact enumeration: needs {shown} evaluations, cap is {cap}")
+        super().__init__(f"refusing exact enumeration: needs {shown} {unit}, cap is {cap}")
         self.required = required
         self.cap = cap
 
 
-def require_within_cap(required: int, cap: int) -> None:
+def require_within_cap(required: int, cap: int, unit: str = "evaluations") -> None:
+    """Refuse `required` units of work (`unit` names them) past `cap`."""
     if required > cap:
-        raise EnumerationCapExceeded(required, cap)
+        raise EnumerationCapExceeded(required, cap, unit=unit)
 
 
 def _check_request(code, k: int) -> None:

@@ -34,7 +34,7 @@ def _nary_source(
         shape = nary.make_nary(n, k, m)
     except ValueError as exc:
         parser.error(str(exc))
-    analysis.require_within_cap(nary.export_size(shape), cap)
+    analysis.require_within_cap(nary.export_size(shape), cap, "table entries and query cells")
     if refuse is not None:
         refuse(shape.params, n ** (k - 1), n)
     return shape, nary.export_decomposable(shape)

@@ -131,6 +131,4 @@ def digits_label(digits) -> str:
     seq = tuple(digits)
     if not seq:
         return "-"
-    if all(0 <= d < 10 for d in seq):
-        return "".join(str(d) for d in seq)
-    return ",".join(str(d) for d in seq)
+    return ("" if min(seq) >= 0 and max(seq) < 10 else ",").join(map(str, seq))

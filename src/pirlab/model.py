@@ -25,6 +25,7 @@ falls back to a unique-decodability check.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,10 +46,19 @@ def input_rank(values, modulus: int) -> int:
     return rank
 
 
+def lift_table(table, m: int, prefix_len: int, total_len: int) -> tuple[int, ...]:
+    """View a table over a slice of a longer message over Z_m, the slice that
+    starts after `prefix_len` of its `total_len` symbols: each entry repeats
+    once per value of the later symbols, and the whole run once per value of
+    the earlier."""
+    rest = m ** (total_len - prefix_len) // len(table)
+    return tuple(v for v in table for _ in range(rest)) * m**prefix_len
+
+
 def coordinate_table(m: int, L: int, j: int) -> tuple[int, ...]:
-    """The table that projects a length-L message over Z_m onto its symbol j."""
-    # symbol j is digit j of the rank: each value runs m^(L-1-j) times in a row
-    return tuple(v for v in range(m) for _ in range(m ** (L - 1 - j))) * m**j
+    """The table that projects a length-L message over Z_m onto its symbol j:
+    the identity on one symbol, lifted to position j."""
+    return lift_table(tuple(range(m)), m, j, L)
 
 
 def classify(table: tuple[int, ...], modulus: int) -> str:
@@ -139,16 +149,18 @@ class DecomposableCode:
             raise ValueError("key labels must be unique")
         for key in self.keys:
             _check_label(key, "key")
-        expected_entries = {
-            (k, f) for k in range(p.n_messages) for f in range(len(self.keys))
-        }
-        if set(self.query_map) != expected_entries:
+        # as many entries as (k, key) pairs, each of them present: exactly those
+        pairs = itertools.product(range(p.n_messages), range(len(self.keys)))
+        if len(self.query_map) != p.n_messages * len(self.keys) or not all(
+            map(self.query_map.__contains__, pairs)
+        ):
             raise ValueError("query map must cover exactly all (k, key) pairs")
+        counts = [len(per_server) for per_server in self.varieties]
         for (k, f), per_server in self.query_map.items():
             if len(per_server) != p.n_servers:
                 raise ValueError("query map entries need one query per server")
             for n, qi in enumerate(per_server):
-                if not 0 <= qi < len(self.varieties[n]):
+                if not 0 <= qi < counts[n]:
                     raise ValueError(f"query map entry ({k},{f}) out of range at server {n}")
 
     # Equality is structural over the serializable content; reconstruction
@@ -301,8 +313,6 @@ def builtin_sunjafar22() -> DecomposableCode:
 
     # keys: role -> position, as the tuple (pos0, pos1, pos2, pos3) for the
     # four roles (direct@server0, direct@server1, masked@server0, masked@server1)
-    import itertools
-
     invs = list(itertools.permutations(range(4)))
     keys = tuple(digits_label(inv) for inv in invs)
 

@@ -91,15 +91,8 @@ def query_vector(code: NaryCode, n: int, k: int, key: RandomKey) -> tuple[int, .
     if not 0 <= n < N:
         raise ValueError(f"server index {n} out of range")
     _check_request(code, k, key)
-    return _query_digits(key.digits, key_offset(key), n, k, N)
-
-
-def _query_digits(
-    key_digits: tuple[int, ...], offset: int, n: int, k: int, N: int
-) -> tuple[int, ...]:
-    """Server n's query digits for message k: the key digits with
-    (n - offset) mod N inserted at position k."""
-    return key_digits[:k] + ((n - offset) % N,) + key_digits[k:]
+    # the key digits with (n - offset) mod N inserted at position k
+    return key.digits[:k] + ((n - key_offset(key)) % N,) + key.digits[k:]
 
 
 def query_set(code: NaryCode, n: int) -> tuple[tuple[int, ...], ...]:
@@ -218,42 +211,41 @@ def export_size(code: NaryCode) -> int:
 
 
 def export_decomposable(code: NaryCode) -> DecomposableCode:
-    """Re-express the construction as explicit component tables."""
+    """Re-express the construction as explicit component tables.
+
+    Server n's query index is the rank of its first K-1 digits (`query_set`'s
+    order), so it is read off key f's rank with no lookup: with span =
+    N^(K-1-k) and (hi, lo) = divmod(f, span), digit x = (n - offset) mod N
+    goes in at position k, the K digits rank hi*span*N + x*span + lo, and
+    dropping the last digit leaves the index (hi*span*N + lo + x*span) // N.
+    """
     p = code.params
     m, L, K, N = p.msg_modulus, p.msg_len, p.n_messages, p.n_servers
-    zero_t = (0,) * m**L
-    coord = [coordinate_table(m, L, j) for j in range(L)]
-
+    # digit d selects table d: the zero dummy, then payload symbol d-1
+    tables = [(0,) * m**L] + [coordinate_table(m, L, j) for j in range(L)]
     varieties = []
-    index_of: list[dict[tuple[int, ...], int]] = []
     for n in range(N):
         per_server = []
-        lookup: dict[tuple[int, ...], int] = {}
-        for qi, q in enumerate(query_set(code, n)):
-            lookup[q] = qi
-            if answer_length(code, n, q) == 0:
-                per_server.append(AnswerFunction(digits_label(q), ()))
-                continue
-            row = tuple(zero_t if digit == 0 else coord[digit - 1] for digit in q)
-            per_server.append(AnswerFunction(digits_label(q), (row,)))
+        for q in query_set(code, n):
+            # the all-zero query is answered with nothing
+            rows = (tuple(map(tables.__getitem__, q)),) if any(q) else ()
+            per_server.append(AnswerFunction(digits_label(q), rows))
         varieties.append(tuple(per_server))
-        index_of.append(lookup)
 
     keys = key_space(code)
-    key_labels = tuple(key.label() for key in keys)
-    offsets = [key_offset(key) for key in keys]
-    query_map = {
-        (k, f): tuple(
-            index_of[n][_query_digits(key.digits, offsets[f], n, k, N)]
-            for n in range(N)
-        )
-        for k in range(K)
-        for f, key in enumerate(keys)
-    }
+    # per key, the digit x it puts in at each server n
+    inserted = [[(n - key_offset(key)) % N for n in range(N)] for key in keys]
+    query_map = {}
+    for k in range(K):
+        span = N ** (K - 1 - k)
+        for f, digits in enumerate(inserted):
+            hi, lo = divmod(f, span)
+            base = hi * span * N + lo
+            query_map[(k, f)] = tuple([(base + x * span) // N for x in digits])
 
     def _reconstruct(k: int, key_index: int, answers) -> tuple[int, ...]:
         return reconstruct(code, answers, k, keys[key_index])
 
     return DecomposableCode(
-        p, tuple(varieties), key_labels, query_map, _reconstruct
+        p, tuple(varieties), tuple(key.label() for key in keys), query_map, _reconstruct
     )

@@ -24,7 +24,7 @@ from .analysis import (
     verify_privacy,
 )
 from .groups import CodeParams
-from .model import AnswerFunction, DecomposableCode, digits_label
+from .model import AnswerFunction, DecomposableCode, digits_label, lift_table
 
 
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -88,13 +88,6 @@ def message_permute(code: DecomposableCode, perm) -> DecomposableCode:
     return DecomposableCode(code.params, varieties, code.keys, query_map, reconstruct)
 
 
-def _lift_table(table, m: int, prefix_len: int, total_len: int) -> tuple[int, ...]:
-    """View a block's table over the combined slice: each entry repeats once per
-    value of the later symbols, and the whole run once per value of the earlier."""
-    rest = m ** (total_len - prefix_len) // len(table)
-    return tuple(v for v in table for _ in range(rest)) * m**prefix_len
-
-
 def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
     """Run `blocks` side by side over disjoint slices of one longer message.
 
@@ -124,7 +117,7 @@ def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
 
     @functools.cache
     def lift(table, block_index: int) -> tuple[int, ...]:
-        return _lift_table(table, m, prefixes[block_index], total_len)
+        return lift_table(table, m, prefixes[block_index], total_len)
 
     varieties = []
     for n, lookup in enumerate(index_of):
@@ -210,11 +203,13 @@ def _share(blocks, cap: int) -> DecomposableCode:
     return _assemble(blocks, keys, query_combos, cap)
 
 
-def _factorial_within_cap(n: int, cap: int) -> int:
-    """n!, or a refusal as soon as the running product passes the cap, "at
-    least" that product if factors remain: 524288! alone takes seconds."""
+def _product_within_cap(factors, cap: int) -> int:
+    """The product of `factors`, or a refusal as soon as the running product
+    passes the cap, "at least" that product if factors remain: 524288! or
+    19683^3628800 in full takes seconds, and the running product passes a
+    cap of c after about log2(c) factors of 2 or more."""
     product = 1
-    for factor in range(2, n + 1):
+    for factor in factors:
         if product > cap:
             raise EnumerationCapExceeded(product, cap, at_least=True)
         product *= factor
@@ -228,19 +223,19 @@ def require_shape_within_cap(
     """Refuse the "server", "message" or "variety" symmetrization of a code
     of this shape with `n_keys` keys, before anything is built, by its block
     count (which bounds the powers after it), its combined key count and the
-    m^(total L) entries of a lifted table."""
+    m^(total L) entries of a lifted table, each a running product."""
     if transform == "server":
         blocks = params.n_servers  # one per cyclic rotation
     elif transform == "message":
-        blocks = _factorial_within_cap(params.n_messages, cap)  # one per relabeling
+        blocks = _product_within_cap(range(2, params.n_messages + 1), cap)  # K! relabelings
     else:
         blocks = n_keys  # one per base key
     require_within_cap(blocks, cap)
     if transform == "variety":
-        _factorial_within_cap(n_keys, cap)  # a variety key orders the base keys
-    else:
-        require_within_cap(n_keys**blocks, cap)  # one key per block
-    require_within_cap(params.msg_modulus ** (params.msg_len * blocks), cap)
+        _product_within_cap(range(2, n_keys + 1), cap)  # a variety key orders the base keys
+    else:  # one key per block, and a power of one key is the one factor 1
+        _product_within_cap(itertools.repeat(n_keys, blocks if n_keys > 1 else 1), cap)
+    _product_within_cap(itertools.repeat(params.msg_modulus, params.msg_len * blocks), cap)
 
 
 def server_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> DecomposableCode:

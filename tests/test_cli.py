@@ -126,7 +126,7 @@ def test_verify_cap_exceeded_exit_code(capsys):
     assert code == 3
     # the export's 2 tables of 2 entries and 2 x 2 x 2^2 query cells, charged
     # before verify's 4 splits of 2 x (1 + 2 + 2) sums and 2^2 databases
-    assert err == "refusing exact enumeration: needs 20 evaluations, cap is 3\n"
+    assert err == "refusing exact enumeration: needs 20 table entries and query cells, cap is 3\n"
 
 
 @pytest.mark.parametrize(
@@ -173,7 +173,8 @@ def test_a_nary_shape_too_large_to_export_is_refused_before_export(argv, capsys)
     assert (code, *capsys.readouterr()) == (
         3,
         "",
-        f"refusing exact enumeration: needs {required} evaluations, cap is 16777216\n",
+        f"refusing exact enumeration: needs {required} table entries and query cells,"
+        " cap is 16777216\n",
     )
 
 
@@ -185,7 +186,9 @@ def test_a_nary_shape_too_large_to_export_is_refused_before_export(argv, capsys)
     ],
 )
 def test_a_transform_refuses_a_nary_shape_before_export(transform, required, capsys):
-    # the export of nary 20 2 fits the cap, so the transform's shape is charged
+    # the export of nary 20 2 fits the cap, so the transform's shape is charged;
+    # the running product stops at the first power past the cap, 20^6 or 2^25,
+    # and reports it as a lower bound on the whole requirement
     start = time.perf_counter()
     tracemalloc.start()
     try:
@@ -195,10 +198,11 @@ def test_a_transform_refuses_a_nary_shape_before_export(transform, required, cap
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
     assert peak < 1 << 20
+    assert required >= 1 << 25
     assert (code, *capsys.readouterr()) == (
         3,
         "",
-        f"refusing exact enumeration: needs {required} evaluations, cap is 16777216\n",
+        "refusing exact enumeration: needs at least 2^25 evaluations, cap is 16777216\n",
     )
 
 
@@ -222,12 +226,13 @@ def test_verify_charges_a_nary_shape_as_analysis_charges_its_export(shape, monke
 
 
 def test_symmetrize_refusal_too_long_for_decimal_exits_3(capsys):
-    # 64 keys over 7! = 5040 blocks: 64^5040 has more digits than str() allows
+    # 64 keys over 7! = 5040 blocks: 64^5040 has more digits than str() allows,
+    # and the running product stops at 64^5 = 2^30, a lower bound on it
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "symmetrize", "message", "nary", "2", "7")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err == "refusing exact enumeration: needs at least 2^30240 evaluations, cap is 16777216\n"
+    assert err == "refusing exact enumeration: needs at least 2^30 evaluations, cap is 16777216\n"
 
 
 def test_verify_rejects_bad_source(capsys):

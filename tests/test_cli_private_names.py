@@ -1,15 +1,20 @@
-"""The command line calls only the public names of the library's modules.
+"""The command line and the scripts call only the public names of the
+library's modules.
 
-A charge, a check or a helper that `cli` needs belongs to the module whose
-work it is, under a public name; `cli` reaching for another module's
-underscore-prefixed name means a policy has leaked into the front end.
+A charge, a check or a helper that `cli` or a script needs belongs to the
+module whose work it is, under a public name; a front end reaching for
+another module's underscore-prefixed name means a policy has leaked into it.
 """
 
 import ast
+import glob
 import os
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-CLI = os.path.join(os.path.dirname(HERE), "src", "pirlab", "cli.py")
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FRONT_ENDS = [os.path.join(ROOT, "src", "pirlab", "cli.py")]
+FRONT_ENDS += sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
 
 
 def _private(name: str) -> bool:
@@ -47,8 +52,9 @@ def private_uses(source: str) -> list[str]:
     return sorted(out, key=lambda use: int(use.split(":")[0]))
 
 
-def test_cli_names_no_private_name_of_another_module():
-    with open(CLI, encoding="utf-8") as fh:
+@pytest.mark.parametrize("path", FRONT_ENDS, ids=os.path.basename)
+def test_cli_names_no_private_name_of_another_module(path):
+    with open(path, encoding="utf-8") as fh:
         assert private_uses(fh.read()) == []
 
 

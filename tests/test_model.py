@@ -21,6 +21,7 @@ from pirlab.model import (
     coordinate_table,
     input_rank,
     is_uniformly_decomposable,
+    lift_table,
 )
 from pirlab.nary import export_decomposable, make_nary
 from pirlab.symmetry import server_symmetrize
@@ -50,6 +51,21 @@ def test_coordinate_table_projects_each_symbol(case):
     r = input_rank(w, m)
     for j in range(len(w)):
         assert coordinate_table(m, len(w), j)[r] == w[j]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_a_lifted_coordinate_table_is_the_coordinate_table_of_the_longer_message(m):
+    # symbol j of the slice that starts after `prefix` symbols is symbol prefix + j
+    for total in range(1, 5):
+        for prefix in range(total):
+            for j in range(total - prefix):
+                lifted = lift_table(coordinate_table(m, total - prefix, j), m, prefix, total)
+                assert lifted == coordinate_table(m, total, prefix + j)
+
+
+def test_a_lifted_table_repeats_entries_for_later_symbols_and_runs_for_earlier():
+    assert lift_table((0, 1, 1), 3, 0, 2) == (0, 0, 0, 1, 1, 1, 1, 1, 1)
+    assert lift_table((0, 1, 1), 3, 1, 2) == (0, 1, 1) * 3
 
 
 # ---------------------------------------------------------------- tables
@@ -137,6 +153,35 @@ def test_code_rejects_missing_map_entries():
 def test_code_rejects_out_of_range_query_index():
     with pytest.raises(ValueError):
         _tiny_code(query_map={(0, 0): (0, 5)})
+
+
+_COVER = "^query map must cover exactly all \\(k, key\\) pairs$"
+
+
+@pytest.mark.parametrize(
+    "query_map, error",
+    [
+        ({(0, 0): (0, 0)}, _COVER),  # key 1 missing
+        ({(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (0, 0)}, _COVER),  # no message 1
+        ({(0, 0): (0, 0), (0, 1): (0,)}, "^query map entries need one query per server$"),
+        (
+            {(0, 0): (0, 0), (0, 1): (0, 1)},
+            "^query map entry \\(0,1\\) out of range at server 1$",
+        ),
+        (
+            {(0, 0): (-1, 0), (0, 1): (0, 0)},
+            "^query map entry \\(0,0\\) out of range at server 0$",
+        ),
+        # the first faulty entry in map order wins, and a coverage fault
+        # wins over any entry's
+        ({(0, 1): (0, 5), (0, 0): (0,)}, "^query map entry \\(0,1\\) out of range at server 1$"),
+        ({(0, 1): (0, 5)}, _COVER),
+    ],
+    ids=["missing", "extra", "arity", "range", "negative", "first-wins", "missing-and-range"],
+)
+def test_code_names_the_fault_of_its_query_map(query_map, error):
+    with pytest.raises(ValueError, match=error):
+        _tiny_code(keys=("a", "b"), query_map=query_map)
 
 
 def test_code_rejects_duplicate_labels():

@@ -1,11 +1,13 @@
 """Digit-vector retrieval code: queries, answers, reconstruction, export."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pirlab.codefile import emit
 from pirlab.groups import CodeParams, MessageSet, RandomKey, digits_label
 from pirlab.nary import (
     NaryCode,
@@ -13,6 +15,7 @@ from pirlab.nary import (
     answer_length,
     answer_table,
     export_decomposable,
+    export_size,
     key_offset,
     key_space,
     make_nary,
@@ -294,6 +297,34 @@ def test_export_query_map_follows_construction():
                         assert exported.query_label(n, qi) == digits_label(
                             query_vector(code, n, k, key)
                         )
+
+
+EXPORT_GRID = [
+    (n, k, m)
+    for n in range(2, 6)
+    for k in range(1, 6)
+    for m in (2, 3)
+    if export_size(make_nary(n, k, m)) <= 10**6
+]
+
+
+def test_the_export_is_pinned_over_the_grid():
+    digest = hashlib.sha256()
+    for shape in EXPORT_GRID:
+        digest.update(emit(export_decomposable(make_nary(*shape))).encode())
+    assert len(EXPORT_GRID) == 40
+    assert digest.hexdigest() == "6a2edb8bc41a1fc356cf5629a7355c4c595982b8caba68d55bef458c615a0c25"
+
+
+@pytest.mark.parametrize("shape", EXPORT_GRID)
+def test_the_export_builds_no_more_than_its_charge(shape):
+    code = make_nary(*shape)
+    exported = export_decomposable(code)
+    rows = [row for per in exported.varieties for v in per for row in v.tables]
+    tables = {id(t): t for row in rows for t in row}  # the export shares its tables
+    entries = sum(map(len, tables.values()))
+    cells = sum(map(len, rows)) + sum(map(len, exported.query_map.values()))
+    assert entries + cells <= export_size(code)
 
 
 def test_export_reconstruct_round_trip():

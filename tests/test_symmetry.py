@@ -216,7 +216,8 @@ def test_message_symmetrize_cap_refusal():
 
 
 def test_message_symmetrize_refuses_before_building_any_block():
-    # 6! = 720 blocks of 32 keys each: the combined key count is refused first
+    # 6! = 720 blocks of 32 keys each: the combined key count is refused first,
+    # at 32^5 = 2^25, the first power past the cap and a lower bound on 32^720
     base = export_decomposable(make_nary(2, 6))
     tracemalloc.start()
     try:
@@ -225,7 +226,10 @@ def test_message_symmetrize_refuses_before_building_any_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert exc.value.required == 32**720
+    assert exc.value.required == 32**5
+    assert str(exc.value) == (
+        "refusing exact enumeration: needs at least 2^25 evaluations, cap is 16777216"
+    )
     assert peak < 1 << 20
 
 
@@ -321,6 +325,48 @@ def test_a_factorial_charge_stops_at_the_cap(monkeypatch, transform, count, show
         symmetry.require_shape_within_cap(transform, CodeParams(2, n_messages, 1, 2, 2), n_keys)
     assert exc.value.required == 39_916_800  # 11!
     assert str(exc.value) == f"refusing exact enumeration: needs {shown} evaluations, cap is 16777216"
+
+
+@pytest.mark.parametrize(
+    "transform, shape, cap",
+    [
+        ("message", (3, 10), 1 << 24),  # 19683 keys per block, 10! blocks
+        ("message", (2, 7), 1 << 24),  # 64 keys per block, 7! blocks
+        ("server", (20, 2), 1 << 24),  # 20 keys per block, 20 blocks
+        ("server", (2, 16), 1 << 24),  # the last factor, 2^15 keys, passes the cap
+        ("variety", (2, 20), 1 << 24),  # the 2^19! orders of 2^19 keys
+        ("variety", (3, 3), 1000),  # the 9! orders of 9 keys
+    ],
+    ids=lambda value: " ".join(map(str, value)) if isinstance(value, tuple) else str(value),
+)
+def test_a_shape_refusal_stops_one_factor_past_the_cap(transform, shape, cap):
+    # every factor is at most the key count, and the running product stops at
+    # the first one that takes it past the cap
+    params = make_nary(*shape).params
+    n_keys = shape[0] ** (shape[1] - 1)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        symmetry.require_shape_within_cap(transform, params, n_keys, cap)
+    assert exc.value.required > cap
+    assert exc.value.required.bit_length() <= cap.bit_length() + n_keys.bit_length()
+
+
+def test_a_shape_charge_takes_about_log2_cap_factors(monkeypatch):
+    # 10 messages, one key and one bit per block: the 9 factors of 10!, the one
+    # factor of 1^10!, and 2^10! refused on the 26th factor, which is fetched
+    # only to find that factors remain
+    taken = []
+    product_within_cap = symmetry._product_within_cap
+    monkeypatch.setattr(
+        symmetry,
+        "_product_within_cap",
+        lambda factors, cap: product_within_cap((taken.append(f) or f for f in factors), cap),
+    )
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        symmetry.require_shape_within_cap("message", CodeParams(2, 10, 1, 2, 2), 1)
+    assert taken == [*range(2, 11), 1, *[2] * 26]
+    assert str(exc.value) == (
+        "refusing exact enumeration: needs at least 2^25 evaluations, cap is 16777216"
+    )
 
 
 # ---------------------------------------------------------------- byte identity
