@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import analysis, codefile, nary, net, symmetry
 from .analysis import EnumerationCapExceeded
-from .groups import MessageSet, RandomKey, digits_label
+from .groups import CodeParams, MessageSet, RandomKey, digits_label
 from .model import DecomposableCode, builtin_sunjafar22, builtin_table1
 from .model import is_uniformly_decomposable  # noqa: F401  unused; perfbench/tracing.py patches it here
 
@@ -100,6 +100,13 @@ def _parse_digits(text: str, parser: argparse.ArgumentParser) -> tuple[int, ...]
     raise AssertionError("unreachable")
 
 
+def _seeded_messages(p: CodeParams, seed: int) -> MessageSet:
+    """A database of symbols drawn message by message from random.Random(seed)."""
+    rng = random.Random(seed)
+    rows = [[rng.randrange(p.msg_modulus) for _ in range(p.msg_len)] for _ in range(p.n_messages)]
+    return MessageSet.from_values(rows, p.msg_modulus)
+
+
 def _fmt_rate(code: DecomposableCode) -> str:
     try:
         return str(analysis.rate(code))
@@ -156,12 +163,7 @@ def cmd_demo(args, parser) -> int:
 
     key = RandomKey(tuple((2 * i) % p.n_servers for i in range(p.n_messages - 1)), p.n_servers)
     k = min(1, p.n_messages - 1)
-    rng = random.Random(args.seed)
-    rows = [
-        [rng.randrange(p.msg_modulus) for _ in range(p.msg_len)]
-        for _ in range(p.n_messages)
-    ]
-    msgs = MessageSet.from_values(rows, p.msg_modulus)
+    msgs = _seeded_messages(p, args.seed)
     queries = [
         nary.query_vector(code, n, k, key) for n in range(p.n_servers)
     ]
@@ -296,16 +298,12 @@ def cmd_setup(args, parser) -> int:
         rows = [
             values[k * p.msg_len : (k + 1) * p.msg_len] for k in range(p.n_messages)
         ]
+        try:
+            msgs = MessageSet.from_values(rows, p.msg_modulus)
+        except ValueError as exc:
+            parser.error(str(exc))
     else:
-        rng = random.Random(args.seed)
-        rows = [
-            [rng.randrange(p.msg_modulus) for _ in range(p.msg_len)]
-            for _ in range(p.n_messages)
-        ]
-    try:
-        msgs = MessageSet.from_values(rows, p.msg_modulus)
-    except ValueError as exc:
-        parser.error(str(exc))
+        msgs = _seeded_messages(p, args.seed)
     try:
         for endpoint in endpoints:
             net.setup_endpoint(endpoint, code, msgs)
@@ -352,10 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shape(p, modulus_default=2):
+    def add_shape(p):
         p.add_argument("--servers", type=int, required=True, help="number of servers N")
         p.add_argument("--messages", type=int, required=True, help="number of messages K")
-        p.add_argument("--modulus", type=int, default=modulus_default, help="symbol alphabet size m")
+        p.add_argument("--modulus", type=int, default=2, help="symbol alphabet size m")
+
+    def add_wire_shape(p):
+        p.add_argument("--endpoints", required=True, help="comma-separated host:port list, server order")
+        p.add_argument("--messages", type=int, required=True)
+        p.add_argument("--modulus", type=int, default=2)
 
     p = sub.add_parser("demo", help="print the query/answer table and run one retrieval")
     add_shape(p)
@@ -386,17 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("setup", help="install a replicated database on running servers")
-    p.add_argument("--endpoints", required=True, help="comma-separated host:port list, server order")
-    p.add_argument("--messages", type=int, required=True)
-    p.add_argument("--modulus", type=int, default=2)
+    add_wire_shape(p)
     p.add_argument("--seed", type=int, default=0, help="seed for random message symbols")
     p.add_argument("--data", help="explicit symbols, comma-separated, message-major")
     p.set_defaults(fn=cmd_setup)
 
     p = sub.add_parser("retrieve", help="privately retrieve one message from running servers")
-    p.add_argument("--endpoints", required=True, help="comma-separated host:port list, server order")
-    p.add_argument("--messages", type=int, required=True)
-    p.add_argument("--modulus", type=int, default=2)
+    add_wire_shape(p)
     p.add_argument("--target", type=int, required=True, help="message index to retrieve")
     p.add_argument("--key", help="explicit key digits, comma-separated")
     p.add_argument("--seed", type=int, default=0, help="seed for a random key when --key is absent")

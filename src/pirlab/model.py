@@ -316,31 +316,27 @@ def builtin_sunjafar22() -> DecomposableCode:
     invs = list(itertools.permutations(range(4)))
     keys = tuple(digits_label(inv) for inv in invs)
 
-    query_map: dict[tuple[int, int], tuple[int, ...]] = {}
-    for f, inv in enumerate(invs):
-        query_map[(0, f)] = (
-            triple_index[(inv[0], inv[2], inv[1])],
-            triple_index[(inv[1], inv[3], inv[0])],
-        )
-        query_map[(1, f)] = (
-            triple_index[(inv[0], inv[1], inv[2])],
-            triple_index[(inv[1], inv[0], inv[3])],
-        )
+    def query(k: int, s: int, inv) -> tuple[int, int, int]:
+        """Server s reads position inv[s] directly and masks inv[2 + s] with
+        inv[1 - s]; the masked pair swaps for request 1."""
+        u, v = inv[2 + s], inv[1 - s]
+        return (inv[s], v, u) if k else (inv[s], u, v)
+
+    query_map = {
+        (k, f): tuple(triple_index[query(k, s, inv)] for s in range(2))
+        for f, inv in enumerate(invs)
+        for k in range(2)
+    }
 
     def reconstruct(k: int, key_index: int, answers) -> tuple[int, ...]:
         inv = invs[key_index]
         a0, a1 = answers
         out = [0] * 4
-        if k == 0:
-            out[inv[0]] = a0[0]
-            out[inv[1]] = a1[0]
-            out[inv[2]] = (a0[2] - a1[1]) % 2
-            out[inv[3]] = (a1[2] - a0[1]) % 2
-        else:
-            out[inv[0]] = a0[1]
-            out[inv[1]] = a1[1]
-            out[inv[2]] = (a0[2] - a1[0]) % 2
-            out[inv[3]] = (a1[2] - a0[0]) % 2
+        for s, (own, other) in enumerate(((a0, a1), (a1, a0))):
+            # message k's direct symbol, then its masked one, unmasked by the
+            # other server's direct symbol of the other message
+            out[inv[s]] = own[k]
+            out[inv[2 + s]] = (own[2] - other[1 - k]) % 2
         return tuple(out)
 
     return DecomposableCode(params, varieties, keys, query_map, reconstruct)

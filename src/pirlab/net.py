@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401  unused; perfben
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from . import nary
 from .groups import Message, MessageSet, RandomKey
 from .nary import answer  # noqa: F401  unused; perfbench/tracing.py patches it here
 from .nary import NaryCode, make_nary, query_vector
@@ -423,9 +424,7 @@ def client_retrieve(
     finally:
         _close(conns)
 
-    from .nary import reconstruct
-
     try:
-        return Message(reconstruct(code, answers, k, key), code.modulus)
+        return Message(nary.reconstruct(code, answers, k, key), code.modulus)
     except ValueError as exc:  # an answer of the wrong length
         raise RetrievalError(str(exc)) from exc

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Callable, Optional
+from dataclasses import replace
 
 from .analysis import (
     DEFAULT_CAP,
@@ -44,14 +44,13 @@ def server_permute(code: DecomposableCode, perm) -> DecomposableCode:
         entry: tuple(per_server[perm[n]] for n in range(N))
         for entry, per_server in code.query_map.items()
     }
-    base_reconstruct = code.reconstruct
-    reconstruct: Optional[Callable] = None
-    if base_reconstruct is not None:
 
-        def reconstruct(k: int, f: int, answers) -> tuple[int, ...]:
-            return base_reconstruct(k, f, tuple(answers[inv[j]] for j in range(N)))
+    def reconstruct(k: int, f: int, answers) -> tuple[int, ...]:
+        return code.reconstruct(k, f, tuple(answers[inv[j]] for j in range(N)))
 
-    return DecomposableCode(code.params, varieties, code.keys, query_map, reconstruct)
+    return DecomposableCode(
+        code.params, varieties, code.keys, query_map, reconstruct if code.reconstruct else None
+    )
 
 
 def message_permute(code: DecomposableCode, perm) -> DecomposableCode:
@@ -78,14 +77,13 @@ def message_permute(code: DecomposableCode, perm) -> DecomposableCode:
         for k in range(K)
         for f in range(len(code.keys))
     }
-    base_reconstruct = code.reconstruct
-    reconstruct: Optional[Callable] = None
-    if base_reconstruct is not None:
 
-        def reconstruct(k: int, f: int, answers) -> tuple[int, ...]:
-            return base_reconstruct(inv[k], f, answers)
+    def reconstruct(k: int, f: int, answers) -> tuple[int, ...]:
+        return code.reconstruct(inv[k], f, answers)
 
-    return DecomposableCode(code.params, varieties, code.keys, query_map, reconstruct)
+    return DecomposableCode(
+        code.params, varieties, code.keys, query_map, reconstruct if code.reconstruct else None
+    )
 
 
 def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
@@ -99,7 +97,7 @@ def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
     while the combos are indexed, before any table is lifted or key listed.
     """
     first = blocks[0].params
-    N, K, m, y = first.n_servers, first.n_messages, first.msg_modulus, first.ans_modulus
+    N, K, m = first.n_servers, first.n_messages, first.msg_modulus
     # where each block's slice starts, then the combined message length
     *prefixes, total_len = itertools.accumulate((b.params.msg_len for b in blocks), initial=0)
     table_size = m**total_len
@@ -143,25 +141,21 @@ def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
             combos = zip(*map(operator.getitem, block_maps, fc))
             query_map[(k, fi)] = tuple(map(operator.getitem, index_of, combos))
 
-    reconstruct: Optional[Callable] = None
-    if all(b.reconstruct is not None for b in blocks):
-        combo_at = [list(lookup) for lookup in index_of]  # query index -> combo
+    def reconstruct(k: int, fi: int, answers) -> tuple[int, ...]:
+        values: list[int] = []
+        # each block answers the next slice of every server's answer, in block order
+        offsets = [0] * N
+        for b, f in zip(blocks, key_combos[fi]):
+            queries = b.query_map[(k, f)]
+            ends = [offsets[n] + b.answer_length(n, queries[n]) for n in range(N)]
+            block_answers = tuple(answers[n][offsets[n] : ends[n]] for n in range(N))
+            offsets = ends
+            values.extend(b.reconstruct(k, f, block_answers))
+        return tuple(values)
 
-        def reconstruct(k: int, fi: int, answers) -> tuple[int, ...]:
-            values: list[int] = []
-            # per-server split points follow the block order of the combo
-            combos = [combo_at[n][q] for n, q in enumerate(query_map[(k, fi)])]
-            offsets = [0] * N
-            for i, b in enumerate(blocks):
-                ends = [offsets[n] + b.answer_length(n, combos[n][i]) for n in range(N)]
-                block_answers = tuple(answers[n][offsets[n] : ends[n]] for n in range(N))
-                offsets = ends
-                values.extend(b.reconstruct(k, key_combos[fi][i], block_answers))
-            return tuple(values)
-
-    return DecomposableCode(
-        CodeParams(N, K, total_len, m, y), tuple(varieties), key_labels, query_map, reconstruct
-    )
+    params = replace(first, msg_len=total_len)
+    decoder = reconstruct if all(b.reconstruct for b in blocks) else None
+    return DecomposableCode(params, tuple(varieties), key_labels, query_map, decoder)
 
 
 def space_share(blocks, cap: int = DEFAULT_CAP) -> DecomposableCode:
@@ -175,30 +169,18 @@ def space_share(blocks, cap: int = DEFAULT_CAP) -> DecomposableCode:
     if not blocks:
         raise ValueError("space sharing needs at least one block")
     first = blocks[0].params
-    for b in blocks[1:]:
-        p = b.params
-        if (
-            p.n_servers != first.n_servers
-            or p.n_messages != first.n_messages
-            or p.msg_modulus != first.msg_modulus
-            or p.ans_modulus != first.ans_modulus
-        ):
-            raise ValueError("blocks must agree on servers, messages, and alphabets")
+    if any(replace(b.params, msg_len=first.msg_len) != first for b in blocks):
+        raise ValueError("blocks must agree on servers, messages, and alphabets")
 
     require_within_cap(math.prod(len(b.keys) for b in blocks), cap)
     require_within_cap(first.msg_modulus ** sum(b.params.msg_len for b in blocks), cap)
-    return _share(blocks, cap)
-
-
-def _share(blocks, cap: int) -> DecomposableCode:
-    """`space_share` of blocks whose shape has been charged."""
     keys = (
         (fc, "|".join(b.keys[f] for b, f in zip(blocks, fc)))
         for fc in itertools.product(*(range(len(b.keys)) for b in blocks))
     )
     query_combos = (
         itertools.product(*(range(b.query_count(n)) for b in blocks))
-        for n in range(blocks[0].params.n_servers)
+        for n in range(first.n_servers)
     )
     return _assemble(blocks, keys, query_combos, cap)
 
@@ -247,7 +229,7 @@ def server_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Decompo
     N = code.params.n_servers
     require_shape_within_cap("server", code.params, len(code.keys), cap)
     blocks = [server_permute(code, [(n + i) % N for n in range(N)]) for i in range(N)]
-    return _share(blocks, cap)
+    return space_share(blocks, cap)
 
 
 def message_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> DecomposableCode:
@@ -255,7 +237,7 @@ def message_symmetrize(code: DecomposableCode, cap: int = DEFAULT_CAP) -> Decomp
     K = code.params.n_messages
     require_shape_within_cap("message", code.params, len(code.keys), cap)
     blocks = [message_permute(code, perm) for perm in itertools.permutations(range(K))]
-    return _share(blocks, cap)
+    return space_share(blocks, cap)
 
 
 def _distinct_orderings(items: tuple[int, ...]):

@@ -184,6 +184,7 @@ def test_a_nary_shape_too_large_to_export_is_refused_before_export(argv, capsys)
         ("server", 20**20),  # 20 blocks of 20 keys each
         ("message", 2**38),  # 2 blocks, each table lifted to 2^(2 x 19) entries
     ],
+    ids=["server-nary-20-2", "message-nary-20-2"],
 )
 def test_a_transform_refuses_a_nary_shape_before_export(transform, required, capsys):
     # the export of nary 20 2 fits the cap, so the transform's shape is charged;
@@ -225,7 +226,7 @@ def test_verify_charges_a_nary_shape_as_analysis_charges_its_export(shape, monke
     )
 
 
-def test_symmetrize_refusal_too_long_for_decimal_exits_3(capsys):
+def test_symmetrize_refusal_stops_the_running_product_at_2_30_and_exits_3(capsys):
     # 64 keys over 7! = 5040 blocks: 64^5040 has more digits than str() allows,
     # and the running product stops at 64^5 = 2^30, a lower bound on it
     start = time.perf_counter()
@@ -233,6 +234,19 @@ def test_symmetrize_refusal_too_long_for_decimal_exits_3(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert err == "refusing exact enumeration: needs at least 2^30 evaluations, cap is 16777216\n"
+
+
+def test_verify_refusal_too_long_for_decimal_exits_3(capsys):
+    # the export of nary 2 15000 holds 2 x 15000 x 2^15000 query cells, more
+    # digits than str() allows, so the refusal names the power of 2 below it
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "nary", "2", "15000")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err == (
+        "refusing exact enumeration: needs at least 2^15014 table entries and query cells,"
+        " cap is 16777216\n"
+    )
 
 
 def test_verify_rejects_bad_source(capsys):

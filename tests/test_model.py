@@ -1,12 +1,13 @@
 """Component tables, answer varieties, and the two built-in reference codes."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pirlab import model
+from pirlab import codefile, model
 from pirlab.analysis import rate, verify_correctness, verify_privacy
 from pirlab.groups import CodeParams, MessageSet
 from pirlab.model import (
@@ -357,6 +358,43 @@ def test_sunjafar22_rate():
 
 def test_sunjafar22_uniformly_decomposable():
     assert is_uniformly_decomposable(builtin_sunjafar22()).uniform
+
+
+def test_sunjafar22_emits_the_same_code_file():
+    text = codefile.emit(builtin_sunjafar22())
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "168bec90912caa905cd229167afdc78b4da956deac87bc7df7606f1adfb1eb81"
+    )
+
+
+def test_sunjafar22_reconstructs_the_same_values_from_every_answer_pair():
+    code = builtin_sunjafar22()
+    digest = hashlib.sha256()
+    answers = list(itertools.product(range(2), repeat=3))
+    for k in range(2):
+        for f in range(len(code.keys)):
+            for a0 in answers:
+                for a1 in answers:
+                    digest.update(repr(code.reconstruct(k, f, (a0, a1))).encode())
+    assert digest.hexdigest() == (
+        "1d61dc578948118339a9c9dff67c93ed178294e2df10e68fab4a05d20a06aec0"
+    )
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize(
+    "answers, error",
+    [
+        (((0, 0, 0),), "ValueError: not enough values to unpack (expected 2, got 1)"),
+        (((0, 0, 0),) * 3, "ValueError: too many values to unpack (expected 2)"),
+        (((0,), (0,)), "IndexError: tuple index out of range"),
+    ],
+    ids=["one-answer", "three-answers", "one-symbol-answers"],
+)
+def test_sunjafar22_reconstruct_refuses_malformed_answers(k, answers, error):
+    with pytest.raises(Exception) as info:
+        builtin_sunjafar22().reconstruct(k, 0, answers)
+    assert f"{info.type.__name__}: {info.value}" == error
 
 
 def test_answer_length_is_message_independent():

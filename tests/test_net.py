@@ -15,7 +15,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirlab import net
+from pirlab import nary, net
 
 from pirlab.groups import MessageSet, RandomKey
 from pirlab.nary import answer, make_nary, query_vector, retrieve
@@ -351,6 +351,26 @@ def test_live_setup_and_retrieve(trio):
             got = client_retrieve(code, endpoints, k, key=key)
             assert got.values == msgs[k].values
             assert got == retrieve(code, msgs, k, key)
+
+
+def test_client_retrieve_reads_nary_reconstruct_at_call_time(trio, monkeypatch):
+    # a tracer patches `nary.reconstruct` after `net` is imported; the client
+    # must decode through the patched name
+    code, servers = trio
+    msgs = MessageSet.from_values(((1, 0), (0, 1)), 2)
+    endpoints = [s.address for s in servers]
+    for ep in endpoints:
+        setup_endpoint(ep, code, msgs)
+    calls = []
+    original = nary.reconstruct
+
+    def spy(code, answers, k, key):
+        calls.append(k)
+        return original(code, answers, k, key)
+
+    monkeypatch.setattr(nary, "reconstruct", spy)
+    assert client_retrieve(code, endpoints, 1, RandomKey((2,), 3)).values == msgs[1].values
+    assert calls == [1]
 
 
 def test_live_second_setup_is_rejected(trio):
