@@ -272,6 +272,8 @@ def cmd_serve(args, parser) -> int:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        server.stop()
     return 0
 
 

@@ -25,6 +25,8 @@ with one integer sum of the symbols its digits select.
 from __future__ import annotations
 
 import operator
+import queue
+import select
 import socket
 import socketserver
 import struct
@@ -277,20 +279,109 @@ class _Handler(socketserver.StreamRequestHandler):
         return True
 
 
-class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
+# poll() flag for a peer that has closed its end; Linux only, 0 elsewhere
+_PEER_CLOSED = getattr(select, "POLLRDHUP", 0)
+
+
+class _WorkerTCPServer(socketserver.TCPServer):
+    """Serves each connection on a kept worker thread.
+
+    A worker that finishes a connection waits for the next one, so a
+    connection costs a queue hand-off, not a thread start.  An accepted
+    connection goes to the most recently idle worker; failing that, it
+    queues behind a worker whose peer has already closed, which is about to
+    fall idle.  Only when neither exists does a new worker start, up to
+    `max_connections`; a connection past that cap is closed at once,
+    unanswered.  The cap bounds the threads a peer can hold, and the frame
+    memory they buffer to about `max_connections * MAX_PAYLOAD`.
+    """
+
     allow_reuse_address = True
+    max_connections = 16
+
+    def __init__(self, server_address, handler_class):
+        super().__init__(server_address, handler_class)
+        self._guard = threading.Lock()
+        self._workers: list[threading.Thread] = []
+        self._idle: list[queue.SimpleQueue] = []  # idle workers' inboxes, most recent last
+        self._busy: dict[queue.SimpleQueue, socket.socket] = {}  # inbox -> its connection
+        self._queued: dict[queue.SimpleQueue, socket.socket] = {}  # inbox -> its next one
+        self._closed = False
+
+    def process_request(self, request, client_address) -> None:
+        with self._guard:
+            if self._idle:
+                inbox = self._idle.pop()
+                self._busy[inbox] = request
+            elif (inbox := self._finishing()) is not None:
+                self._queued[inbox] = request
+            elif len(self._workers) < self.max_connections:
+                inbox = queue.SimpleQueue()
+                worker = threading.Thread(target=self._work, args=(inbox,), daemon=True)
+                worker.start()
+                self._workers.append(worker)
+                self._busy[inbox] = request
+        if inbox is None:  # past the cap
+            self.shutdown_request(request)
+        else:
+            inbox.put((request, client_address))
+
+    def _finishing(self) -> Optional[queue.SimpleQueue]:
+        """The inbox of a busy worker with nothing queued whose peer has closed."""
+        if not _PEER_CLOSED:
+            return None
+        poller = select.poll()
+        owner = {}
+        for inbox, request in self._busy.items():
+            if inbox not in self._queued:
+                poller.register(request, _PEER_CLOSED)
+                owner[request.fileno()] = inbox
+        ready = poller.poll(0)
+        return owner[ready[0][0]] if ready else None
+
+    def _work(self, inbox: queue.SimpleQueue) -> None:
+        while (item := inbox.get()) is not None:
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            with self._guard:  # so neither _finishing nor server_close sees a closed socket
+                self.shutdown_request(request)
+                if inbox in self._queued:
+                    self._busy[inbox] = self._queued.pop(inbox)
+                    continue
+                del self._busy[inbox]
+                if self._closed:
+                    return
+                self._idle.append(inbox)
+
+    def server_close(self) -> None:
+        """Close the listener, end every live connection and join every worker."""
+        super().server_close()
+        with self._guard:
+            self._closed = True
+            for inbox in self._idle:
+                inbox.put(None)
+            self._idle.clear()
+            for request in (*self._busy.values(), *self._queued.values()):
+                try:
+                    request.shutdown(socket.SHUT_RDWR)  # its worker reads EOF
+                except OSError:  # the peer already reset it
+                    pass
+        for worker in self._workers:
+            worker.join()
 
 
 class PirServer:
-    """A threaded single-role server; handles concurrent connections."""
+    """A single-role server; serves concurrent connections on kept workers."""
 
     def __init__(self, server_index: int, host: str = "127.0.0.1", port: int = 0):
         if server_index < 0:
             raise ValueError("server index must be >= 0")
         self._state = ServerState(server_index)
         self._lock = threading.Lock()
-        self._tcp = _ThreadingTCPServer((host, port), _Handler)
+        self._tcp = _WorkerTCPServer((host, port), _Handler)
         self._tcp.pir_server = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
         self._serving = False  # whether a serve_forever loop was started

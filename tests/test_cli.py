@@ -596,6 +596,28 @@ def test_serve_bad_input_is_usage_error(argv, env_port, monkeypatch, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+def test_serve_stops_the_server_on_ctrl_c(monkeypatch, capsys):
+    calls = []
+
+    class InterruptedServer:
+        address = ("127.0.0.1", 5555)
+
+        def __init__(self, *args):
+            pass
+
+        def serve_forever(self):
+            calls.append("serve_forever")
+            raise KeyboardInterrupt
+
+        def stop(self):
+            calls.append("stop")
+
+    monkeypatch.setattr(cli.net, "PirServer", InterruptedServer)
+    assert main(["serve", "--server-index", "0", "--port", "0"]) == 0
+    assert calls == ["serve_forever", "stop"]
+    assert capsys.readouterr().out == "server 0 listening on 127.0.0.1:5555\n"
+
+
 def test_retrieve_fails_cleanly_without_servers(capsys):
     dead = _free_port()
     code, _, err = run_cli(

@@ -1,5 +1,6 @@
 """Framing, the pure protocol step, and live loopback round trips."""
 
+import contextlib
 import gc
 import io
 import itertools
@@ -577,6 +578,91 @@ def test_stop_ends_a_blocking_serve_forever_loop():
     stopper.join(timeout=1.0)
     serving.join(timeout=1.0)
     assert not stopper.is_alive() and not serving.is_alive()
+
+
+def _query_before_setup(sock, rfile) -> None:
+    """Round-trip one QUERY, which proves a worker serves the connection."""
+    sock.sendall(encode_frame(Frame(KIND_QUERY, b"\x00\x00")))
+    reply = read_frame(rfile)
+    assert decode_error_payload(reply.payload) == (ERR_PROTOCOL, "QUERY before SETUP")
+
+
+def _count_thread_starts(monkeypatch) -> list:
+    """Patch `threading.Thread.start` to record every thread it starts."""
+    started = []
+    original = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def test_stop_ends_live_connections_and_joins_every_worker():
+    before = set(threading.enumerate())
+    server = PirServer(0).start()
+    try:
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            with sock.makefile("rb") as rfile:
+                _query_before_setup(sock, rfile)
+                # on a daemon thread, so a stop that hangs fails here instead of hanging the suite
+                stopper = threading.Thread(target=server.stop, daemon=True)
+                stopper.start()
+                stopper.join(timeout=2.0)
+                assert not stopper.is_alive()
+                assert set(threading.enumerate()) <= before
+                assert sock.recv(1) == b""  # EOF: the server closed the connection
+    finally:
+        server.stop()
+
+
+def test_a_connection_past_the_cap_is_closed_unanswered(monkeypatch):
+    monkeypatch.setattr(net._WorkerTCPServer, "max_connections", 2)
+    started = _count_thread_starts(monkeypatch)
+    code = make_nary(2, 2)
+    servers = [PirServer(n).start() for n in range(2)]
+    try:
+        with contextlib.ExitStack() as held:
+            for _ in range(2):
+                sock = held.enter_context(socket.create_connection(servers[0].address, timeout=2.0))
+                _query_before_setup(sock, held.enter_context(sock.makefile("rb")))
+            with socket.create_connection(servers[0].address, timeout=2.0) as third:
+                t0 = time.monotonic()
+                assert third.recv(1) == b""  # EOF before any frame was sent
+                assert time.monotonic() - t0 < 1.0
+        # the held connections are closed, so their workers take new ones
+        msgs = MessageSet.from_values(((1,), (0,)), 2)
+        endpoints = [s.address for s in servers]
+        for ep in endpoints:
+            setup_endpoint(ep, code, msgs)
+        assert client_retrieve(code, endpoints, 1, key=RandomKey((1,), 2)).values == (0,)
+    finally:
+        for s in servers:
+            s.stop()
+    # two serve loops, two workers on the capped server, at most two on the other
+    assert len(started) <= 6
+
+
+def test_sequential_retrievals_reuse_kept_workers(monkeypatch):
+    code = make_nary(3, 3)
+    msgs = MessageSet.from_values(((1, 0), (0, 1), (1, 1)), 2)
+    servers = [PirServer(n).start() for n in range(3)]
+    try:
+        endpoints = [s.address for s in servers]
+        for ep in endpoints:
+            setup_endpoint(ep, code, msgs)
+        started = _count_thread_starts(monkeypatch)
+        rng = random.Random(7)
+        for i in range(200):
+            key = RandomKey((rng.randrange(3), rng.randrange(3)), 3)
+            assert client_retrieve(code, endpoints, i % 3, key).values == msgs[i % 3].values
+        # a thread per connection would start 600
+        assert len(started) <= len(servers)
+    finally:
+        for s in servers:
+            s.stop()
 
 
 def test_live_oversize_header_is_refused_without_allocation(trio):
