@@ -25,15 +25,15 @@ with one integer sum of the symbols its digits select.
 from __future__ import annotations
 
 import operator
-import queue
-import select
 import socket
 import socketserver
 import struct
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  unused; perfbench/tracing.py patches it here
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from . import nary
@@ -255,7 +255,7 @@ class _Handler(socketserver.StreamRequestHandler):
             try:
                 frame = read_frame(self.rfile)
             except ProtocolError as exc:
-                self._send(error_frame(ERR_PROTOCOL, str(exc)))
+                self._write(error_frame(ERR_PROTOCOL, str(exc)))
                 return
             except OSError:  # idle timeout or a reset peer: close quietly
                 return
@@ -267,10 +267,10 @@ class _Handler(socketserver.StreamRequestHandler):
             else:
                 # state is immutable once set up, and only SETUP replaces it
                 _, reply = handle_frame(server._state, frame)
-            if not self._send(reply):
+            if not self._write(reply):
                 return
 
-    def _send(self, frame: Frame) -> bool:
+    def _write(self, frame: Frame) -> bool:
         try:
             write_frame(self.wfile, frame)
             self.wfile.flush()
@@ -279,21 +279,22 @@ class _Handler(socketserver.StreamRequestHandler):
         return True
 
 
-# poll() flag for a peer that has closed its end; Linux only, 0 elsewhere
-_PEER_CLOSED = getattr(select, "POLLRDHUP", 0)
+# seconds between serve-loop ticks; a connection still queued one tick after
+# it arrived gets a new worker
+_POLL_INTERVAL = 0.05
 
 
 class _WorkerTCPServer(socketserver.TCPServer):
     """Serves each connection on a kept worker thread.
 
-    A worker that finishes a connection waits for the next one, so a
-    connection costs a queue hand-off, not a thread start.  An accepted
-    connection goes to the most recently idle worker; failing that, it
-    queues behind a worker whose peer has already closed, which is about to
-    fall idle.  Only when neither exists does a new worker start, up to
-    `max_connections`; a connection past that cap is closed at once,
-    unanswered.  The cap bounds the threads a peer can hold, and the frame
-    memory they buffer to about `max_connections * MAX_PAYLOAD`.
+    Accepted connections wait in one FIFO queue, and a worker that finishes
+    a connection takes the oldest, so a connection costs a queue hand-off,
+    not a thread start.  A worker starts at once only when the server has
+    none; a connection still queued `_POLL_INTERVAL` after it arrived gets a
+    new worker, up to `max_connections`, or past that cap is closed
+    unanswered, as is one that finds `max_connections` already queued.  The
+    cap bounds the threads a peer can hold, and the frame memory they buffer
+    to about `max_connections * MAX_PAYLOAD`.
     """
 
     allow_reuse_address = True
@@ -301,70 +302,76 @@ class _WorkerTCPServer(socketserver.TCPServer):
 
     def __init__(self, server_address, handler_class):
         super().__init__(server_address, handler_class)
-        self._guard = threading.Lock()
+        self._ready = threading.Condition()
+        self._queued: deque = deque()  # (request, client_address, arrival), oldest first
+        self._served: set[socket.socket] = set()
         self._workers: list[threading.Thread] = []
-        self._idle: list[queue.SimpleQueue] = []  # idle workers' inboxes, most recent last
-        self._busy: dict[queue.SimpleQueue, socket.socket] = {}  # inbox -> its connection
-        self._queued: dict[queue.SimpleQueue, socket.socket] = {}  # inbox -> its next one
+        self._idle = 0  # workers waiting for a connection
         self._closed = False
 
     def process_request(self, request, client_address) -> None:
-        with self._guard:
-            if self._idle:
-                inbox = self._idle.pop()
-                self._busy[inbox] = request
-            elif (inbox := self._finishing()) is not None:
-                self._queued[inbox] = request
-            elif len(self._workers) < self.max_connections:
-                inbox = queue.SimpleQueue()
-                worker = threading.Thread(target=self._work, args=(inbox,), daemon=True)
-                worker.start()
-                self._workers.append(worker)
-                self._busy[inbox] = request
-        if inbox is None:  # past the cap
+        with self._ready:
+            full = len(self._queued) >= self.max_connections
+            if not full:
+                self._queued.append((request, client_address, time.monotonic()))
+                self._ready.notify()
+        if full:
             self.shutdown_request(request)
-        else:
-            inbox.put((request, client_address))
+        elif not self._workers:
+            self._start_worker()
 
-    def _finishing(self) -> Optional[queue.SimpleQueue]:
-        """The inbox of a busy worker with nothing queued whose peer has closed."""
-        if not _PEER_CLOSED:
-            return None
-        poller = select.poll()
-        owner = {}
-        for inbox, request in self._busy.items():
-            if inbox not in self._queued:
-                poller.register(request, _PEER_CLOSED)
-                owner[request.fileno()] = inbox
-        ready = poller.poll(0)
-        return owner[ready[0][0]] if ready else None
+    def service_actions(self) -> None:
+        """Give each connection queued a tick ago a new worker, or past the cap close it."""
+        arrived_by = time.monotonic() - _POLL_INTERVAL
+        try:  # a lock-free peek first, since this runs after every accept
+            if self._queued[0][2] > arrived_by:  # the oldest is not late yet
+                return
+        except IndexError:  # nothing queued, or a worker just took the last one
+            return
+        with self._ready:
+            late = sum(arrival <= arrived_by for *_, arrival in self._queued)
+            unserved = late - self._idle  # each idle worker takes one
+            new = max(0, min(unserved, self.max_connections - len(self._workers)))
+            for _ in range(unserved - new):  # past the cap
+                self.shutdown_request(self._queued.popleft()[0])
+        for _ in range(new):
+            self._start_worker()
 
-    def _work(self, inbox: queue.SimpleQueue) -> None:
-        while (item := inbox.get()) is not None:
-            request, client_address = item
+    def _start_worker(self) -> None:
+        # only the serve loop starts workers, so `_workers` needs no lock
+        worker = threading.Thread(target=self._work, daemon=True)
+        worker.start()
+        self._workers.append(worker)
+
+    def _work(self) -> None:
+        request = None
+        while True:
+            with self._ready:
+                if request is not None:  # under the lock, so server_close never sees it closed
+                    self._served.remove(request)
+                    self.shutdown_request(request)
+                self._idle += 1
+                while not (self._queued or self._closed):
+                    self._ready.wait()
+                self._idle -= 1
+                if self._closed:
+                    return
+                request, client_address, _ = self._queued.popleft()
+                self._served.add(request)
             try:
                 self.finish_request(request, client_address)
             except Exception:
                 self.handle_error(request, client_address)
-            with self._guard:  # so neither _finishing nor server_close sees a closed socket
-                self.shutdown_request(request)
-                if inbox in self._queued:
-                    self._busy[inbox] = self._queued.pop(inbox)
-                    continue
-                del self._busy[inbox]
-                if self._closed:
-                    return
-                self._idle.append(inbox)
 
     def server_close(self) -> None:
-        """Close the listener, end every live connection and join every worker."""
+        """Close the listener, end every queued and served connection and join every worker."""
         super().server_close()
-        with self._guard:
+        with self._ready:
             self._closed = True
-            for inbox in self._idle:
-                inbox.put(None)
-            self._idle.clear()
-            for request in (*self._busy.values(), *self._queued.values()):
+            self._ready.notify_all()
+            while self._queued:
+                self.shutdown_request(self._queued.popleft()[0])
+            for request in self._served:
                 try:
                     request.shutdown(socket.SHUT_RDWR)  # its worker reads EOF
                 except OSError:  # the peer already reset it
@@ -396,16 +403,14 @@ class PirServer:
         return host, port
 
     def start(self) -> "PirServer":
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._serving = True
         self._thread.start()
         return self
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(self) -> None:
         self._serving = True
-        self._tcp.serve_forever(poll_interval=poll_interval)
+        self._tcp.serve_forever(_POLL_INTERVAL)
 
     def stop(self) -> None:
         if self._serving:  # shutdown() would wait forever for a loop that never ran
@@ -426,35 +431,48 @@ def _time_left(deadline: float) -> float:
     return left
 
 
-def _send(endpoint: tuple[str, int], frame: Frame, deadline: float, conns: list) -> None:
-    """Connect to `endpoint` and send `frame`; the connection joins `conns`."""
-    host, port = endpoint
+def _exchange(endpoints, frames, timeout: float, check) -> list:
+    """Send `frames[i]` to `endpoints[i]`, then read and check one reply from each.
+
+    Every frame is sent before any reply is read, on one connection per
+    endpoint, and `timeout` bounds the whole exchange.  `check(i, reply)`
+    runs as each reply is read, so an early rejection aborts before later
+    replies are awaited; the list of its results is returned.  Every
+    connection is closed on return.
+    """
+    deadline = time.monotonic() + timeout
+    conns: list = []
     try:
-        sock = socket.create_connection((host, port), timeout=_time_left(deadline))
-        conns.append((sock, sock.makefile("rb")))
-        sock.sendall(encode_frame(frame))
-    except OSError as exc:
-        raise RetrievalError(f"endpoint {host}:{port}: {exc}") from exc
+        for (host, port), frame in zip(endpoints, frames):
+            try:
+                sock = socket.create_connection((host, port), timeout=_time_left(deadline))
+                conns.append((sock, sock.makefile("rb")))
+                sock.sendall(encode_frame(frame))
+            except OSError as exc:
+                raise RetrievalError(f"endpoint {host}:{port}: {exc}") from exc
+        results = []
+        for i, ((host, port), (sock, rfile)) in enumerate(zip(endpoints, conns)):
+            try:
+                sock.settimeout(_time_left(deadline))
+                reply = read_frame(rfile)
+            except (OSError, ProtocolError) as exc:
+                raise RetrievalError(f"endpoint {host}:{port}: {exc}") from exc
+            if reply is None:
+                raise RetrievalError(f"endpoint {host}:{port} closed the connection")
+            results.append(check(i, reply))
+        return results
+    finally:
+        for sock, rfile in conns:
+            rfile.close()
+            sock.close()
 
 
-def _receive(endpoint: tuple[str, int], conn, deadline: float) -> Frame:
-    """Read one reply frame, waiting no later than `deadline`."""
-    host, port = endpoint
-    sock, rfile = conn
-    try:
-        sock.settimeout(_time_left(deadline))
-        reply = read_frame(rfile)
-    except (OSError, ProtocolError) as exc:
-        raise RetrievalError(f"endpoint {host}:{port}: {exc}") from exc
-    if reply is None:
-        raise RetrievalError(f"endpoint {host}:{port} closed the connection")
-    return reply
-
-
-def _close(conns: list) -> None:
-    for sock, rfile in conns:
-        rfile.close()
-        sock.close()
+def _check_setup(_: int, reply: Frame) -> None:
+    if reply.kind == KIND_ERROR:
+        err, text = decode_error_payload(reply.payload)
+        raise RetrievalError(f"SETUP rejected ({err}): {text}")
+    if reply.kind != KIND_ANSWER:
+        raise RetrievalError(f"unexpected SETUP reply kind {reply.kind:#x}")
 
 
 def setup_endpoint(
@@ -462,18 +480,7 @@ def setup_endpoint(
 ) -> None:
     """Install the replicated database on one server; raises on rejection."""
     frame = Frame(KIND_SETUP, encode_setup_payload(code, msgs))
-    deadline = time.monotonic() + timeout
-    conns: list = []
-    try:
-        _send(endpoint, frame, deadline, conns)
-        reply = _receive(endpoint, conns[0], deadline)
-    finally:
-        _close(conns)
-    if reply.kind == KIND_ERROR:
-        err, text = decode_error_payload(reply.payload)
-        raise RetrievalError(f"SETUP rejected ({err}): {text}")
-    if reply.kind != KIND_ANSWER:
-        raise RetrievalError(f"unexpected SETUP reply kind {reply.kind:#x}")
+    _exchange([endpoint], [frame], timeout, _check_setup)
 
 
 def _check_answer(code: NaryCode, n: int, reply: Frame) -> tuple[int, ...]:
@@ -502,18 +509,10 @@ def client_retrieve(
     endpoints = tuple(endpoints)
     if len(endpoints) != code.n_servers:
         raise ValueError(f"need {code.n_servers} endpoints, got {len(endpoints)}")
-    queries = [query_vector(code, n, k, key) for n in range(code.n_servers)]
-    deadline = time.monotonic() + timeout
-    conns: list = []
-    try:
-        for endpoint, query in zip(endpoints, queries):
-            _send(endpoint, Frame(KIND_QUERY, bytes(query)), deadline, conns)
-        answers = tuple(
-            _check_answer(code, n, _receive(endpoints[n], conns[n], deadline))
-            for n in range(code.n_servers)
-        )
-    finally:
-        _close(conns)
+    queries = [
+        Frame(KIND_QUERY, bytes(query_vector(code, n, k, key))) for n in range(code.n_servers)
+    ]
+    answers = _exchange(endpoints, queries, timeout, partial(_check_answer, code))
 
     try:
         return Message(nary.reconstruct(code, answers, k, key), code.modulus)

@@ -245,6 +245,16 @@ def test_handle_frame_rejects_bad_setup():
     assert decode_error_payload(reply.payload)[0] == ERR_BAD_SETUP
 
 
+def test_handle_frame_rejects_a_setup_modulus_past_the_wire_limit():
+    # the encoder refuses such a code first, so only a raw payload reaches this check
+    payload = net._SETUP_HEAD.pack(2, 2, 1, 300) + b"\x00\x00"
+    _, reply = handle_frame(ServerState(0), Frame(KIND_SETUP, payload))
+    assert decode_error_payload(reply.payload) == (
+        ERR_BAD_SETUP,
+        "modulus 300 exceeds wire limit 256",
+    )
+
+
 @pytest.mark.parametrize(
     "payload",
     [b"\x00", b"\x00\x00\x00", b"\x00\x07", b"\x00\x00"],
@@ -537,6 +547,41 @@ def test_client_deadline_bounds_the_whole_retrieval(first_reply_after):
     assert 0.9 <= elapsed < 1.6
 
 
+def test_setup_endpoint_fails_cleanly_on_dead_endpoint(monkeypatch):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(RetrievalError, match="endpoint"):
+            setup_endpoint(_dead_endpoint(), CODE22, MSGS22)
+        gc.collect()  # an unclosed socket warns when it is collected
+    assert [u.exc_value for u in unraisable] == []
+
+
+def test_setup_endpoint_deadline_bounds_a_silent_server():
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+
+    def take_and_hold():
+        conn, _ = listener.accept()
+        with conn:
+            while conn.recv(4096):  # read the SETUP, never reply, wait for the close
+                pass
+
+    thread = threading.Thread(target=take_and_hold, daemon=True)
+    thread.start()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(RetrievalError, match="timed out"):
+            setup_endpoint(listener.getsockname(), CODE22, MSGS22, timeout=1.0)
+        elapsed = time.monotonic() - t0
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
+    assert not thread.is_alive()
+    assert 0.9 <= elapsed < 1.6
+
+
 def test_query_to_unconfigured_server_is_protocol_error():
     server = PirServer(0).start()
     try:
@@ -566,9 +611,7 @@ def test_stop_returns_on_a_server_that_was_never_started():
 
 def test_stop_ends_a_blocking_serve_forever_loop():
     server = PirServer(0)
-    serving = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
     serving.start()
     # a reply proves the loop runs
     with pytest.raises(RetrievalError, match="QUERY before SETUP"):
@@ -645,6 +688,30 @@ def test_a_connection_past_the_cap_is_closed_unanswered(monkeypatch):
     assert len(started) <= 6
 
 
+def test_a_connection_that_finds_the_queue_full_is_closed_at_once(monkeypatch):
+    monkeypatch.setattr(net._WorkerTCPServer, "max_connections", 2)
+    # no late-connection rule, so the first worker is the only one
+    monkeypatch.setattr(net._WorkerTCPServer, "service_actions", lambda self: None)
+    server = PirServer(0).start()
+    try:
+        with contextlib.ExitStack() as held:
+            served = held.enter_context(socket.create_connection(server.address, timeout=2.0))
+            _query_before_setup(served, held.enter_context(served.makefile("rb")))
+            queued = [
+                held.enter_context(socket.create_connection(server.address, timeout=2.0))
+                for _ in range(2)
+            ]
+            with socket.create_connection(server.address, timeout=2.0) as turned_away:
+                t0 = time.monotonic()
+                assert turned_away.recv(1) == b""  # EOF before any frame was sent
+                assert time.monotonic() - t0 < 1.0
+            server.stop()
+            for sock in queued:
+                assert sock.recv(1) == b""  # stop ends the queued connections too
+    finally:
+        server.stop()
+
+
 def test_sequential_retrievals_reuse_kept_workers(monkeypatch):
     code = make_nary(3, 3)
     msgs = MessageSet.from_values(((1, 0), (0, 1), (1, 1)), 2)
@@ -663,6 +730,47 @@ def test_sequential_retrievals_reuse_kept_workers(monkeypatch):
     finally:
         for s in servers:
             s.stop()
+
+
+@pytest.mark.parametrize("start_after", [0.0, 0.5], ids=["at-once", "later"])
+def test_a_peer_that_never_reads_does_not_stall_the_next_retrieval(start_after, monkeypatch):
+    # the peer pipelines more QUERYs than the socket buffers hold replies for,
+    # half-closes and reads nothing, so its worker blocks writing until the
+    # handler timeout; the next retrieval must not wait behind it
+    original_setup = net._Handler.setup
+
+    def setup(handler):
+        handler.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        original_setup(handler)
+
+    monkeypatch.setattr(net._Handler, "setup", setup)
+    monkeypatch.setattr(net._Handler, "timeout", 4.0)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    servers = [PirServer(n).start() for n in range(2)]
+    try:
+        endpoints = [s.address for s in servers]
+        for ep in endpoints:
+            setup_endpoint(ep, CODE22, MSGS22)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with socket.socket() as peer:
+                peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                peer.settimeout(5.0)
+                peer.connect(servers[0].address)
+                peer.sendall(encode_frame(Frame(KIND_QUERY, b"\x00\x00")) * 6000)
+                peer.shutdown(socket.SHUT_WR)
+                time.sleep(start_after)
+                t0 = time.monotonic()
+                got = client_retrieve(CODE22, endpoints, 1, key=RandomKey((1,), 2))
+                elapsed = time.monotonic() - t0
+            gc.collect()  # an unclosed socket warns when it is collected
+    finally:
+        for s in servers:
+            s.stop()
+    assert got.values == MSGS22[1].values
+    assert elapsed < 1.0
+    assert [u.exc_value for u in unraisable] == []
 
 
 def test_live_oversize_header_is_refused_without_allocation(trio):
