@@ -27,17 +27,20 @@ line ended by ``\n``).  Lines are those of `str.splitlines`, so ``\r\n``,
 counted in errors.
 
 Transformed codes repeat a few rows and tables many times: `emit` renders
-each table once and each row once per row index.  `parse` reads through a
-cursor over the text, copying out only the lines it reads: it builds one
-table per distinct value text and one row per distinct row text and index,
-and takes a row whose text it has read at that row index before as one
-slice of the text.
+each table once, each row once per row index and each key and query index
+once.  `parse` reads through a cursor, copying out only the lines it reads:
+one table per distinct value text, one row per distinct row text and index,
+found again at its index by the row text read there last, else by a slice;
+an index token spelled as `emit` spells it is compared, or looked up, as text.
 
 ``parse(emit(code)) == code`` holds structurally (params, varieties, keys,
 query map) for every code this package produces.
 """
 
 from __future__ import annotations
+
+import itertools
+import operator
 
 from .groups import CodeParams
 from .model import AnswerFunction, DecomposableCode, _check_table
@@ -49,6 +52,16 @@ class CodeFormatError(ValueError):
     """Input text is not a well-formed pir-code v1 document."""
 
 
+def _key_and_map_lines(keys, query_map, n_messages: int, varieties) -> str:
+    """The `key` and `map` lines, each key index and query index spelled once."""
+    spelled = [str(i) for i in range(max(len(keys), *map(len, varieties)))]
+    heads = itertools.chain.from_iterable(map(f"map {k} ".__add__, spelled[: len(keys)]) for k in range(n_messages))
+    entries = list(map(query_map.__getitem__, itertools.product(range(n_messages), range(len(keys)))))
+    columns = (map(operator.itemgetter(n), entries) for n in range(len(entries[0])))  # per server
+    map_lines = zip(heads, *(map(spelled.__getitem__, column) for column in columns))
+    return "\n".join(map(" ".join, itertools.chain(zip(itertools.repeat("key"), spelled, keys), map_lines)))
+
+
 def emit(code: DecomposableCode) -> str:
     """Serialize a code; deterministic, byte-stable output."""
     p = code.params
@@ -58,28 +71,24 @@ def emit(code: DecomposableCode) -> str:
     for n, per_server in enumerate(code.varieties):
         lines.append(f"server {n} {len(per_server)}")
         for qi, variety in enumerate(per_server):
-            lines.append(f"query {qi} {variety.label} {variety.length}")
+            lines.append(f"query {qi} {variety.label} {len(variety.tables)}")
             for i, row in enumerate(variety.tables):
-                if (i, id(row)) not in chunks:
+                chunk = chunks.get((i, id(row)))
+                if chunk is None:
                     for table in row:
                         if id(table) not in rendered:
                             rendered[id(table)] = " ".join(map(str, table))
-                    chunks[(i, id(row))] = "\n".join(
+                    chunk = chunks[(i, id(row))] = "\n".join(
                         f"table {i} {k} {rendered[id(table)]}" for k, table in enumerate(row)
                     )
-                lines.append(chunks[(i, id(row))])
+                lines.append(chunk)
     lines.append(f"keys {len(code.keys)}")
-    for f, label in enumerate(code.keys):
-        lines.append(f"key {f} {label}")
-    for k in range(p.n_messages):
-        for f in range(len(code.keys)):
-            qs = " ".join(str(q) for q in code.query_map[(k, f)])
-            lines.append(f"map {k} {f} {qs}")
+    lines.append(_key_and_map_lines(code.keys, code.query_map, p.n_messages, code.varieties))
     lines.append("end\n")  # the final break inside the join: no second copy of the text
     return "\n".join(lines)
 
 
-# the line breaks of `str.splitlines` other than "\n"
+# the line breaks of `str.splitlines` other than "\n": an ASCII text can hold only the first six
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
@@ -89,7 +98,7 @@ class _Reader:
     whitespace-only lines are skipped."""
 
     def __init__(self, text: str):
-        if any(brk in text for brk in _OTHER_BREAKS):
+        if any(brk in text for brk in _OTHER_BREAKS[: 6 if text.isascii() else None]):
             text = "\n".join(text.splitlines())  # the same lines, numbered alike
         self.text = text
         self.at = 0  # where the next line starts
@@ -156,17 +165,17 @@ def parse(text: str) -> DecomposableCode:
     except ValueError as exc:
         raise CodeFormatError(str(exc)) from None
     table_size = m**msg_len
+    doc = r.text  # every line break a "\n"
     # transformed codes repeat a few rows and tables many times: each distinct
-    # value text is read once, and the text of a row's K lines, once validated
-    # at a row index, is taken whole at that index; elsewhere it is read token
-    # by token.  A row is stored under exactly the text it was read from (blank
-    # lines included, ending with a line break or the document), so equal text
-    # at a line start is the same K lines.  The slice looked up is as long as
-    # the row read last at that index, which every row there matches when each
-    # value has one digit; finding K line ends per row costs about what it saves
+    # value text is read once, and a row's K lines, once read token by token at
+    # a row index, are stored under exactly their text (blank lines included,
+    # ending with a line break or the document), so equal text at a line start
+    # there is that row: the row read there last is tried in place, then a
+    # slice as long as it, which fits every row there when values have one digit
     by_text: dict[str, tuple[int, ...]] = {}
-    by_span: dict[str, tuple[int, tuple]] = {}  # -> (row index, row)
-    widths: dict[int, int] = {}  # row index -> length of the row text read last there
+    by_span: dict[str, tuple[str, int, tuple]] = {}  # -> (its text, row index, row)
+    last: dict[int, tuple[str, int, tuple]] = {}  # row index -> the row read there last
+    lengths: dict[str, int] = {}  # answer length token read before -> its value
 
     varieties = []
     for n in range(n_servers):
@@ -177,53 +186,52 @@ def parse(text: str) -> DecomposableCode:
         if count < 1:
             raise CodeFormatError("every server needs at least one query")
         per_server = []
-        for qi in range(count):
+        for qi, index in enumerate(map(str, range(count))):
             qrow = r.next("query", 4)
-            if _int(qrow[1], "query index") != qi:
+            if qrow[1] != index and _int(qrow[1], "query index") != qi:
                 raise CodeFormatError(f"query blocks must appear in order, got {qrow[1]}")
-            label = qrow[2]
-            length = _int(qrow[3], "answer length")
-            if length < 0:
-                raise CodeFormatError("answer length must be >= 0")
-            rows = []
+            length = lengths.get(qrow[3])
+            if length is None:
+                length = lengths[qrow[3]] = _int(qrow[3], "answer length")
+                if length < 0:
+                    raise CodeFormatError("answer length must be >= 0")
+            rows, at = [], r.at  # the cursor, kept local on this hot path
             for i in range(length):
-                span = r.text[r.at : r.at + widths.get(i, 0)]
-                seen = by_span.get(span)
-                if seen is not None and seen[0] == i:
-                    r.at += len(span)
-                    rows.append(seen[1])
-                    continue
-                start = r.at
-                cols = []
-                for k in range(n_messages):
-                    trow = r.next("table", maxsplit=3)
-                    value_text = trow[3] if len(trow) == 4 else ""
-                    table = by_text.get(value_text)
-                    if table is None:
-                        trow[3:] = value_text.split()
-                        r.check_count("table", trow, 3 + table_size)
-                    # canonical tokens are equal exactly when their integers are
-                    if (trow[1], trow[2]) != (str(i), str(k)) and (
-                        _int(trow[1], "table row") != i or _int(trow[2], "table col") != k
-                    ):
-                        raise CodeFormatError(
-                            f"table blocks must appear row-major, got ({trow[1]},{trow[2]})"
-                        )
-                    if table is None:
-                        table = tuple(_int(t, "table value") for t in trow[3:])
-                        try:
-                            _check_table(table, params)
-                        except ValueError as exc:
-                            raise CodeFormatError(str(exc)) from None
-                        by_text[value_text] = table
-                    cols.append(table)
-                row = tuple(cols)
-                span = r.text[start : r.at]
-                by_span[span] = (i, row)
-                widths[i] = len(span)
-                rows.append(row)
+                seen = last.get(i)
+                if seen is None or not doc.startswith(seen[0], at):
+                    seen = seen and by_span.get(doc[at : at + len(seen[0])])
+                    if not seen or seen[1] != i:  # read token by token from `at`
+                        r.at, cols = at, []
+                        for k in range(n_messages):
+                            trow = r.next("table", maxsplit=3)
+                            value_text = trow[3] if len(trow) == 4 else ""
+                            table = by_text.get(value_text)
+                            if table is None:
+                                trow[3:] = value_text.split()
+                                r.check_count("table", trow, 3 + table_size)
+                            # canonical tokens are equal exactly when their integers are
+                            if (trow[1], trow[2]) != (str(i), str(k)) and (
+                                _int(trow[1], "table row") != i or _int(trow[2], "table col") != k
+                            ):
+                                raise CodeFormatError(
+                                    f"table blocks must appear row-major, got ({trow[1]},{trow[2]})"
+                                )
+                            if table is None:
+                                table = tuple(_int(t, "table value") for t in trow[3:])
+                                try:
+                                    _check_table(table, params)
+                                except ValueError as exc:
+                                    raise CodeFormatError(str(exc)) from None
+                                by_text[value_text] = table
+                            cols.append(table)
+                        span = doc[at : r.at]
+                        seen = by_span[span] = (span, i, tuple(cols))
+                    last[i] = seen
+                at += len(seen[0])
+                rows.append(seen[2])
+            r.at = at
             try:
-                per_server.append(AnswerFunction(label, tuple(rows)))
+                per_server.append(AnswerFunction(qrow[2], tuple(rows)))
             except ValueError as exc:
                 raise CodeFormatError(str(exc)) from None
         varieties.append(tuple(per_server))
@@ -233,21 +241,21 @@ def parse(text: str) -> DecomposableCode:
     if key_count < 1:
         raise CodeFormatError("key space must be non-empty")
     keys = []
-    for f in range(key_count):
+    for f, index in enumerate(map(str, range(key_count))):
         row = r.next("key", 3)
-        if _int(row[1], "key index") != f:
+        if row[1] != index and _int(row[1], "key index") != f:
             raise CodeFormatError(f"key entries must appear in order, got {row[1]}")
         keys.append(row[2])
-
-    query_map: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k in range(n_messages):
-        for f in range(key_count):
-            row = r.next("map", 3 + n_servers)
-            if _int(row[1], "map k") != k or _int(row[2], "map key") != f:
-                raise CodeFormatError(
-                    f"map entries must appear k-major, got ({row[1]},{row[2]})"
-                )
-            query_map[(k, f)] = tuple(_int(t, "map query") for t in row[3:])
+    # as for `table` lines, an index spelled as `emit` writes it needs no conversion
+    queries = {str(q): q for q in range(max(map(len, varieties)))}
+    query_map = {}
+    spelled = (enumerate(map(str, range(count))) for count in (n_messages, key_count))
+    for (k, kk), (f, ff) in itertools.product(*spelled):
+        row = r.next("map", 3 + n_servers)
+        if (row[1], row[2]) != (kk, ff) and (_int(row[1], "map k") != k or _int(row[2], "map key") != f):
+            raise CodeFormatError(f"map entries must appear k-major, got ({row[1]},{row[2]})")
+        entry = tuple(map(queries.get, row[3:]))
+        query_map[(k, f)] = entry if None not in entry else tuple(_int(t, "map query") for t in row[3:])
 
     r.next("end", 1)
     if not r.done():

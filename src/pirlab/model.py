@@ -89,7 +89,7 @@ def _check_table(table: tuple[int, ...], p: CodeParams) -> None:
         raise ValueError(f"table entries must lie in 0..{p.ans_modulus - 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnswerFunction:
     """One variety: the full answer a server gives for one query.
 

@@ -299,6 +299,7 @@ class _WorkerTCPServer(socketserver.TCPServer):
 
     allow_reuse_address = True
     max_connections = 16
+    request_queue_size = max_connections  # a backlog of 5 drops a burst's handshakes for 1 s
 
     def __init__(self, server_address, handler_class):
         super().__init__(server_address, handler_class)

@@ -94,52 +94,61 @@ def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
     query-index tuples in output order.  Each combined query answers with its
     blocks' rows, lifted to the combined slice, and reconstruction splits the
     answers per block.  With the shape charged, the lifted entries are charged
-    while the combos are indexed, before any table is lifted or key listed.
+    as one running sum over the combos, which refuses at the first combo that
+    takes it past the cap, before any table is lifted or key listed.
     """
     first = blocks[0].params
     N, K, m = first.n_servers, first.n_messages, first.msg_modulus
     # where each block's slice starts, then the combined message length
     *prefixes, total_len = itertools.accumulate((b.params.msg_len for b in blocks), initial=0)
-    table_size = m**total_len
+    per_row = K * m**total_len  # the lifted entries of one combined row
 
-    entries = 0
-    index_of: list[dict[tuple[int, ...], int]] = []
+    charged, servers = 0, []  # the combined rows charged so far; per server, its combos in order
     for n, combos in enumerate(query_combos):
         lengths = [[v.length for v in b.varieties[n]] for b in blocks]
-        lookup: dict[tuple[int, ...], int] = {}
-        for combo in combos:
-            lookup[combo] = len(lookup)
-            entries += K * table_size * sum(map(operator.getitem, lengths, combo))
-            require_within_cap(entries, cap)
-        index_of.append(lookup)
+        rows_of = functools.partial(map, operator.getitem, lengths)  # a combo's rows per block
+        counted, combos = itertools.tee(combos)
+        # the running sum ends, and the enumeration with it, at the first combo past the cap
+        totals = itertools.accumulate(map(sum, map(rows_of, counted)), initial=charged)
+        within = list(itertools.takewhile((cap // per_row).__ge__, totals))
+        combos = list(itertools.islice(combos, len(within)))
+        if len(combos) == len(within):  # the last of them took the sum past the cap
+            require_within_cap(per_row * (within[-1] + sum(rows_of(combos[-1]))), cap)
+        charged = within[-1]
+        servers.append(combos)
 
     @functools.cache
     def lift(table, block_index: int) -> tuple[int, ...]:
         return lift_table(table, m, prefixes[block_index], total_len)
 
     varieties = []
-    for n, lookup in enumerate(index_of):
+    for n, combos in enumerate(servers):
         # each block's rows per query, lifted once and shared by every combo
         lifted = [
             [tuple(tuple(lift(t, i) for t in row) for row in v.tables) for v in b.varieties[n]]
             for i, b in enumerate(blocks)
         ]
         labels = [[v.label for v in b.varieties[n]] for b in blocks]
-        per_server = []
-        for combo in lookup:
-            rows = tuple(itertools.chain.from_iterable(map(operator.getitem, lifted, combo)))
-            label = "|".join(map(operator.getitem, labels, combo))
-            per_server.append(AnswerFunction(label, rows))
-        varieties.append(tuple(per_server))
+        columns = [list(map(operator.itemgetter(i), combos)) for i in range(len(blocks))]
+
+        def per_combo(per_block):
+            """Each combo's blocks' entries of `per_block`, in block order."""
+            return zip(*(map(per_query.__getitem__, column) for per_query, column in zip(per_block, columns)))
+
+        rows = map(tuple, map(itertools.chain.from_iterable, per_combo(lifted)))
+        varieties.append(tuple(map(AnswerFunction, map("|".join, per_combo(labels)), rows)))
+    index_of = [dict(zip(combos, itertools.count())) for combos in servers]  # per server
 
     key_combos, key_labels = zip(*keys)
-    query_map = {}
-    for k in range(K):
-        block_maps = [[b.query_map[(k, f)] for f in range(len(b.keys))] for b in blocks]
-        for fi, fc in enumerate(key_combos):
-            # zip the blocks' query tuples into each server's combo
-            combos = zip(*map(operator.getitem, block_maps, fc))
-            query_map[(k, fi)] = tuple(map(operator.getitem, index_of, combos))
+    key_columns = [list(map(operator.itemgetter(i), key_combos)) for i in range(len(blocks))]
+
+    def server_column(k: int, n: int):
+        """Server n's query index under each combined key, for request k."""
+        per_block = [[b.query_map[(k, f)][n] for f in range(len(b.keys))].__getitem__ for b in blocks]
+        return map(index_of[n].__getitem__, zip(*map(map, per_block, key_columns)))
+
+    entries = (zip(*map(server_column, [k] * N, range(N))) for k in range(K))
+    query_map = dict(zip(itertools.product(range(K), range(len(key_combos))), itertools.chain(*entries)))
 
     def reconstruct(k: int, fi: int, answers) -> tuple[int, ...]:
         values: list[int] = []
@@ -174,10 +183,9 @@ def space_share(blocks, cap: int = DEFAULT_CAP) -> DecomposableCode:
 
     require_within_cap(math.prod(len(b.keys) for b in blocks), cap)
     require_within_cap(first.msg_modulus ** sum(b.params.msg_len for b in blocks), cap)
-    keys = (
-        (fc, "|".join(b.keys[f] for b, f in zip(blocks, fc)))
-        for fc in itertools.product(*(range(len(b.keys)) for b in blocks))
-    )
+    key_combos, labelled = itertools.tee(itertools.product(*(range(len(b.keys)) for b in blocks)))
+    parts = functools.partial(map, operator.getitem, [b.keys for b in blocks])
+    keys = zip(key_combos, map("|".join, map(parts, labelled)))
     query_combos = (
         itertools.product(*(range(b.query_count(n)) for b in blocks))
         for n in range(first.n_servers)

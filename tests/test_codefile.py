@@ -399,6 +399,51 @@ def test_repeated_table_lines_fail_as_every_other_line(nary23_lines, mutation, o
     assert _outcome(text) == outcome
 
 
+def _key_and_map_mutations(lines: list[str]) -> dict[str, list[str]]:
+    """Mutations of the key and map sections of the emitted `nary 2 3` code."""
+    keys = lines.index("keys 4096") + 1
+    maps = keys + 4096
+    assert lines[maps].startswith("map 0 0 ") and lines[-1] == "end"
+    mid = (maps + len(lines) - 1) // 2
+    last = lines[-2].split()
+
+    def replaced(at: int, *new: str) -> list[str]:
+        return lines[:at] + list(new) + lines[at + 1 :]
+
+    return {
+        "non-canonical 01 on the last map line": replaced(-2, " ".join(last[:3] + ["01"] + last[4:])),
+        "two map lines swapped": lines[:mid] + [lines[mid + 1], lines[mid]] + lines[mid + 2 :],
+        "key index out of order": lines[: keys + 7] + [lines[keys + 8], lines[keys + 7]] + lines[keys + 9 :],
+        "blank line and CRLF in the map section": replaced(mid, "", lines[mid] + "\r"),
+        "map entry out of range at server 1": replaced(mid, " ".join(lines[mid].split()[:4] + ["4096"])),
+        "extra token on a map line": replaced(mid, lines[mid] + " 0"),
+        "key label split by a tab": replaced(keys + 9, lines[keys + 9].replace("|", "\t", 1)),
+    }
+
+
+@pytest.mark.parametrize(
+    "mutation,outcome",
+    [
+        ("non-canonical 01 on the last map line", "CodeFormatError: bad integer for map query: '01'"),
+        ("two map lines swapped", "CodeFormatError: map entries must appear k-major, got (1,2049)"),
+        ("key index out of order", "CodeFormatError: key entries must appear in order, got 8"),
+        ("blank line and CRLF in the map section", "ok"),
+        (
+            "map entry out of range at server 1",
+            "CodeFormatError: query map entry (1,2048) out of range at server 1",
+        ),
+        ("extra token on a map line", "CodeFormatError: 'map' at line 147461 needs 5 tokens, got 6"),
+        ("key label split by a tab", "CodeFormatError: 'key' at line 137230 needs 3 tokens, got 4"),
+    ],
+)
+def test_key_and_map_lines_fail_as_every_other_line(nary23_lines, mutation, outcome):
+    # recorded when `parse` converted every index token of these sections
+    text = "\n".join(_key_and_map_mutations(list(nary23_lines))[mutation]) + "\n"
+    assert _outcome(text) == outcome
+    if outcome == "ok":
+        assert emit(parse(text)) == "\n".join(nary23_lines) + "\n"
+
+
 def test_emit_and_parse_work_per_distinct_table_not_per_line(nary23_lines, monkeypatch):
     # the 129,024 table lines hold 12 table objects and 7 value texts; each
     # value is rendered and converted per distinct table, never per line

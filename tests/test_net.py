@@ -712,6 +712,26 @@ def test_a_connection_that_finds_the_queue_full_is_closed_at_once(monkeypatch):
         server.stop()
 
 
+def test_a_burst_of_first_connections_is_answered_without_a_handshake_retry():
+    # 8 handshakes that all start before the server accepts one: a listen
+    # backlog of 5 drops the extra ones, which the kernel retries after 1 s
+    for _ in range(5):
+        server = PirServer(0).start()
+        try:
+            with contextlib.ExitStack() as held:
+                socks = [held.enter_context(socket.socket()) for _ in range(8)]
+                t0 = time.monotonic()
+                for sock in socks:
+                    sock.setblocking(False)
+                    sock.connect_ex(server.address)
+                for sock in socks:
+                    sock.settimeout(5.0)
+                    _query_before_setup(sock, held.enter_context(sock.makefile("rb")))
+                assert time.monotonic() - t0 < 0.5
+        finally:
+            server.stop()
+
+
 def test_sequential_retrievals_reuse_kept_workers(monkeypatch):
     code = make_nary(3, 3)
     msgs = MessageSet.from_values(((1, 0), (0, 1), (1, 1)), 2)

@@ -215,6 +215,22 @@ def test_message_symmetrize_cap_refusal():
         message_symmetrize(export_decomposable(make_nary(2, 3)), cap=5)
 
 
+@pytest.mark.parametrize(
+    "transform,cap,required",
+    [("message", 5000, 5184), ("variety", 1000, 1008)],
+)
+def test_a_lifted_entries_charge_refuses_at_the_entry_that_passes_the_cap(transform, cap, required):
+    # the shape fits the cap, so the running count of lifted table entries
+    # refuses; the count at refusal was recorded when each combo was charged
+    # in turn
+    base = export_decomposable(make_nary(2, 3))
+    symmetry.require_shape_within_cap(transform, base.params, len(base.keys), cap)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        _TRANSFORMS[transform](base, cap)
+    assert exc.value.required == required
+    assert str(exc.value) == f"refusing exact enumeration: needs {required} evaluations, cap is {cap}"
+
+
 def test_message_symmetrize_refuses_before_building_any_block():
     # 6! = 720 blocks of 32 keys each: the combined key count is refused first,
     # at 32^5 = 2^25, the first power past the cap and a lower bound on 32^720
