@@ -62,8 +62,9 @@ def _key_and_map_lines(keys, query_map, n_messages: int, varieties) -> str:
     return "\n".join(map(" ".join, itertools.chain(zip(itertools.repeat("key"), spelled, keys), map_lines)))
 
 
-def emit(code: DecomposableCode) -> str:
-    """Serialize a code; deterministic, byte-stable output."""
+def _pieces(code: DecomposableCode) -> list[str]:
+    """The text of `emit`, as pieces to join with line breaks; a repeated
+    row's lines are one piece, shared wherever the row appears."""
     p = code.params
     rendered: dict[int, str] = {}  # id(table) -> its value text
     chunks: dict[tuple[int, int], str] = {}  # (row index, id(row)) -> the row's lines
@@ -85,7 +86,12 @@ def emit(code: DecomposableCode) -> str:
     lines.append(f"keys {len(code.keys)}")
     lines.append(_key_and_map_lines(code.keys, code.query_map, p.n_messages, code.varieties))
     lines.append("end\n")  # the final break inside the join: no second copy of the text
-    return "\n".join(lines)
+    return lines
+
+
+def emit(code: DecomposableCode) -> str:
+    """Serialize a code; deterministic, byte-stable output."""
+    return "\n".join(_pieces(code))
 
 
 # the line breaks of `str.splitlines` other than "\n": an ASCII text can hold only the first six
@@ -273,10 +279,16 @@ def parse(text: str) -> DecomposableCode:
 
 
 def save(code: DecomposableCode, path) -> None:
-    """Write `emit(code)` to `path`; a code that is not ASCII leaves it untouched."""
-    data = emit(code).encode("ascii")
+    """Write `emit(code)` to `path`, encoding each distinct piece once and never
+    the whole text; a code that is not ASCII leaves the file untouched."""
+    pieces = _pieces(code)
+    encoded = {piece: piece.encode("ascii") for piece in dict.fromkeys(pieces)}
+    batch = 1024  # pieces per write: large writes, and no copy of the whole text
     with open(path, "wb") as fh:
-        fh.write(data)
+        for i in range(0, len(pieces), batch):
+            if i:
+                fh.write(b"\n")
+            fh.write(b"\n".join(map(encoded.__getitem__, pieces[i : i + batch])))
 
 
 def load(path) -> DecomposableCode:

@@ -86,7 +86,8 @@ def _check_request(code: NaryCode, k: int, key: RandomKey) -> None:
 
 
 def query_vector(code: NaryCode, n: int, k: int, key: RandomKey) -> tuple[int, ...]:
-    """The query digits sent to server n when requesting message k under `key`."""
+    """The query digits sent to server n when requesting message k under `key`:
+    server 0's query q0 with digit k replaced by (q0[k] + n) mod N."""
     N = code.n_servers
     if not 0 <= n < N:
         raise ValueError(f"server index {n} out of range")

@@ -20,6 +20,11 @@ frames it has seen: SETUP installs the replicated database exactly once
 may be interleaved or replayed freely.  The server keeps the database as one
 `bytes` row per message, each padded with the zero dummy, and answers a QUERY
 with one integer sum of the symbols its digits select.
+
+Both ends read frames straight off the socket and send each with one
+`sendall`, with no file objects; each client receive waits at most the time
+left to its deadline.  A retrieval encodes one query, server 0's, and
+changes digit k for each other server (`query_vector`).
 """
 
 from __future__ import annotations
@@ -108,8 +113,35 @@ def read_frame(rfile) -> Optional[Frame]:
     return Frame(kind, payload)
 
 
-def write_frame(wfile, frame: Frame) -> None:
-    wfile.write(encode_frame(frame))
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+class _SocketReader:
+    """`read(n)` off a socket for `read_frame`: n bytes, or fewer only at end of
+    stream; with a deadline, each receive waits at most the time left."""
+
+    def __init__(self, sock: socket.socket, deadline: Optional[float] = None):
+        self._sock, self._deadline = sock, deadline
+
+    def _ready(self) -> socket.socket:
+        if self._deadline is not None:
+            self._sock.settimeout(_time_left(self._deadline))
+        return self._sock
+
+    def read(self, n: int) -> bytes:
+        data = self._ready().recv(n)
+        if len(data) == n or not data:  # the common case: it had all arrived
+            return data
+        view = memoryview(bytearray(n))  # the rest goes into one buffer of n bytes
+        got = len(data)
+        view[:got] = data
+        while got < n and (count := self._ready().recv_into(view[got:])):
+            got += count
+        return bytes(view[:got])
 
 
 def check_wire_limits(code: NaryCode) -> None:
@@ -244,16 +276,20 @@ def handle_frame(state: ServerState, frame: Frame) -> tuple[ServerState, Frame]:
     return state, error_frame(ERR_PROTOCOL, f"unexpected frame kind {frame.kind:#x}")
 
 
-class _Handler(socketserver.StreamRequestHandler):
+class _Handler(socketserver.BaseRequestHandler):
     # seconds a connection may sit idle (or stall inside a frame) before the
     # server closes it
     timeout = 60.0
 
+    def setup(self) -> None:
+        self.request.settimeout(self.timeout)
+
     def handle(self) -> None:
         server: "PirServer" = self.server.pir_server  # type: ignore[attr-defined]
+        reader = _SocketReader(self.request)
         while True:
             try:
-                frame = read_frame(self.rfile)
+                frame = read_frame(reader)
             except ProtocolError as exc:
                 self._write(error_frame(ERR_PROTOCOL, str(exc)))
                 return
@@ -272,8 +308,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _write(self, frame: Frame) -> bool:
         try:
-            write_frame(self.wfile, frame)
-            self.wfile.flush()
+            self.request.sendall(encode_frame(frame))
         except OSError:
             return False
         return True
@@ -425,21 +460,14 @@ class PirServer:
 # client
 
 
-def _time_left(deadline: float) -> float:
-    left = deadline - time.monotonic()
-    if left <= 0:
-        raise TimeoutError("timed out")
-    return left
-
-
 def _exchange(endpoints, frames, timeout: float, check) -> list:
     """Send `frames[i]` to `endpoints[i]`, then read and check one reply from each.
 
     Every frame is sent before any reply is read, on one connection per
-    endpoint, and `timeout` bounds the whole exchange.  `check(i, reply)`
-    runs as each reply is read, so an early rejection aborts before later
-    replies are awaited; the list of its results is returned.  Every
-    connection is closed on return.
+    endpoint, and `timeout` bounds the whole exchange: every receive waits
+    at most the time left.  `check(i, reply)` runs as each reply is read, so
+    an early rejection aborts before later replies are awaited; the list of
+    its results is returned.  Every connection is closed on return.
     """
     deadline = time.monotonic() + timeout
     conns: list = []
@@ -447,15 +475,14 @@ def _exchange(endpoints, frames, timeout: float, check) -> list:
         for (host, port), frame in zip(endpoints, frames):
             try:
                 sock = socket.create_connection((host, port), timeout=_time_left(deadline))
-                conns.append((sock, sock.makefile("rb")))
+                conns.append(sock)
                 sock.sendall(encode_frame(frame))
             except OSError as exc:
                 raise RetrievalError(f"endpoint {host}:{port}: {exc}") from exc
         results = []
-        for i, ((host, port), (sock, rfile)) in enumerate(zip(endpoints, conns)):
+        for i, ((host, port), sock) in enumerate(zip(endpoints, conns)):
             try:
-                sock.settimeout(_time_left(deadline))
-                reply = read_frame(rfile)
+                reply = read_frame(_SocketReader(sock, deadline))
             except (OSError, ProtocolError) as exc:
                 raise RetrievalError(f"endpoint {host}:{port}: {exc}") from exc
             if reply is None:
@@ -463,8 +490,7 @@ def _exchange(endpoints, frames, timeout: float, check) -> list:
             results.append(check(i, reply))
         return results
     finally:
-        for sock, rfile in conns:
-            rfile.close()
+        for sock in conns:
             sock.close()
 
 
@@ -510,9 +536,9 @@ def client_retrieve(
     endpoints = tuple(endpoints)
     if len(endpoints) != code.n_servers:
         raise ValueError(f"need {code.n_servers} endpoints, got {len(endpoints)}")
-    queries = [
-        Frame(KIND_QUERY, bytes(query_vector(code, n, k, key))) for n in range(code.n_servers)
-    ]
+    q0 = bytes(query_vector(code, 0, k, key))
+    head, tail, N = q0[:k], q0[k + 1 :], code.n_servers
+    queries = [Frame(KIND_QUERY, head + bytes([(q0[k] + n) % N]) + tail) for n in range(N)]
     answers = _exchange(endpoints, queries, timeout, partial(_check_answer, code))
 
     try:

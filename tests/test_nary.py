@@ -96,6 +96,19 @@ def test_worked_retrieval_answers_and_reconstruction():
     assert reconstruct(code, answers, 1, key) == b
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3), (3, 1), (5, 2)])
+def test_server_n_query_is_server_0_query_with_digit_k_raised_by_n(shape):
+    code = make_nary(*shape)
+    N = code.n_servers
+    for key in key_space(code):
+        for k in range(code.n_messages):
+            q0 = query_vector(code, 0, k, key)
+            for n in range(N):
+                q = query_vector(code, n, k, key)
+                assert q[k] == (q0[k] + n) % N
+                assert q[:k] + q[k + 1 :] == q0[:k] + q0[k + 1 :]
+
+
 @pytest.mark.parametrize("n_servers,n_messages", [(2, 2), (3, 2), (2, 3), (4, 2)])
 def test_query_set_shape(n_servers, n_messages):
     code = make_nary(n_servers, n_messages)

@@ -46,7 +46,6 @@ from pirlab.net import (
     handle_frame,
     read_frame,
     setup_endpoint,
-    write_frame,
 )
 
 
@@ -64,10 +63,7 @@ def test_frame_round_trip(frame):
 
 @given(frames)
 def test_stream_round_trip(frame):
-    buf = io.BytesIO()
-    write_frame(buf, frame)
-    write_frame(buf, frame)
-    buf.seek(0)
+    buf = io.BytesIO(encode_frame(frame) * 2)
     assert read_frame(buf) == frame
     assert read_frame(buf) == frame
     assert read_frame(buf) is None
@@ -901,3 +897,175 @@ def test_idle_connection_is_closed_quietly(monkeypatch, capfd):
         for s in servers:
             s.stop()
     assert capfd.readouterr().err == ""
+
+
+# ---------------------------------------------------------------- frames read off live sockets
+
+
+def _drip(listener, data, gap):
+    """Take one connection and its request, then send `data` one byte per `gap` seconds."""
+    conn, _ = listener.accept()
+    with conn:
+        conn.recv(64)
+        try:
+            for i in range(len(data)):
+                time.sleep(gap)
+                conn.sendall(data[i : i + 1])
+            conn.recv(64)  # hold the connection until the client closes it
+        except OSError:  # the client gave up and closed it
+            pass
+
+
+def test_client_deadline_bounds_every_read():
+    # each reply arrives one byte per 0.3 s, so every receive returns in time
+    # but the reply as a whole takes 1.8 s
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
+    reply = encode_frame(Frame(KIND_ANSWER, b"\x00"))
+    threads = [
+        threading.Thread(target=_drip, args=(listener, reply, 0.3), daemon=True)
+        for listener in listeners
+    ]
+    for listener, thread in zip(listeners, threads):
+        listener.settimeout(5.0)
+        thread.start()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(RetrievalError, match="timed out"):
+            client_retrieve(
+                make_nary(2, 2),
+                [listener.getsockname() for listener in listeners],
+                0,
+                key=RandomKey((0,), 2),
+                timeout=1.0,
+            )
+        elapsed = time.monotonic() - t0
+    finally:
+        for thread in threads:
+            thread.join(timeout=5.0)
+        for listener in listeners:
+            listener.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert 0.9 <= elapsed < 1.4
+
+
+def _nodelay_connection(address):
+    sock = socket.create_connection(address, timeout=5.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def test_a_query_sent_one_byte_per_send_is_answered(trio):
+    code, servers = trio
+    msgs = MessageSet.from_values(((1, 0), (0, 1)), 2)
+    setup_endpoint(servers[1].address, code, msgs)
+    q = query_vector(code, 1, 1, RandomKey((2,), 3))
+    data = encode_frame(Frame(KIND_QUERY, bytes(q)))
+    with _nodelay_connection(servers[1].address) as sock, sock.makefile("rb") as rfile:
+        for i in range(len(data)):
+            sock.sendall(data[i : i + 1])
+            time.sleep(0.002)
+        reply = read_frame(rfile)
+    assert reply == Frame(KIND_ANSWER, encode_answer_payload(answer(code, 1, q, msgs)))
+
+
+@pytest.mark.parametrize(
+    "cut,text",
+    [(3, "stream ended inside a frame header"), (6, "stream ended inside a frame payload")],
+    ids=["mid-header", "mid-payload"],
+)
+def test_a_peer_that_closes_inside_a_frame_gets_an_error_and_a_close(trio, cut, text):
+    _, servers = trio
+    with _nodelay_connection(servers[0].address) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(encode_frame(Frame(KIND_QUERY, b"\x00\x00"))[:cut])
+        sock.shutdown(socket.SHUT_WR)
+        reply = read_frame(rfile)
+        assert read_frame(rfile) is None  # then the server closed the connection
+    assert decode_error_payload(reply.payload) == (ERR_PROTOCOL, text)
+
+
+def test_pipelined_queries_are_answered_in_order():
+    code = make_nary(3, 3)
+    msgs = MessageSet.from_values(((1, 0), (0, 1), (1, 1)), 2)
+    rng = random.Random(11)
+    # every third digit vector is another server's, so ANSWERs and ERRORs interleave
+    queries = [bytes(rng.randrange(3) for _ in range(3)) for _ in range(50)]
+    state, _ = handle_frame(ServerState(2), _setup_frame(code, msgs))
+    expected = [handle_frame(state, Frame(KIND_QUERY, q))[1] for q in queries]
+    assert {reply.kind for reply in expected} == {KIND_ANSWER, KIND_ERROR}
+    server = PirServer(2).start()
+    try:
+        setup_endpoint(server.address, code, msgs)
+        with _nodelay_connection(server.address) as sock, sock.makefile("rb") as rfile:
+            sock.sendall(b"".join(encode_frame(Frame(KIND_QUERY, q)) for q in queries))
+            replies = [read_frame(rfile) for _ in queries]
+    finally:
+        server.stop()
+    assert replies == expected
+
+
+def test_a_wide_setup_split_across_many_sends_is_read_whole():
+    code = make_nary(3, 1000, 256)
+    rng = random.Random(3)
+    msgs = MessageSet.from_values([[rng.randrange(256) for _ in range(2)] for _ in range(1000)], 256)
+    data = encode_frame(_setup_frame(code, msgs))
+    servers = [PirServer(n).start() for n in range(3)]
+    try:
+        with _nodelay_connection(servers[0].address) as sock, sock.makefile("rb") as rfile:
+            for i in range(0, len(data), 97):
+                sock.sendall(data[i : i + 97])
+                if i % (97 * 8) == 0:
+                    time.sleep(0.001)
+            assert read_frame(rfile) == Frame(KIND_ANSWER, b"\x00")
+        for server in servers[1:]:
+            setup_endpoint(server.address, code, msgs)
+        endpoints = [s.address for s in servers]
+        for k in (0, 517, 999):
+            key = RandomKey(tuple(rng.randrange(3) for _ in range(999)), 3)
+            assert client_retrieve(code, endpoints, k, key).values == msgs[k].values
+    finally:
+        for s in servers:
+            s.stop()
+
+
+def test_no_retrieval_or_setup_makes_a_file_object_of_a_socket(monkeypatch):
+    def makefile(sock, *args, **kwargs):
+        raise AssertionError("socket.makefile called")
+
+    monkeypatch.setattr(socket.socket, "makefile", makefile)
+    code = make_nary(3, 3)
+    msgs = MessageSet.from_values(((1, 0), (0, 1), (1, 1)), 2)
+    servers = [PirServer(n).start() for n in range(3)]
+    try:
+        endpoints = [s.address for s in servers]
+        for ep in endpoints:
+            setup_endpoint(ep, code, msgs)
+        for k in range(3):
+            assert client_retrieve(code, endpoints, k, RandomKey((2, 1), 3)).values == msgs[k].values
+    finally:
+        for s in servers:
+            s.stop()
+
+
+class _Sent(Exception):
+    pass
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3, 2), (4, 3, 3), (3, 1, 2)])
+def test_client_queries_are_the_query_vectors(shape, monkeypatch):
+    code = make_nary(*shape)
+    sent = []
+
+    def exchange(endpoints, frames, timeout, check):
+        sent.append(frames)
+        raise _Sent
+
+    monkeypatch.setattr(net, "_exchange", exchange)
+    endpoints = [("127.0.0.1", 1)] * code.n_servers
+    for key in nary.key_space(code):
+        for k in range(code.n_messages):
+            with pytest.raises(_Sent):
+                client_retrieve(code, endpoints, k, key)
+            assert sent.pop() == [
+                Frame(KIND_QUERY, bytes(query_vector(code, n, k, key)))
+                for n in range(code.n_servers)
+            ]
