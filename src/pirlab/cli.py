@@ -85,8 +85,6 @@ def _parse_endpoints(text: str, parser: argparse.ArgumentParser) -> list[tuple[s
         if not 0 <= number <= 65535:
             parser.error(f"endpoint {item!r} has a port outside 0..65535")
         out.append((host, number))
-    if not out:
-        parser.error("need at least one endpoint")
     return out
 
 

@@ -236,10 +236,7 @@ def parse(text: str) -> DecomposableCode:
                 at += len(seen[0])
                 rows.append(seen[2])
             r.at = at
-            try:
-                per_server.append(AnswerFunction(qrow[2], tuple(rows)))
-            except ValueError as exc:
-                raise CodeFormatError(str(exc)) from None
+            per_server.append(AnswerFunction(qrow[2], tuple(rows)))  # a split token is a label
         varieties.append(tuple(per_server))
 
     krow = r.next("keys", 2)

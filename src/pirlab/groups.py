@@ -13,21 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class Symbol:
-    """An element of Z_modulus.  The package builds none: symbols are ints.
-
-    Kept only because `perfbench/tracing.py` patches its `__post_init__`.
-    """
-
-    value: int
-    modulus: int
+    """Kept only because `perfbench/tracing.py` patches its `__post_init__`; symbols are ints."""
 
     def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value} outside Z_{self.modulus}")
+        pass
 
 
 @dataclass(frozen=True)

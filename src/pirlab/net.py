@@ -494,12 +494,19 @@ def _exchange(endpoints, frames, timeout: float, check) -> list:
             sock.close()
 
 
-def _check_setup(_: int, reply: Frame) -> None:
-    if reply.kind == KIND_ERROR:
+def _answer_payload(reply: Frame, rejected: str, unexpected: str) -> bytes:
+    """An ANSWER's payload; any other reply raises `RetrievalError`.
+
+    An ERROR's code and text follow `rejected`, and any other kind `unexpected`."""
+    if reply.kind == KIND_ANSWER:
+        return reply.payload
+    if reply.kind != KIND_ERROR:
+        raise RetrievalError(f"{unexpected} {reply.kind:#x}")
+    try:
         err, text = decode_error_payload(reply.payload)
-        raise RetrievalError(f"SETUP rejected ({err}): {text}")
-    if reply.kind != KIND_ANSWER:
-        raise RetrievalError(f"unexpected SETUP reply kind {reply.kind:#x}")
+    except ValueError as exc:  # no error code
+        raise RetrievalError(f"{rejected}: {exc}") from exc
+    raise RetrievalError(f"{rejected} ({err}): {text}")
 
 
 def setup_endpoint(
@@ -507,18 +514,15 @@ def setup_endpoint(
 ) -> None:
     """Install the replicated database on one server; raises on rejection."""
     frame = Frame(KIND_SETUP, encode_setup_payload(code, msgs))
-    _exchange([endpoint], [frame], timeout, _check_setup)
+    texts = ("SETUP rejected", "unexpected SETUP reply kind")
+    _exchange([endpoint], [frame], timeout, lambda _, reply: _answer_payload(reply, *texts))
 
 
 def _check_answer(code: NaryCode, n: int, reply: Frame) -> tuple[int, ...]:
     """Server n's reply as a well-formed answer; `reconstruct` checks its length."""
-    if reply.kind == KIND_ERROR:
-        err, text = decode_error_payload(reply.payload)
-        raise RetrievalError(f"server {n} replied error ({err}): {text}")
-    if reply.kind != KIND_ANSWER:
-        raise RetrievalError(f"server {n} sent frame kind {reply.kind:#x}")
+    payload = _answer_payload(reply, f"server {n} replied error", f"server {n} sent frame kind")
     try:
-        return decode_answer_payload(reply.payload, code.modulus)
+        return decode_answer_payload(payload, code.modulus)
     except ValueError as exc:
         raise RetrievalError(f"server {n} sent a malformed answer: {exc}") from exc
 

@@ -93,9 +93,9 @@ def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
     `query_combos` yields, server by server, that server's per-block
     query-index tuples in output order.  Each combined query answers with its
     blocks' rows, lifted to the combined slice, and reconstruction splits the
-    answers per block.  With the shape charged, the lifted entries are charged
-    as one running sum over the combos, which refuses at the first combo that
-    takes it past the cap, before any table is lifted or key listed.
+    answers per block.  With the shape charged, each combo's lifted entries
+    are charged as it is enumerated, so the first combo that takes the sum past
+    the cap refuses, before any table is lifted or key listed.
     """
     first = blocks[0].params
     N, K, m = first.n_servers, first.n_messages, first.msg_modulus
@@ -106,16 +106,11 @@ def _assemble(blocks, keys, query_combos, cap: int) -> DecomposableCode:
     charged, servers = 0, []  # the combined rows charged so far; per server, its combos in order
     for n, combos in enumerate(query_combos):
         lengths = [[v.length for v in b.varieties[n]] for b in blocks]
-        rows_of = functools.partial(map, operator.getitem, lengths)  # a combo's rows per block
-        counted, combos = itertools.tee(combos)
-        # the running sum ends, and the enumeration with it, at the first combo past the cap
-        totals = itertools.accumulate(map(sum, map(rows_of, counted)), initial=charged)
-        within = list(itertools.takewhile((cap // per_row).__ge__, totals))
-        combos = list(itertools.islice(combos, len(within)))
-        if len(combos) == len(within):  # the last of them took the sum past the cap
-            require_within_cap(per_row * (within[-1] + sum(rows_of(combos[-1]))), cap)
-        charged = within[-1]
-        servers.append(combos)
+        servers.append([])
+        for combo in combos:
+            charged += sum(map(operator.getitem, lengths, combo))
+            require_within_cap(per_row * charged, cap)
+            servers[-1].append(combo)
 
     @functools.cache
     def lift(table, block_index: int) -> tuple[int, ...]:

@@ -669,6 +669,35 @@ def test_zero_probability_tuple_is_rejected():
             check(code, 0, (0, 1))
 
 
+def test_verify_skips_a_checked_query_tuple_once_correctness_has_failed(monkeypatch):
+    # table1 with a third key that repeats key 0's query tuples, and a decoder
+    # that always answers 0, so correctness fails at the first (k, key)
+    base = builtin_table1()
+    query_map = {**base.query_map, (0, 2): base.query_map[(0, 0)], (1, 2): base.query_map[(1, 0)]}
+    code = DecomposableCode(
+        base.params, base.varieties, ("0", "1", "2"), query_map, lambda k, f, answers: (0,)
+    )
+    splits = []
+    split = analysis._split
+
+    def counted(code, k, queries):
+        splits.append((k, queries))
+        return split(code, k, queries)
+
+    monkeypatch.setattr(analysis, "_split", counted)
+    records = verify(code)
+    assert records[0].name == "correctness" and not records[0].passed
+    tuples = [sorted({query_map[(k, f)] for f in range(3)}) for k in range(2)]
+    assert sorted(splits) == [(k, q) for k in range(2) for q in tuples[k]]
+    expected = []
+    for i, check in enumerate((check_P1, check_P2, check_P3)):
+        for k in range(2):
+            failed = [r.witness for r in (check(code, k, q) for q in tuples[k]) if not r.passed]
+            params = (("k", str(k)), ("tuples", str(len(tuples[k]))))
+            expected.append(CheckRecord(f"P{i + 1}", params, not failed, None, next(iter(failed), None)))
+    assert [r for r in records if r.name[0] == "P"] == expected
+
+
 def test_verify_splits_each_request_and_key_once(monkeypatch):
     # every key of a request sends its own query tuple on these codes, so a
     # verify that split once for correctness and again for P1-P3 would make

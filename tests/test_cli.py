@@ -22,6 +22,7 @@ from pirlab.codefile import emit, parse, save
 from pirlab.model import DecomposableCode, builtin_table1
 from pirlab.nary import export_decomposable, make_nary
 from test_analysis import NARY_GRID
+from test_net import EMPTY_ERROR, scripted_servers
 
 
 def run_cli(capsys, *argv):
@@ -634,6 +635,25 @@ def test_retrieve_fails_cleanly_without_servers(capsys):
     )
     assert code == 1
     assert "retrieval failed" in err
+
+
+def test_retrieve_fails_cleanly_on_an_error_without_a_code(capsys):
+    # server 0 gets the all-zero query and replies ERROR with an empty payload
+    with scripted_servers(EMPTY_ERROR, EMPTY_ERROR) as endpoints:
+        code, _, err = run_cli(
+            capsys,
+            "retrieve",
+            "--endpoints",
+            ",".join(f"{host}:{port}" for host, port in endpoints),
+            "--messages",
+            "2",
+            "--target",
+            "0",
+            "--key",
+            "0",
+        )
+    assert code == 1
+    assert err == "retrieval failed: server 0 replied error: empty ERROR payload\n"
 
 
 def test_setup_validates_endpoint_syntax(capsys):

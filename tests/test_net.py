@@ -1069,3 +1069,99 @@ def test_client_queries_are_the_query_vectors(shape, monkeypatch):
                 Frame(KIND_QUERY, bytes(query_vector(code, n, k, key)))
                 for n in range(code.n_servers)
             ]
+
+
+# ---------------------------------------------------------------- peer input the client refuses
+
+
+def test_a_frame_of_unknown_kind_gets_an_error_and_a_close(trio):
+    _, servers = trio
+    with _nodelay_connection(servers[0].address) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(struct.pack(">IB", 0, 0x09))
+        reply = read_frame(rfile)
+        assert read_frame(rfile) is None  # then the server closed the connection
+    assert decode_error_payload(reply.payload) == (ERR_PROTOCOL, "unknown frame kind 0x9")
+
+
+def _scripted(listener, reply):
+    """Take one connection and read its frame, then send `reply` and hold the
+    connection until the client closes it; with no reply, close at once."""
+    conn, _ = listener.accept()
+    with conn:
+        read_frame(net._SocketReader(conn))
+        if reply is not None:
+            conn.sendall(reply)
+            try:
+                conn.recv(64)
+            except OSError:  # the client closed it with the reply unread
+                pass
+
+
+@contextlib.contextmanager
+def scripted_servers(*replies):
+    """One fake server per reply; yields their endpoints."""
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in replies]
+    threads = [
+        threading.Thread(target=_scripted, args=(listener, reply), daemon=True)
+        for listener, reply in zip(listeners, replies)
+    ]
+    for listener, thread in zip(listeners, threads):
+        listener.settimeout(5.0)
+        thread.start()
+    try:
+        yield [listener.getsockname() for listener in listeners]
+    finally:
+        for thread in threads:
+            thread.join(timeout=5.0)
+        for listener in listeners:
+            listener.close()
+    assert not any(thread.is_alive() for thread in threads)
+
+
+# an ERROR frame too short to hold its error code
+EMPTY_ERROR = struct.pack(">IB", 0, KIND_ERROR)
+
+
+@pytest.mark.parametrize(
+    "call,reply,text",
+    [
+        ("setup", EMPTY_ERROR, "SETUP rejected: empty ERROR payload"),
+        ("retrieve", EMPTY_ERROR, "server 0 replied error: empty ERROR payload"),
+        ("setup", encode_frame(Frame(KIND_QUERY, b"")), "unexpected SETUP reply kind 0x2"),
+        ("retrieve", encode_frame(Frame(KIND_SETUP, b"")), "server 0 sent frame kind 0x1"),
+        (
+            "retrieve",
+            encode_frame(Frame(KIND_ANSWER, b"\x02\x00")),
+            "server 0 sent a malformed answer: ANSWER says 2 symbols but carries 1",
+        ),
+        (
+            "retrieve",
+            encode_frame(Frame(KIND_ANSWER, b"\x01\x02")),
+            "server 0 sent a malformed answer: ANSWER symbol out of range",
+        ),
+        ("retrieve", struct.pack(">IB", 0, 0x09), "endpoint {host}:{port}: unknown frame kind 0x9"),
+        ("retrieve", None, "endpoint {host}:{port} closed the connection"),
+    ],
+    ids=[
+        "setup-empty-error",
+        "query-empty-error",
+        "setup-wrong-kind",
+        "query-wrong-kind",
+        "answer-count-mismatch",
+        "answer-symbol-past-m",
+        "unknown-kind",
+        "closed-after-query",
+    ],
+)
+def test_a_bad_reply_fails_the_call_with_a_retrieval_error(call, reply, text):
+    if call == "setup":
+        with scripted_servers(reply) as (endpoint,):
+            with pytest.raises(RetrievalError) as exc:
+                setup_endpoint(endpoint, CODE22, MSGS22)
+    else:
+        # server 0 gets the all-zero query; server 1's well-formed answer is never read
+        with scripted_servers(reply, encode_frame(Frame(KIND_ANSWER, b"\x01\x00"))) as endpoints:
+            with pytest.raises(RetrievalError) as exc:
+                client_retrieve(CODE22, endpoints, 0, key=RandomKey((0,), 2))
+        endpoint = endpoints[0]
+    assert str(exc.value) == text.format(host=endpoint[0], port=endpoint[1])
