@@ -31,7 +31,7 @@ each table once, each row once per row index and each key and query index
 once.  `parse` reads through a cursor, copying out only the lines it reads:
 one table per distinct value text, one row per distinct row text and index,
 found again at its index by the row text read there last, else by a slice;
-an index token spelled as `emit` spells it is compared, or looked up, as text.
+a query, key or map index as `emit` spells it is compared or looked up as text.
 
 ``parse(emit(code)) == code`` holds structurally (params, varieties, keys,
 query map) for every code this package produces.
@@ -215,10 +215,7 @@ def parse(text: str) -> DecomposableCode:
                             if table is None:
                                 trow[3:] = value_text.split()
                                 r.check_count("table", trow, 3 + table_size)
-                            # canonical tokens are equal exactly when their integers are
-                            if (trow[1], trow[2]) != (str(i), str(k)) and (
-                                _int(trow[1], "table row") != i or _int(trow[2], "table col") != k
-                            ):
+                            if _int(trow[1], "table row") != i or _int(trow[2], "table col") != k:
                                 raise CodeFormatError(
                                     f"table blocks must appear row-major, got ({trow[1]},{trow[2]})"
                                 )
@@ -249,7 +246,7 @@ def parse(text: str) -> DecomposableCode:
         if row[1] != index and _int(row[1], "key index") != f:
             raise CodeFormatError(f"key entries must appear in order, got {row[1]}")
         keys.append(row[2])
-    # as for `table` lines, an index spelled as `emit` writes it needs no conversion
+    # an index spelled as `emit` writes it needs no conversion
     queries = {str(q): q for q in range(max(map(len, varieties)))}
     query_map = {}
     spelled = (enumerate(map(str, range(count))) for count in (n_messages, key_count))

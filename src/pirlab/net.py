@@ -204,6 +204,10 @@ def decode_answer_payload(payload: bytes, modulus: int) -> tuple[int, ...]:
     return tuple(symbols)
 
 
+# the empty ANSWER: a SETUP's acknowledgement, and the reply to the all-zero QUERY
+_EMPTY_ANSWER = Frame(KIND_ANSWER, encode_answer_payload(()))
+
+
 def error_frame(code: int, text: str) -> Frame:
     return Frame(KIND_ERROR, bytes([code]) + text.encode("utf-8"))
 
@@ -248,7 +252,7 @@ def handle_frame(state: ServerState, frame: Frame) -> tuple[ServerState, Frame]:
             )
         padded = tuple(b"\x00" + row for row in rows)
         new = replace(state, code=code, rows=padded)
-        return new, Frame(KIND_ANSWER, b"\x00")
+        return new, _EMPTY_ANSWER
     if frame.kind == KIND_QUERY:
         code = state.code
         if code is None:
@@ -269,7 +273,7 @@ def handle_frame(state: ServerState, frame: Frame) -> tuple[ServerState, Frame]:
                 f"digit sum addresses server {addressed}, this is server {state.server_index}",
             )
         if not total:  # the all-zero query, which only server 0 accepts
-            return state, Frame(KIND_ANSWER, encode_answer_payload(()))
+            return state, _EMPTY_ANSWER
         value = sum(map(operator.getitem, state.rows, digits)) % code.modulus
         return state, Frame(KIND_ANSWER, encode_answer_payload((value,)))
     # SETUP/QUERY are the only requests; ANSWER/ERROR from a client are nonsense
@@ -515,7 +519,9 @@ def setup_endpoint(
     """Install the replicated database on one server; raises on rejection."""
     frame = Frame(KIND_SETUP, encode_setup_payload(code, msgs))
     texts = ("SETUP rejected", "unexpected SETUP reply kind")
-    _exchange([endpoint], [frame], timeout, lambda _, reply: _answer_payload(reply, *texts))
+    (ack,) = _exchange([endpoint], [frame], timeout, lambda _, reply: _answer_payload(reply, *texts))
+    if ack != _EMPTY_ANSWER.payload:
+        raise RetrievalError(f"SETUP acknowledged with ANSWER {ack!r}, expected {_EMPTY_ANSWER.payload!r}")
 
 
 def _check_answer(code: NaryCode, n: int, reply: Frame) -> tuple[int, ...]:

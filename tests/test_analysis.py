@@ -792,6 +792,33 @@ def test_lemma_mutual_information_value_22():
     assert residual + bound == 0.5
 
 
+def _download_both():
+    """N = K = 2: server 0 sends both one-symbol messages, server 1 nothing; one key."""
+    ident, zero = coordinate_table(2, 1, 0), (0,) * 2
+    return DecomposableCode(
+        CodeParams(2, 2, 1, 2, 2),
+        ((AnswerFunction("ab", ((ident, zero), (zero, ident))),), (AnswerFunction("0", ()),)),
+        ("0",),
+        {(0, 0): (0, 0), (1, 0): (0, 0)},
+        lambda k, f, answers: (answers[0][k],),
+    )
+
+
+def test_download_both_22_meets_lemma1_and_misses_lemma2_by_one_bit():
+    # at rate 1/2 lemma 1 allows L*(1/rate - 1) = 1 bit of the unwanted message,
+    # which the answers carry in the clear; lemma 2 reads N*1 - 0 - 1 = 1 bit
+    code = _download_both()
+    assert [check_lemma1_equality(code, k) for k in range(2)] == [0.0, 0.0]
+    assert [check_lemma2_equality(code, 1, perm) for perm in ((0, 1), (1, 0))] == [1.0, 1.0]
+    lemmas = [(r.text_line(), r.residual) for r in verify(code) if r.name.startswith("lemma")]
+    assert lemmas == [
+        ("lemma1 k=0 pass residual=0.000e+00", 0.0),
+        ("lemma1 k=1 pass residual=0.000e+00", 0.0),
+        ("lemma2 k=1 perm=01 FAIL residual=1.000e+00", 1.0),
+        ("lemma2 k=1 perm=10 FAIL residual=1.000e+00", 1.0),
+    ]
+
+
 # ---------------------------------------------------------------- records
 
 

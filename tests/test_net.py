@@ -332,18 +332,87 @@ def test_integer_server_matches_reference_answer_at_large_k(data):
         assert reply == _reference_reply(code, msgs, server, digits)
 
 
+# ---------------------------------------------------------------- live and scripted peers
+
+
+@contextlib.contextmanager
+def live_cluster(n, setup=None):
+    """Servers 0..n-1, each set up with `setup = (code, msgs)` when given;
+    yields them and stops every one on exit."""
+    servers = []
+    try:
+        for index in range(n):
+            servers.append(PirServer(index).start())
+        if setup is not None:
+            for server in servers:
+                setup_endpoint(server.address, *setup)
+        yield servers
+    finally:
+        for server in servers:
+            server.stop()
+
+
+UNACCEPTED = "unaccepted"  # a peer script: never accept, so the connection waits in the backlog
+
+
+def _scripted(listener, reply, delay, gap):
+    """Play one peer script on `listener`; see `scripted_servers`."""
+    if reply is UNACCEPTED:
+        return
+    conn, _ = listener.accept()
+    with conn:
+        read_frame(net._SocketReader(conn))
+        if reply is None:
+            return
+        try:
+            time.sleep(delay)
+            if gap:
+                for i in range(len(reply)):
+                    time.sleep(gap)
+                    conn.sendall(reply[i : i + 1])
+            else:
+                conn.sendall(reply)
+            while conn.recv(4096):  # hold the connection until the client closes it
+                pass
+        except OSError:  # the client gave up and closed it
+            pass
+
+
+@contextlib.contextmanager
+def scripted_servers(*replies, delay=0.0, gap=0.0):
+    """One fake server per peer script; yields their endpoints.
+
+    A script of bytes takes one connection and reads its frame, waits `delay`
+    seconds, sends the bytes (one per `gap` seconds when `gap` is set), then
+    holds the connection until the client closes it, so `b""` holds it
+    without replying.  `None` reads the frame and closes at once, and
+    `UNACCEPTED` never accepts.
+    """
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in replies]
+    threads = [
+        threading.Thread(target=_scripted, args=(listener, reply, delay, gap), daemon=True)
+        for listener, reply in zip(listeners, replies)
+    ]
+    for listener, thread in zip(listeners, threads):
+        listener.settimeout(5.0)
+        thread.start()
+    try:
+        yield [listener.getsockname() for listener in listeners]
+    finally:
+        for thread in threads:
+            thread.join(timeout=5.0)
+        for listener in listeners:
+            listener.close()
+    assert not any(thread.is_alive() for thread in threads)
+
+
 # ---------------------------------------------------------------- live loopback
 
 
 @pytest.fixture
 def trio():
-    code = make_nary(3, 2)
-    servers = [PirServer(n).start() for n in range(3)]
-    try:
-        yield code, servers
-    finally:
-        for s in servers:
-            s.stop()
+    with live_cluster(3) as servers:
+        yield make_nary(3, 2), servers
 
 
 def test_live_setup_and_retrieve(trio):
@@ -427,26 +496,22 @@ def test_client_retrieve_fails_cleanly_on_dead_endpoint():
 
 def test_failed_retrieval_leaves_no_socket_open(monkeypatch):
     # the first endpoint takes the connection and the QUERY; the second is dead
-    listener = socket.create_server(("127.0.0.1", 0))
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            try:
-                client_retrieve(
-                    make_nary(2, 2),
-                    [listener.getsockname(), _dead_endpoint()],
-                    0,
-                    key=RandomKey((0,), 2),
-                )
-            except RetrievalError:
-                pass
-            else:
-                pytest.fail("a retrieval with a dead endpoint succeeded")
-            gc.collect()  # an unclosed socket warns when it is collected
-    finally:
-        listener.close()
+    with scripted_servers(UNACCEPTED) as (endpoint,), warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        try:
+            client_retrieve(
+                make_nary(2, 2),
+                [endpoint, _dead_endpoint()],
+                0,
+                key=RandomKey((0,), 2),
+            )
+        except RetrievalError:
+            pass
+        else:
+            pytest.fail("a retrieval with a dead endpoint succeeded")
+        gc.collect()  # an unclosed socket warns when it is collected
     assert [u.exc_value for u in unraisable] == []
 
 
@@ -462,44 +527,19 @@ def test_failed_retrieval_leaves_no_socket_open(monkeypatch):
 def test_wrong_answer_length_fails_the_retrieval(key_digit, payloads, monkeypatch):
     # each endpoint takes the QUERY and replies with a well-formed ANSWER
     # carrying the given payload
-    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in payloads]
-
-    def reply(listener, payload):
-        listener.settimeout(5.0)
-        conn, _ = listener.accept()
-        with conn:
-            conn.recv(64)
-            try:
-                conn.sendall(encode_frame(Frame(KIND_ANSWER, payload)))
-                conn.recv(64)  # hold the connection until the client closes it
-            except ConnectionError:  # the client may give up before this reply
-                pass
-
-    threads = [
-        threading.Thread(target=reply, args=pair, daemon=True)
-        for pair in zip(listeners, payloads)
-    ]
-    for thread in threads:
-        thread.start()
+    replies = [encode_frame(Frame(KIND_ANSWER, payload)) for payload in payloads]
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            with pytest.raises(RetrievalError, match="query demands"):
-                client_retrieve(
-                    make_nary(2, 2),
-                    [listener.getsockname() for listener in listeners],
-                    0,
-                    key=RandomKey((key_digit,), 2),
-                )
-            gc.collect()  # an unclosed socket warns when it is collected
-    finally:
-        for thread in threads:
-            thread.join(timeout=5.0)
-        for listener in listeners:
-            listener.close()
-    assert not any(thread.is_alive() for thread in threads)
+    with scripted_servers(*replies) as endpoints, warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(RetrievalError, match="query demands"):
+            client_retrieve(
+                make_nary(2, 2),
+                endpoints,
+                0,
+                key=RandomKey((key_digit,), 2),
+            )
+        gc.collect()  # an unclosed socket warns when it is collected
     assert [u.exc_value for u in unraisable] == []
 
 
@@ -507,37 +547,18 @@ def test_wrong_answer_length_fails_the_retrieval(key_digit, payloads, monkeypatc
 def test_client_deadline_bounds_the_whole_retrieval(first_reply_after):
     # two endpoints that take the connection; the second never replies, the
     # first never does either or sends its (empty) answer after a delay
-    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
-    listeners[0].settimeout(5.0)
-
-    def reply_late():
-        conn, _ = listeners[0].accept()
-        with conn:
-            conn.recv(64)
-            time.sleep(first_reply_after)
-            conn.sendall(encode_frame(Frame(KIND_ANSWER, b"\x00")))
-            conn.recv(64)  # hold the connection until the client closes it
-
-    thread = threading.Thread(target=reply_late, daemon=True)
-    if first_reply_after is not None:
-        thread.start()
-    try:
+    first = UNACCEPTED if first_reply_after is None else encode_frame(Frame(KIND_ANSWER, b"\x00"))
+    with scripted_servers(first, UNACCEPTED, delay=first_reply_after or 0.0) as endpoints:
         t0 = time.monotonic()
         with pytest.raises(RetrievalError, match="timed out"):
             client_retrieve(
                 make_nary(2, 2),
-                [listener.getsockname() for listener in listeners],
+                endpoints,
                 0,
                 key=RandomKey((0,), 2),  # server 0 gets the all-zero query
                 timeout=1.0,
             )
         elapsed = time.monotonic() - t0
-    finally:
-        if thread.is_alive():
-            thread.join(timeout=5.0)
-        for listener in listeners:
-            listener.close()
-    assert not thread.is_alive()
     # one deadline for the retrieval (about 1.0 s), not one timeout per read
     # (about 1.9 s when the first reply comes at 0.9 s)
     assert 0.9 <= elapsed < 1.6
@@ -555,32 +576,17 @@ def test_setup_endpoint_fails_cleanly_on_dead_endpoint(monkeypatch):
 
 
 def test_setup_endpoint_deadline_bounds_a_silent_server():
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(5.0)
-
-    def take_and_hold():
-        conn, _ = listener.accept()
-        with conn:
-            while conn.recv(4096):  # read the SETUP, never reply, wait for the close
-                pass
-
-    thread = threading.Thread(target=take_and_hold, daemon=True)
-    thread.start()
-    try:
+    # read the SETUP, never reply, wait for the close
+    with scripted_servers(b"") as (endpoint,):
         t0 = time.monotonic()
         with pytest.raises(RetrievalError, match="timed out"):
-            setup_endpoint(listener.getsockname(), CODE22, MSGS22, timeout=1.0)
+            setup_endpoint(endpoint, CODE22, MSGS22, timeout=1.0)
         elapsed = time.monotonic() - t0
-    finally:
-        thread.join(timeout=5.0)
-        listener.close()
-    assert not thread.is_alive()
     assert 0.9 <= elapsed < 1.6
 
 
 def test_query_to_unconfigured_server_is_protocol_error():
-    server = PirServer(0).start()
-    try:
+    with live_cluster(1) as (server,):
         code = make_nary(2, 2)
         with pytest.raises(RetrievalError, match="QUERY before SETUP"):
             client_retrieve(
@@ -589,8 +595,6 @@ def test_query_to_unconfigured_server_is_protocol_error():
                 0,
                 key=RandomKey((0,), 2),
             )
-    finally:
-        server.stop()
 
 
 def test_stop_returns_on_a_server_that_was_never_started():
@@ -661,8 +665,7 @@ def test_a_connection_past_the_cap_is_closed_unanswered(monkeypatch):
     monkeypatch.setattr(net._WorkerTCPServer, "max_connections", 2)
     started = _count_thread_starts(monkeypatch)
     code = make_nary(2, 2)
-    servers = [PirServer(n).start() for n in range(2)]
-    try:
+    with live_cluster(2) as servers:
         with contextlib.ExitStack() as held:
             for _ in range(2):
                 sock = held.enter_context(socket.create_connection(servers[0].address, timeout=2.0))
@@ -677,9 +680,6 @@ def test_a_connection_past_the_cap_is_closed_unanswered(monkeypatch):
         for ep in endpoints:
             setup_endpoint(ep, code, msgs)
         assert client_retrieve(code, endpoints, 1, key=RandomKey((1,), 2)).values == (0,)
-    finally:
-        for s in servers:
-            s.stop()
     # two serve loops, two workers on the capped server, at most two on the other
     assert len(started) <= 6
 
@@ -712,30 +712,23 @@ def test_a_burst_of_first_connections_is_answered_without_a_handshake_retry():
     # 8 handshakes that all start before the server accepts one: a listen
     # backlog of 5 drops the extra ones, which the kernel retries after 1 s
     for _ in range(5):
-        server = PirServer(0).start()
-        try:
-            with contextlib.ExitStack() as held:
-                socks = [held.enter_context(socket.socket()) for _ in range(8)]
-                t0 = time.monotonic()
-                for sock in socks:
-                    sock.setblocking(False)
-                    sock.connect_ex(server.address)
-                for sock in socks:
-                    sock.settimeout(5.0)
-                    _query_before_setup(sock, held.enter_context(sock.makefile("rb")))
-                assert time.monotonic() - t0 < 0.5
-        finally:
-            server.stop()
+        with live_cluster(1) as (server,), contextlib.ExitStack() as held:
+            socks = [held.enter_context(socket.socket()) for _ in range(8)]
+            t0 = time.monotonic()
+            for sock in socks:
+                sock.setblocking(False)
+                sock.connect_ex(server.address)
+            for sock in socks:
+                sock.settimeout(5.0)
+                _query_before_setup(sock, held.enter_context(sock.makefile("rb")))
+            assert time.monotonic() - t0 < 0.5
 
 
 def test_sequential_retrievals_reuse_kept_workers(monkeypatch):
     code = make_nary(3, 3)
     msgs = MessageSet.from_values(((1, 0), (0, 1), (1, 1)), 2)
-    servers = [PirServer(n).start() for n in range(3)]
-    try:
+    with live_cluster(3, (code, msgs)) as servers:
         endpoints = [s.address for s in servers]
-        for ep in endpoints:
-            setup_endpoint(ep, code, msgs)
         started = _count_thread_starts(monkeypatch)
         rng = random.Random(7)
         for i in range(200):
@@ -743,9 +736,6 @@ def test_sequential_retrievals_reuse_kept_workers(monkeypatch):
             assert client_retrieve(code, endpoints, i % 3, key).values == msgs[i % 3].values
         # a thread per connection would start 600
         assert len(started) <= len(servers)
-    finally:
-        for s in servers:
-            s.stop()
 
 
 @pytest.mark.parametrize("start_after", [0.0, 0.5], ids=["at-once", "later"])
@@ -763,27 +753,20 @@ def test_a_peer_that_never_reads_does_not_stall_the_next_retrieval(start_after, 
     monkeypatch.setattr(net._Handler, "timeout", 4.0)
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-    servers = [PirServer(n).start() for n in range(2)]
-    try:
+    with live_cluster(2, (CODE22, MSGS22)) as servers, warnings.catch_warnings():
         endpoints = [s.address for s in servers]
-        for ep in endpoints:
-            setup_endpoint(ep, CODE22, MSGS22)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            with socket.socket() as peer:
-                peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-                peer.settimeout(5.0)
-                peer.connect(servers[0].address)
-                peer.sendall(encode_frame(Frame(KIND_QUERY, b"\x00\x00")) * 6000)
-                peer.shutdown(socket.SHUT_WR)
-                time.sleep(start_after)
-                t0 = time.monotonic()
-                got = client_retrieve(CODE22, endpoints, 1, key=RandomKey((1,), 2))
-                elapsed = time.monotonic() - t0
-            gc.collect()  # an unclosed socket warns when it is collected
-    finally:
-        for s in servers:
-            s.stop()
+        warnings.simplefilter("error", ResourceWarning)
+        with socket.socket() as peer:
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            peer.settimeout(5.0)
+            peer.connect(servers[0].address)
+            peer.sendall(encode_frame(Frame(KIND_QUERY, b"\x00\x00")) * 6000)
+            peer.shutdown(socket.SHUT_WR)
+            time.sleep(start_after)
+            t0 = time.monotonic()
+            got = client_retrieve(CODE22, endpoints, 1, key=RandomKey((1,), 2))
+            elapsed = time.monotonic() - t0
+        gc.collect()  # an unclosed socket warns when it is collected
     assert got.values == MSGS22[1].values
     assert elapsed < 1.0
     assert [u.exc_value for u in unraisable] == []
@@ -813,34 +796,18 @@ def test_live_oversize_header_is_refused_without_allocation(trio):
 
 
 def test_client_refuses_oversize_reply():
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(5.0)
-
-    def reply_oversize():
-        conn, _ = listener.accept()
-        with conn:
-            conn.recv(64)
-            conn.sendall(struct.pack(">IB", 2**32 - 1, KIND_ANSWER))
-
-    thread = threading.Thread(target=reply_oversize, daemon=True)
-    thread.start()
-    try:
+    with scripted_servers(struct.pack(">IB", 2**32 - 1, KIND_ANSWER)) as (endpoint,):
         code = make_nary(2, 2)
         msgs = MessageSet.from_values(((1,), (0,)), 2)
         with pytest.raises(RetrievalError, match="limit"):
-            setup_endpoint(listener.getsockname(), code, msgs)
-    finally:
-        thread.join(timeout=5.0)
-        listener.close()
-    assert not thread.is_alive()
+            setup_endpoint(endpoint, code, msgs)
 
 
 def test_concurrent_setups_install_exactly_once():
     code = make_nary(2, 2)
     msgs = MessageSet.from_values(((1,), (0,)), 2)
     setup = encode_frame(_setup_frame(code, msgs))
-    servers = [PirServer(n).start() for n in range(2)]
-    try:
+    with live_cluster(2) as servers:
         barrier = threading.Barrier(8)
         replies = [None] * 8
 
@@ -871,16 +838,12 @@ def test_concurrent_setups_install_exactly_once():
         for k in range(2):
             got = client_retrieve(code, endpoints, k, key=RandomKey((1,), 2))
             assert got.values == msgs[k].values
-    finally:
-        for s in servers:
-            s.stop()
 
 
 def test_idle_connection_is_closed_quietly(monkeypatch, capfd):
     monkeypatch.setattr(net._Handler, "timeout", 0.2)
     code = make_nary(3, 2)
-    servers = [PirServer(n).start() for n in range(3)]
-    try:
+    with live_cluster(3) as servers:
         # idle from the start, and stalled inside a frame header
         for sent in (b"", encode_frame(Frame(KIND_QUERY, b"\x00\x00"))[:3]):
             with socket.create_connection(servers[0].address, timeout=2.0) as sock:
@@ -893,58 +856,27 @@ def test_idle_connection_is_closed_quietly(monkeypatch, capfd):
         for ep in endpoints:
             setup_endpoint(ep, code, msgs)
         assert client_retrieve(code, endpoints, 1, key=RandomKey((2,), 3)).values == (0, 1)
-    finally:
-        for s in servers:
-            s.stop()
     assert capfd.readouterr().err == ""
 
 
 # ---------------------------------------------------------------- frames read off live sockets
 
 
-def _drip(listener, data, gap):
-    """Take one connection and its request, then send `data` one byte per `gap` seconds."""
-    conn, _ = listener.accept()
-    with conn:
-        conn.recv(64)
-        try:
-            for i in range(len(data)):
-                time.sleep(gap)
-                conn.sendall(data[i : i + 1])
-            conn.recv(64)  # hold the connection until the client closes it
-        except OSError:  # the client gave up and closed it
-            pass
-
-
 def test_client_deadline_bounds_every_read():
     # each reply arrives one byte per 0.3 s, so every receive returns in time
     # but the reply as a whole takes 1.8 s
-    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
     reply = encode_frame(Frame(KIND_ANSWER, b"\x00"))
-    threads = [
-        threading.Thread(target=_drip, args=(listener, reply, 0.3), daemon=True)
-        for listener in listeners
-    ]
-    for listener, thread in zip(listeners, threads):
-        listener.settimeout(5.0)
-        thread.start()
-    try:
+    with scripted_servers(reply, reply, gap=0.3) as endpoints:
         t0 = time.monotonic()
         with pytest.raises(RetrievalError, match="timed out"):
             client_retrieve(
                 make_nary(2, 2),
-                [listener.getsockname() for listener in listeners],
+                endpoints,
                 0,
                 key=RandomKey((0,), 2),
                 timeout=1.0,
             )
         elapsed = time.monotonic() - t0
-    finally:
-        for thread in threads:
-            thread.join(timeout=5.0)
-        for listener in listeners:
-            listener.close()
-    assert not any(thread.is_alive() for thread in threads)
     assert 0.9 <= elapsed < 1.4
 
 
@@ -1008,8 +940,7 @@ def test_a_wide_setup_split_across_many_sends_is_read_whole():
     rng = random.Random(3)
     msgs = MessageSet.from_values([[rng.randrange(256) for _ in range(2)] for _ in range(1000)], 256)
     data = encode_frame(_setup_frame(code, msgs))
-    servers = [PirServer(n).start() for n in range(3)]
-    try:
+    with live_cluster(3) as servers:
         with _nodelay_connection(servers[0].address) as sock, sock.makefile("rb") as rfile:
             for i in range(0, len(data), 97):
                 sock.sendall(data[i : i + 97])
@@ -1022,9 +953,6 @@ def test_a_wide_setup_split_across_many_sends_is_read_whole():
         for k in (0, 517, 999):
             key = RandomKey(tuple(rng.randrange(3) for _ in range(999)), 3)
             assert client_retrieve(code, endpoints, k, key).values == msgs[k].values
-    finally:
-        for s in servers:
-            s.stop()
 
 
 def test_no_retrieval_or_setup_makes_a_file_object_of_a_socket(monkeypatch):
@@ -1034,16 +962,10 @@ def test_no_retrieval_or_setup_makes_a_file_object_of_a_socket(monkeypatch):
     monkeypatch.setattr(socket.socket, "makefile", makefile)
     code = make_nary(3, 3)
     msgs = MessageSet.from_values(((1, 0), (0, 1), (1, 1)), 2)
-    servers = [PirServer(n).start() for n in range(3)]
-    try:
+    with live_cluster(3, (code, msgs)) as servers:
         endpoints = [s.address for s in servers]
-        for ep in endpoints:
-            setup_endpoint(ep, code, msgs)
         for k in range(3):
             assert client_retrieve(code, endpoints, k, RandomKey((2, 1), 3)).values == msgs[k].values
-    finally:
-        for s in servers:
-            s.stop()
 
 
 class _Sent(Exception):
@@ -1083,41 +1005,6 @@ def test_a_frame_of_unknown_kind_gets_an_error_and_a_close(trio):
     assert decode_error_payload(reply.payload) == (ERR_PROTOCOL, "unknown frame kind 0x9")
 
 
-def _scripted(listener, reply):
-    """Take one connection and read its frame, then send `reply` and hold the
-    connection until the client closes it; with no reply, close at once."""
-    conn, _ = listener.accept()
-    with conn:
-        read_frame(net._SocketReader(conn))
-        if reply is not None:
-            conn.sendall(reply)
-            try:
-                conn.recv(64)
-            except OSError:  # the client closed it with the reply unread
-                pass
-
-
-@contextlib.contextmanager
-def scripted_servers(*replies):
-    """One fake server per reply; yields their endpoints."""
-    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in replies]
-    threads = [
-        threading.Thread(target=_scripted, args=(listener, reply), daemon=True)
-        for listener, reply in zip(listeners, replies)
-    ]
-    for listener, thread in zip(listeners, threads):
-        listener.settimeout(5.0)
-        thread.start()
-    try:
-        yield [listener.getsockname() for listener in listeners]
-    finally:
-        for thread in threads:
-            thread.join(timeout=5.0)
-        for listener in listeners:
-            listener.close()
-    assert not any(thread.is_alive() for thread in threads)
-
-
 # an ERROR frame too short to hold its error code
 EMPTY_ERROR = struct.pack(">IB", 0, KIND_ERROR)
 
@@ -1128,6 +1015,21 @@ EMPTY_ERROR = struct.pack(">IB", 0, KIND_ERROR)
         ("setup", EMPTY_ERROR, "SETUP rejected: empty ERROR payload"),
         ("retrieve", EMPTY_ERROR, "server 0 replied error: empty ERROR payload"),
         ("setup", encode_frame(Frame(KIND_QUERY, b"")), "unexpected SETUP reply kind 0x2"),
+        (
+            "setup",
+            encode_frame(Frame(KIND_ANSWER, b"")),
+            "SETUP acknowledged with ANSWER b'', expected b'\\x00'",
+        ),
+        (
+            "setup",
+            encode_frame(Frame(KIND_ANSWER, b"\x05")),
+            "SETUP acknowledged with ANSWER b'\\x05', expected b'\\x00'",
+        ),
+        (
+            "setup",
+            encode_frame(Frame(KIND_ANSWER, b"\x01\x07")),
+            "SETUP acknowledged with ANSWER b'\\x01\\x07', expected b'\\x00'",
+        ),
         ("retrieve", encode_frame(Frame(KIND_SETUP, b"")), "server 0 sent frame kind 0x1"),
         (
             "retrieve",
@@ -1146,6 +1048,9 @@ EMPTY_ERROR = struct.pack(">IB", 0, KIND_ERROR)
         "setup-empty-error",
         "query-empty-error",
         "setup-wrong-kind",
+        "setup-ack-empty",
+        "setup-ack-bad-count",
+        "setup-ack-a-symbol",
         "query-wrong-kind",
         "answer-count-mismatch",
         "answer-symbol-past-m",

@@ -77,3 +77,18 @@ def test_network_soak_counts_a_failed_retrieval_and_goes_on(monkeypatch, capsys)
     assert "10 retrievals in" in out and ", 1 failures" in out
     assert "download/round: observed" in out
     assert len(calls) == 10
+
+
+def test_network_soak_observes_no_download_when_no_round_completes(monkeypatch, capsys):
+    # a failed round received nothing, so it adds nothing to the observed download
+    soak = load_soak()
+
+    def fail(*args, **kwargs):
+        raise RetrievalError("server 0 closed the connection")
+
+    monkeypatch.setattr(soak, "client_retrieve", fail)
+    monkeypatch.setattr(sys, "argv", ["network_soak.py", "--rounds", "5"])
+    assert soak.main() == 1
+    out = capsys.readouterr().out
+    assert "5 retrievals in" in out and ", 5 failures" in out
+    assert "download/round: observed n/a, expected 2.8889" in out
